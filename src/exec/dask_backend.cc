@@ -428,7 +428,7 @@ Result<std::unique_ptr<PartitionStream>> ZoneStream::Make(
 
 Status ZoneStream::Discover(const DaskNodePtr& node) {
   if (zone_.count(node.get()) > 0) return Status::OK();
-  bool fusable = IsMapOp(node->desc.kind) &&
+  bool fusable = Traits(node->desc.kind).Is(OpTraits::kMap) &&
                  (node == root_ || (!node->persist_requested &&
                                     node->persisted == nullptr));
   if (!fusable) {
@@ -785,7 +785,9 @@ Result<std::unique_ptr<PartitionStream>> DaskEvaluator::StreamInner(
       return MemoizeSingle(node, std::move(acc));
     }
     default: {
-      if (IsMapOp(desc.kind)) return ZoneStream::Make(this, node);
+      if (Traits(desc.kind).Is(OpTraits::kMap)) {
+        return ZoneStream::Make(this, node);
+      }
       // Fallback inside the backend (sort and anything exotic): collect
       // inputs, run the eager kernel.
       std::vector<EagerValue> inputs;
@@ -879,8 +881,7 @@ Result<BackendValue> DaskBackend::Execute(
                           internal::NodeOf(in));
     node->inputs.push_back(std::move(in_node));
   }
-  node->produces_scalar =
-      desc.kind == OpKind::kReduce || desc.kind == OpKind::kLen;
+  node->produces_scalar = Traits(desc.kind).Is(OpTraits::kScalarResult);
   return BackendValue::Frame(std::move(node));
 }
 

@@ -30,7 +30,7 @@ namespace {
 Status CheckArity(const OpDesc& desc, const std::vector<EagerValue>& inputs) {
   int expected = ExpectedArity(desc);
   if (expected >= 0 && static_cast<int>(inputs.size()) != expected) {
-    return Status::Invalid(std::string("op ") + OpKindName(desc.kind) +
+    return Status::Invalid(std::string("op ") + Traits(desc.kind).name +
                            " expects " + std::to_string(expected) +
                            " inputs, got " + std::to_string(inputs.size()));
   }
@@ -301,7 +301,7 @@ Result<EagerValue> ExecuteEagerOp(const OpDesc& desc,
     case OpKind::kPrint:
       return Status::Invalid("print is executed by the session, not a kernel");
   }
-  return Status::NotImplemented(std::string("op ") + OpKindName(desc.kind));
+  return Status::NotImplemented(std::string("op ") + Traits(desc.kind).name);
 }
 
 }  // namespace lafp::exec

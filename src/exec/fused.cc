@@ -318,33 +318,6 @@ void ApplyMicroOp(const MicroOp& m, Lanes* L, LaneState* state, size_t m_rows) {
   }
 }
 
-/// Apply one step with the ordinary kernels — the fallback when PlanChain
-/// refuses a chain. Composing the kernels is byte-identical to the unfused
-/// plan by construction (same calls in the same order).
-Result<ColumnPtr> ApplyStepUnfused(const OpDesc& s, const Column& col) {
-  switch (s.kind) {
-    case OpKind::kArith:
-      if (!s.has_scalar) break;
-      return s.scalar_on_left
-                 ? df::ArithScalarLeft(s.scalar, s.arith_op, col)
-                 : df::Arith(col, s.arith_op, s.scalar);
-    case OpKind::kCompare:
-      if (!s.has_scalar) break;
-      return df::Compare(col, s.compare_op, s.scalar);
-    case OpKind::kAbs:
-      return df::Abs(col);
-    case OpKind::kRound:
-      return df::Round(col, s.digits);
-    case OpKind::kBooleanNot:
-      return df::BooleanNot(col);
-    case OpKind::kIsNull:
-      return df::IsNull(col);
-    default:
-      break;
-  }
-  return Status::Invalid("non-fusable step in fused_map: " + s.ToString());
-}
-
 /// Run the fused chain over `src` (already filtered when a mask variant):
 /// one morsel pass, lanes in, final column out.
 Result<ColumnPtr> RunFusedChain(const Column& src,
@@ -478,11 +451,15 @@ Result<EagerValue> ExecuteFusedMap(const OpDesc& desc,
       LAFP_ASSIGN_OR_RETURN(cur,
                             RunFusedChain(*cur, plan, init, fin, tracker));
     } else {
-      // Unsupported lane shape (strings, type errors): compose the
-      // ordinary kernels step by step.
-      for (const OpDesc& s : desc.fused) {
-        LAFP_ASSIGN_OR_RETURN(cur, ApplyStepUnfused(s, *cur));
+      // Unsupported lane shape (strings, type errors): run each step as its
+      // own eager op, which is the unfused plan by construction (same
+      // kernels, same error strings).
+      LAFP_ASSIGN_OR_RETURN(EagerValue value,
+                            SeriesOf(std::move(cur), out_name));
+      for (const OpDesc& step : desc.fused) {
+        LAFP_ASSIGN_OR_RETURN(value, ExecuteEagerOp(step, {value}, tracker));
       }
+      return value;
     }
   }
   return SeriesOf(std::move(cur), out_name);

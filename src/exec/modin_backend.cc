@@ -161,7 +161,9 @@ Result<BackendValue> ModinBackend::Execute(
     case OpKind::kMerge:
       return ExecuteMerge(desc, inputs[0], inputs[1]);
     default:
-      if (IsMapOp(desc.kind)) return ExecuteMapOp(desc, inputs);
+      if (Traits(desc.kind).Is(OpTraits::kMap)) {
+        return ExecuteMapOp(desc, inputs);
+      }
       return ExecuteViaConcat(desc, inputs);
   }
 }

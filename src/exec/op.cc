@@ -1,391 +1,615 @@
 #include "exec/op.h"
 
-#include <sstream>
+#include <iterator>
+#include <type_traits>
+#include <utility>
+
+#include "common/macros.h"
 
 namespace lafp::exec {
 
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kReadCsv:
-      return "read_csv";
-    case OpKind::kSelect:
-      return "select";
-    case OpKind::kGetColumn:
-      return "get_item";
-    case OpKind::kFilter:
-      return "filter";
-    case OpKind::kCompare:
-      return "compare";
-    case OpKind::kBooleanAnd:
-      return "and";
-    case OpKind::kBooleanOr:
-      return "or";
-    case OpKind::kBooleanNot:
-      return "not";
-    case OpKind::kIsNull:
-      return "isna";
-    case OpKind::kStrContains:
-      return "str_contains";
-    case OpKind::kSetColumn:
-      return "set_item";
-    case OpKind::kDropColumns:
-      return "drop";
-    case OpKind::kRename:
-      return "rename";
-    case OpKind::kArith:
-      return "arith";
-    case OpKind::kAbs:
-      return "abs";
-    case OpKind::kRound:
-      return "round";
-    case OpKind::kFillNa:
-      return "fillna";
-    case OpKind::kDropNa:
-      return "dropna";
-    case OpKind::kAsType:
-      return "astype";
-    case OpKind::kToDatetime:
-      return "to_datetime";
-    case OpKind::kDtAccessor:
-      return "dt";
-    case OpKind::kGroupByAgg:
-      return "groupby_agg";
-    case OpKind::kReduce:
-      return "reduce";
-    case OpKind::kMerge:
-      return "merge";
-    case OpKind::kSortValues:
-      return "sort_values";
-    case OpKind::kDropDuplicates:
-      return "drop_duplicates";
-    case OpKind::kUnique:
-      return "unique";
-    case OpKind::kValueCounts:
-      return "value_counts";
-    case OpKind::kDescribe:
-      return "describe";
-    case OpKind::kHead:
-      return "head";
-    case OpKind::kPrint:
-      return "print";
-    case OpKind::kLen:
-      return "len";
-    case OpKind::kIsIn:
-      return "isin";
-    case OpKind::kConcat:
-      return "concat";
-    case OpKind::kReadLfc:
-      return "read_lfc";
-    case OpKind::kMaterialized:
-      return "materialized";
-    case OpKind::kFusedMap:
-      return "fused_map";
+namespace {
+
+using F = OpField;
+using CE = ColumnEffect;
+using ON = OutputNames;
+
+template <typename... Fields>
+constexpr uint32_t FieldSet(Fields... fields) {
+  return (0u | ... | (1u << static_cast<int>(fields)));
+}
+
+constexpr uint32_t kMap = OpTraits::kMap;
+constexpr uint32_t kRowwise = OpTraits::kRowwiseInvariant;
+constexpr uint32_t kFusable = OpTraits::kFusableStep;
+constexpr uint32_t kScalarResult = OpTraits::kScalarResult;
+constexpr uint32_t kScalarOperand = OpTraits::kScalarOperand;
+
+// The operator schema: one row per OpKind, in enum order.
+// clang-format off
+constexpr OpTraits kTraits[] = {
+    // kind, name, arity, flags, column effect, output names, fields
+    {OpKind::kReadCsv, "read_csv", 0, 0, CE::kOpaque, ON::kCustom,
+     FieldSet(F::kPath, F::kCsvOptions)},
+    {OpKind::kSelect, "select", 1, kMap | kRowwise, CE::kPreserves, ON::kCustom,
+     FieldSet(F::kColumns)},
+    {OpKind::kGetColumn, "get_item", 1, kMap | kRowwise, CE::kOpaque, ON::kCustom,
+     FieldSet(F::kColumn)},
+    {OpKind::kFilter, "filter", 2, kMap | kRowwise, CE::kOpaque, ON::kInput, 0},
+    {OpKind::kCompare, "compare", 2, kMap | kRowwise | kFusable | kScalarOperand,
+     CE::kOpaque, ON::kSeries, FieldSet(F::kCompareOp, F::kHasScalar, F::kScalar)},
+    {OpKind::kBooleanAnd, "and", 2, kMap | kRowwise, CE::kOpaque, ON::kSeries, 0},
+    {OpKind::kBooleanOr, "or", 2, kMap | kRowwise, CE::kOpaque, ON::kSeries, 0},
+    {OpKind::kBooleanNot, "not", 1, kMap | kRowwise | kFusable, CE::kOpaque,
+     ON::kSeries, 0},
+    {OpKind::kIsNull, "isna", 1, kMap | kRowwise | kFusable, CE::kOpaque,
+     ON::kSeries, 0},
+    {OpKind::kStrContains, "str_contains", 1, kMap | kRowwise, CE::kOpaque,
+     ON::kSeries, FieldSet(F::kStrArg)},
+    {OpKind::kSetColumn, "set_item", 2, kMap | kRowwise | kScalarOperand,
+     CE::kWrites, ON::kCustom, FieldSet(F::kColumn, F::kHasScalar, F::kScalar)},
+    {OpKind::kDropColumns, "drop", 1, kMap | kRowwise, CE::kPreserves,
+     ON::kCustom, FieldSet(F::kColumns)},
+    {OpKind::kRename, "rename", 1, kMap | kRowwise, CE::kRenames, ON::kCustom,
+     FieldSet(F::kRename)},
+    {OpKind::kArith, "arith", 2, kMap | kRowwise | kFusable | kScalarOperand,
+     CE::kOpaque, ON::kSeries,
+     FieldSet(F::kArithOp, F::kScalarOnLeft, F::kHasScalar, F::kScalar)},
+    {OpKind::kAbs, "abs", 1, kMap | kRowwise | kFusable, CE::kOpaque, ON::kSeries, 0},
+    {OpKind::kRound, "round", 1, kMap | kRowwise | kFusable, CE::kOpaque,
+     ON::kSeries, FieldSet(F::kDigits)},
+    {OpKind::kFillNa, "fillna", 1, kMap | kRowwise, CE::kOpaque, ON::kInput,
+     FieldSet(F::kHasScalar, F::kScalar)},
+    {OpKind::kDropNa, "dropna", 1, kMap, CE::kOpaque, ON::kInput, 0},
+    {OpKind::kAsType, "astype", 1, kMap | kRowwise, CE::kOpaque, ON::kSeries,
+     FieldSet(F::kDtype)},
+    {OpKind::kToDatetime, "to_datetime", 1, kMap | kRowwise, CE::kOpaque,
+     ON::kSeries, 0},
+    {OpKind::kDtAccessor, "dt", 1, kMap | kRowwise, CE::kOpaque, ON::kSeries,
+     FieldSet(F::kDtField)},
+    {OpKind::kGroupByAgg, "groupby_agg", 1, 0, CE::kOpaque, ON::kCustom,
+     FieldSet(F::kColumns, F::kAggs)},
+    {OpKind::kReduce, "reduce", 1, kScalarResult, CE::kOpaque, ON::kScalar,
+     FieldSet(F::kAggFunc)},
+    {OpKind::kMerge, "merge", 2, 0, CE::kOpaque, ON::kEngine,
+     FieldSet(F::kColumns, F::kJoinType)},
+    {OpKind::kSortValues, "sort_values", 1, kRowwise, CE::kPreserves,
+     ON::kInput, FieldSet(F::kColumns, F::kAscending)},
+    {OpKind::kDropDuplicates, "drop_duplicates", 1, kRowwise, CE::kPreserves,
+     ON::kInput, FieldSet(F::kColumns)},
+    {OpKind::kUnique, "unique", 1, 0, CE::kOpaque, ON::kSeries, 0},
+    {OpKind::kValueCounts, "value_counts", 1, 0, CE::kOpaque, ON::kEngine, 0},
+    {OpKind::kDescribe, "describe", 1, 0, CE::kOpaque, ON::kEngine, 0},
+    {OpKind::kHead, "head", 1, 0, CE::kOpaque, ON::kInput, FieldSet(F::kN)},
+    {OpKind::kPrint, "print", -1, 0, CE::kOpaque, ON::kNone, 0},
+    {OpKind::kLen, "len", 1, kScalarResult, CE::kOpaque, ON::kScalar, 0},
+    {OpKind::kIsIn, "isin", 1, kMap | kRowwise, CE::kOpaque, ON::kSeries,
+     FieldSet(F::kScalarList)},
+    {OpKind::kConcat, "concat", -1, 0, CE::kOpaque, ON::kEngine, 0},
+    {OpKind::kReadLfc, "read_lfc", 0, 0, CE::kOpaque, ON::kCustom,
+     FieldSet(F::kPath, F::kLfcOptions)},
+    {OpKind::kMaterialized, "materialized", 0, 0, CE::kOpaque, ON::kNone, 0},
+    {OpKind::kFusedMap, "fused_map", 2, kMap, CE::kOpaque, ON::kNone,
+     FieldSet(F::kColumn, F::kFused)},
+};
+// clang-format on
+
+constexpr bool RowsFollowKindOrder() {
+  for (size_t i = 0; i < std::size(kTraits); ++i) {
+    if (static_cast<size_t>(kTraits[i].kind) != i) return false;
   }
-  return "?";
+  return true;
+}
+static_assert(std::size(kTraits) == static_cast<size_t>(kLastOpKind) + 1,
+              "one trait row per OpKind");
+static_assert(RowsFollowKindOrder(), "trait rows must follow OpKind order");
+
+// In OpField order.
+constexpr const char* kFieldNames[] = {
+    "path", "csv_options", "lfc_options", "columns", "column", "compare_op",
+    "arith_op", "scalar_on_left", "has_scalar", "scalar", "aggs", "agg_func",
+    "ascending", "join_type", "dtype", "dt_field", "n", "rename", "str_arg",
+    "scalar_list", "digits", "fused"};
+static_assert(std::size(kFieldNames) == static_cast<size_t>(F::kFused) + 1,
+              "one name per OpField");
+
+/// Fused chains are shallow by construction (one level in practice); the
+/// clamp only exists so a crafted fragment cannot recurse the decoder.
+constexpr uint32_t kMaxFusedDepth = 16;
+
+// ---- Codec: one Put/Get pair per field value type. ----
+
+constexpr uint8_t LastValue(df::CompareOp) {
+  return static_cast<uint8_t>(df::CompareOp::kGe);
+}
+constexpr uint8_t LastValue(df::ArithOp) {
+  return static_cast<uint8_t>(df::ArithOp::kMod);
+}
+constexpr uint8_t LastValue(df::AggFunc) {
+  return static_cast<uint8_t>(df::AggFunc::kNunique);
+}
+constexpr uint8_t LastValue(df::JoinType) {
+  return static_cast<uint8_t>(df::JoinType::kLeft);
+}
+constexpr uint8_t LastValue(df::DataType) {
+  return static_cast<uint8_t>(df::DataType::kCategory);
+}
+constexpr uint8_t LastValue(df::DtField) {
+  return static_cast<uint8_t>(df::DtField::kDay);
+}
+
+void Put(WireWriter* w, const std::string& v) { w->Str(v); }
+void Put(WireWriter* w, bool v) { w->U8(v ? 1 : 0); }
+void Put(WireWriter* w, char v) { w->U8(static_cast<uint8_t>(v)); }
+void Put(WireWriter* w, int v) { w->I64(v); }
+void Put(WireWriter* w, size_t v) { w->U64(v); }
+void Put(WireWriter* w, const df::Scalar& v) { EncodeScalar(v, w); }
+template <typename E>
+  requires std::is_enum_v<E>
+void Put(WireWriter* w, E v) {
+  w->U8(static_cast<uint8_t>(v));
+}
+
+bool Get(WireReader* r, std::string* v) { return r->Str(v); }
+bool Get(WireReader* r, bool* v) {
+  uint8_t raw = 0;
+  if (!r->U8(&raw)) return false;
+  *v = raw != 0;
+  return true;
+}
+bool Get(WireReader* r, char* v) {
+  uint8_t raw = 0;
+  if (!r->U8(&raw)) return false;
+  *v = static_cast<char>(raw);
+  return true;
+}
+bool Get(WireReader* r, int* v) {
+  int64_t raw = 0;
+  if (!r->I64(&raw)) return false;
+  *v = static_cast<int>(raw);
+  return true;
+}
+bool Get(WireReader* r, size_t* v) {
+  uint64_t raw = 0;
+  if (!r->U64(&raw)) return false;
+  *v = static_cast<size_t>(raw);
+  return true;
+}
+bool Get(WireReader* r, df::Scalar* v) { return DecodeScalar(r, v).ok(); }
+/// Range-checked: a corrupt fragment must not put an out-of-range enum in
+/// front of the kernels.
+template <typename E>
+  requires std::is_enum_v<E>
+bool Get(WireReader* r, E* v) {
+  uint8_t raw = 0;
+  if (!r->U8(&raw) || raw > LastValue(E{})) return false;
+  *v = static_cast<E>(raw);
+  return true;
+}
+
+void Put(WireWriter* w, const io::LfcPredicate& v);
+bool Get(WireReader* r, df::AggSpec* v);
+bool Get(WireReader* r, io::LfcPredicate* v);
+
+template <typename T>
+void Put(WireWriter* w, const std::vector<T>& v) {
+  w->U32(static_cast<uint32_t>(v.size()));
+  for (const auto& x : v) Put(w, x);
+}
+
+template <typename K, typename V>
+void Put(WireWriter* w, const std::map<K, V>& v) {
+  w->U32(static_cast<uint32_t>(v.size()));
+  for (const auto& [key, value] : v) {
+    Put(w, key);
+    Put(w, value);
+  }
+}
+
+/// Reads a u32 element count. Every element costs at least one byte, so a
+/// count above the bytes left is corrupt, not merely large.
+bool GetCount(WireReader* r, uint32_t* n) {
+  return r->U32(n) && *n <= r->remaining();
+}
+
+template <typename T>
+bool Get(WireReader* r, std::vector<T>* v) {
+  uint32_t n = 0;
+  if (!GetCount(r, &n)) return false;
+  v->clear();
+  for (uint32_t i = 0; i < n; ++i) {
+    T x{};
+    if (!Get(r, &x)) return false;
+    v->push_back(std::move(x));
+  }
+  return true;
+}
+
+template <typename K, typename V>
+bool Get(WireReader* r, std::map<K, V>* v) {
+  uint32_t n = 0;
+  if (!GetCount(r, &n)) return false;
+  v->clear();
+  for (uint32_t i = 0; i < n; ++i) {
+    K key{};
+    V value{};
+    if (!Get(r, &key) || !Get(r, &value)) return false;
+    (*v)[std::move(key)] = std::move(value);
+  }
+  return true;
+}
+
+void Put(WireWriter* w, const io::LfcPredicate& v) {
+  Put(w, v.column);
+  Put(w, v.op);
+  Put(w, v.scalar);
+}
+bool Get(WireReader* r, io::LfcPredicate* v) {
+  return Get(r, &v->column) && Get(r, &v->op) && Get(r, &v->scalar);
+}
+bool Get(WireReader* r, df::AggSpec* v) {
+  return Get(r, &v->column) && Get(r, &v->func) && Get(r, &v->out_name);
+}
+
+void Put(WireWriter* w, const io::CsvReadOptions& v) {
+  Put(w, v.usecols);
+  Put(w, v.dtypes);
+  Put(w, v.delimiter);
+  Put(w, v.nrows);
+  Put(w, v.infer_rows);
+}
+bool Get(WireReader* r, io::CsvReadOptions* v) {
+  return Get(r, &v->usecols) && Get(r, &v->dtypes) && Get(r, &v->delimiter) &&
+         Get(r, &v->nrows) && Get(r, &v->infer_rows);
+}
+
+void Put(WireWriter* w, const io::LfcReadOptions& v) {
+  Put(w, v.usecols);
+  Put(w, v.nrows);
+  Put(w, v.prune);
+  Put(w, v.prune_enabled);
+}
+bool Get(WireReader* r, io::LfcReadOptions* v) {
+  return Get(r, &v->usecols) && Get(r, &v->nrows) && Get(r, &v->prune) &&
+         Get(r, &v->prune_enabled);
+}
+
+/// Encodes the kind, then its fields. With a name map, every input-column
+/// reference is written as the map resolves it.
+class FieldEncoder {
+ public:
+  FieldEncoder(WireWriter* w, const ColumnNameMap* map) : w_(w), map_(map) {}
+
+  bool ok() const { return ok_; }
+
+  void Encode(const OpDesc& d) {
+    w_->U32(static_cast<uint32_t>(d.kind));
+    VisitFields(d, *this);
+  }
+
+  void operator()(OpField f, const std::string& v) {
+    if (f == F::kColumn) {
+      Name(v);
+    } else {
+      Put(w_, v);
+    }
+  }
+  void operator()(OpField f, const std::vector<std::string>& v) {
+    if (f != F::kColumns) return Put(w_, v);
+    w_->U32(static_cast<uint32_t>(v.size()));
+    for (const auto& name : v) Name(name);
+  }
+  void operator()(OpField, const std::vector<df::AggSpec>& v) {
+    w_->U32(static_cast<uint32_t>(v.size()));
+    for (const auto& a : v) {
+      Name(a.column);
+      Put(w_, a.func);
+      Put(w_, a.out_name);
+    }
+  }
+  void operator()(OpField, const std::vector<OpDesc>& steps) {
+    w_->U32(static_cast<uint32_t>(steps.size()));
+    for (const auto& step : steps) Encode(step);
+  }
+  template <typename T>
+  void operator()(OpField, const T& v) {
+    Put(w_, v);
+  }
+
+ private:
+  void Name(const std::string& name) {
+    const std::string* out = map_ == nullptr ? &name : (*map_)(name);
+    if (out == nullptr) {
+      ok_ = false;
+      return;
+    }
+    w_->Str(*out);
+  }
+
+  WireWriter* w_;
+  const ColumnNameMap* map_;
+  bool ok_ = true;
+};
+
+class FieldDecoder {
+ public:
+  static Status Decode(WireReader* r, OpDesc* out, uint32_t depth) {
+    if (depth > kMaxFusedDepth) {
+      return Status::IOError("wire: fused op chain nests too deeply");
+    }
+    uint32_t kind = 0;
+    if (!r->U32(&kind)) return r->Error("op kind");
+    if (kind > static_cast<uint32_t>(kLastOpKind)) {
+      return Status::IOError("wire: unknown op kind " + std::to_string(kind));
+    }
+    OpDesc d;
+    d.kind = static_cast<OpKind>(kind);
+    FieldDecoder fields(r, depth);
+    VisitFields(d, fields);
+    LAFP_RETURN_NOT_OK(fields.status_);
+    *out = std::move(d);
+    return Status::OK();
+  }
+
+  template <typename T>
+  void operator()(OpField f, T& v) {
+    if (status_.ok() && !Get(r_, &v)) status_ = Malformed(f);
+  }
+  void operator()(OpField f, std::vector<OpDesc>& steps) {
+    uint32_t n = 0;
+    if (!status_.ok()) return;
+    if (!GetCount(r_, &n)) {
+      status_ = Malformed(f);
+      return;
+    }
+    for (uint32_t i = 0; i < n && status_.ok(); ++i) {
+      OpDesc step;
+      status_ = Decode(r_, &step, depth_ + 1);
+      if (status_.ok()) steps.push_back(std::move(step));
+    }
+  }
+
+ private:
+  FieldDecoder(WireReader* r, uint32_t depth) : r_(r), depth_(depth) {}
+
+  static Status Malformed(OpField f) {
+    return Status::IOError(
+        std::string("wire: truncated or out-of-range op field ") +
+        OpFieldName(f));
+  }
+
+  WireReader* r_;
+  uint32_t depth_;
+  Status status_;
+};
+
+// ---- Display: the compact text ToString shows for a field value. ----
+
+std::string Display(const std::string& v) { return v; }
+std::string Display(bool v) { return v ? "1" : "0"; }
+std::string Display(int v) { return std::to_string(v); }
+std::string Display(size_t v) { return std::to_string(v); }
+std::string Display(const df::Scalar& v) { return v.ToString(); }
+std::string Display(df::CompareOp v) { return df::CompareOpSymbol(v); }
+std::string Display(df::ArithOp v) { return df::ArithOpSymbol(v); }
+std::string Display(df::AggFunc v) { return df::AggFuncName(v); }
+std::string Display(df::DataType v) { return df::DataTypeName(v); }
+std::string Display(df::DtField v) { return df::DtFieldName(v); }
+std::string Display(df::JoinType v) {
+  return v == df::JoinType::kInner ? "inner" : "left";
+}
+std::string Display(const df::AggSpec& v) {
+  return df::AggFuncName(v.func) + ("(" + v.column + ")");
+}
+std::string Display(const io::LfcPredicate& v) {
+  return v.column + df::CompareOpSymbol(v.op) + v.scalar.ToString();
+}
+std::string Display(const std::pair<const std::string, std::string>& v) {
+  return v.first + ":" + v.second;
+}
+template <typename Container>
+std::string DisplayList(const Container& v) {
+  std::string out;
+  for (const auto& x : v) {
+    out += out.empty() ? "[" : ",";
+    out += Display(x);
+  }
+  return out.empty() ? "[]" : out + "]";
+}
+
+/// Renders `name[column](field, ...)`: empty fields are left out, a set
+/// bool prints as its field name, and `has_scalar` shows as the scalar it
+/// enables.
+class FieldPrinter {
+ public:
+  explicit FieldPrinter(const OpDesc& d) : d_(d) {}
+
+  std::string Render() const {
+    std::string out = Traits(d_.kind).name + subscript_;
+    if (parts_.empty()) return out;
+    out += "(";
+    for (size_t i = 0; i < parts_.size(); ++i) {
+      if (i > 0) out += ", ";
+      out += parts_[i];
+    }
+    return out + ")";
+  }
+
+  template <typename T>
+  void operator()(OpField, const T& v) {
+    parts_.push_back(Display(v));
+  }
+  template <typename T>
+  void operator()(OpField, const std::vector<T>& v) {
+    if (!v.empty()) parts_.push_back(DisplayList(v));
+  }
+  void operator()(OpField, const std::map<std::string, std::string>& v) {
+    if (!v.empty()) parts_.push_back(DisplayList(v));
+  }
+  void operator()(OpField f, const std::string& v) {
+    if (v.empty()) return;
+    if (f == F::kColumn) {
+      subscript_ = "[" + v + "]";
+    } else {
+      parts_.push_back(v);
+    }
+  }
+  void operator()(OpField f, bool v) {
+    if (v && f != F::kHasScalar) parts_.push_back(OpFieldName(f));
+  }
+  void operator()(OpField, const df::Scalar& v) {
+    if (d_.has_scalar) parts_.push_back(v.ToString());
+  }
+  void operator()(OpField, const io::CsvReadOptions& v) {
+    Option("usecols", v.usecols);
+    if (!v.dtypes.empty()) {
+      parts_.push_back("dtypes=" + std::to_string(v.dtypes.size()));
+    }
+    if (v.nrows != 0) parts_.push_back("nrows=" + Display(v.nrows));
+  }
+  void operator()(OpField, const io::LfcReadOptions& v) {
+    Option("usecols", v.usecols);
+    Option("prune", v.prune);
+    if (v.nrows != 0) parts_.push_back("nrows=" + Display(v.nrows));
+  }
+  void operator()(OpField, const std::vector<OpDesc>& steps) {
+    std::string chain;
+    for (const auto& step : steps) {
+      if (!chain.empty()) chain += " -> ";
+      chain += step.ToString();
+    }
+    if (!chain.empty()) parts_.push_back(chain);
+  }
+
+ private:
+  template <typename T>
+  void Option(const char* name, const std::vector<T>& v) {
+    if (!v.empty()) parts_.push_back(name + ("=" + DisplayList(v)));
+  }
+
+  const OpDesc& d_;
+  std::string subscript_;
+  std::vector<std::string> parts_;
+};
+
+}  // namespace
+
+const OpTraits& Traits(OpKind kind) {
+  return kTraits[static_cast<size_t>(kind)];
+}
+
+const char* OpFieldName(OpField field) {
+  return kFieldNames[static_cast<size_t>(field)];
 }
 
 std::string OpDesc::ToString() const {
-  std::ostringstream os;
-  os << OpKindName(kind);
-  switch (kind) {
-    case OpKind::kReadCsv:
-      os << "(" << path;
-      if (!csv_options.usecols.empty()) {
-        os << ", usecols=[";
-        for (size_t i = 0; i < csv_options.usecols.size(); ++i) {
-          if (i > 0) os << ",";
-          os << csv_options.usecols[i];
-        }
-        os << "]";
-      }
-      if (!csv_options.dtypes.empty()) os << ", dtypes=" << csv_options.dtypes.size();
-      os << ")";
-      break;
-    case OpKind::kReadLfc:
-      os << "(" << path;
-      if (!lfc_options.usecols.empty()) {
-        os << ", usecols=[";
-        for (size_t i = 0; i < lfc_options.usecols.size(); ++i) {
-          if (i > 0) os << ",";
-          os << lfc_options.usecols[i];
-        }
-        os << "]";
-      }
-      if (!lfc_options.prune.empty()) {
-        os << ", prune=[";
-        for (size_t i = 0; i < lfc_options.prune.size(); ++i) {
-          if (i > 0) os << " & ";
-          const auto& p = lfc_options.prune[i];
-          os << p.column << df::CompareOpSymbol(p.op) << p.scalar.ToString();
-        }
-        os << "]";
-      }
-      os << ")";
-      break;
-    case OpKind::kGetColumn:
-    case OpKind::kSetColumn:
-      os << "[" << column << "]";
-      break;
-    case OpKind::kCompare:
-      os << "(" << df::CompareOpSymbol(compare_op);
-      if (has_scalar) os << " " << scalar.ToString();
-      os << ")";
-      break;
-    case OpKind::kArith:
-      os << "(" << df::ArithOpSymbol(arith_op);
-      if (has_scalar) os << " " << scalar.ToString();
-      os << ")";
-      break;
-    case OpKind::kReduce:
-      os << "(" << df::AggFuncName(agg_func) << ")";
-      break;
-    case OpKind::kGroupByAgg: {
-      os << "(keys=[";
-      for (size_t i = 0; i < columns.size(); ++i) {
-        if (i > 0) os << ",";
-        os << columns[i];
-      }
-      os << "], aggs=[";
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        if (i > 0) os << ",";
-        os << df::AggFuncName(aggs[i].func) << "(" << aggs[i].column << ")";
-      }
-      os << "])";
-      break;
-    }
-    case OpKind::kSelect:
-    case OpKind::kDropColumns:
-    case OpKind::kSortValues:
-    case OpKind::kMerge: {
-      os << "([";
-      for (size_t i = 0; i < columns.size(); ++i) {
-        if (i > 0) os << ",";
-        os << columns[i];
-      }
-      os << "])";
-      break;
-    }
-    case OpKind::kHead:
-      os << "(" << n << ")";
-      break;
-    case OpKind::kDtAccessor:
-      os << "." << df::DtFieldName(dt_field);
-      break;
-    case OpKind::kAsType:
-      os << "(" << df::DataTypeName(dtype) << ")";
-      break;
-    case OpKind::kFusedMap: {
-      os << "(";
-      if (!column.empty()) os << "filter[" << column << "]";
-      for (size_t i = 0; i < fused.size(); ++i) {
-        if (i > 0 || !column.empty()) os << " -> ";
-        os << fused[i].ToString();
-      }
-      os << ")";
-      break;
-    }
-    default:
-      break;
-  }
-  return os.str();
+  FieldPrinter printer(*this);
+  VisitFields(*this, printer);
+  return printer.Render();
 }
 
 std::string OpDesc::Fingerprint() const {
-  std::ostringstream os;
-  os << static_cast<int>(kind) << "|" << path << "|";
-  for (const auto& c : csv_options.usecols) os << c << ",";
-  os << "|";
-  for (const auto& [k, v] : csv_options.dtypes) {
-    os << k << ":" << static_cast<int>(v) << ",";
-  }
-  os << "|" << csv_options.nrows;
-  os << "|";
-  for (const auto& c : columns) os << c << ",";
-  os << "|" << column << "|" << static_cast<int>(compare_op) << "|"
-     << static_cast<int>(arith_op) << "|" << scalar_on_left << "|"
-     << has_scalar << "|" << scalar.ToString() << "|"
-     << static_cast<int>(scalar.type()) << "|";
-  for (const auto& a : aggs) {
-    os << a.column << ":" << static_cast<int>(a.func) << ":" << a.out_name
-       << ",";
-  }
-  os << "|" << static_cast<int>(agg_func) << "|";
-  for (bool b : ascending) os << (b ? 1 : 0);
-  os << "|" << static_cast<int>(join_type) << "|"
-     << static_cast<int>(dtype) << "|" << static_cast<int>(dt_field) << "|"
-     << n << "|";
-  for (const auto& [k, v] : rename) os << k << ">" << v << ",";
-  os << "|" << str_arg << "|" << digits << "|";
-  for (const auto& s : scalar_list) {
-    os << static_cast<int>(s.type()) << ":" << s.ToString() << ",";
-  }
-  os << "|";
-  for (const auto& c : lfc_options.usecols) os << c << ",";
-  os << "|" << lfc_options.nrows << "|" << lfc_options.prune_enabled << "|";
-  for (const auto& p : lfc_options.prune) {
-    // Pruned and unpruned scans are distinct nodes: their outputs differ.
-    os << p.column << ":" << static_cast<int>(p.op) << ":"
-       << static_cast<int>(p.scalar.type()) << ":" << p.scalar.ToString()
-       << ",";
-  }
-  os << "|";
-  // kFusedMap steps, recursively: two fused nodes are equal only if every
-  // step matches (dedup correctness depends on this).
-  for (const auto& f : fused) os << "{" << f.Fingerprint() << "}";
-  return os.str();
+  WireWriter w;
+  EncodeOpDesc(*this, &w);
+  return w.Take();
 }
 
 int ExpectedArity(const OpDesc& desc) {
-  switch (desc.kind) {
-    case OpKind::kReadCsv:
-    case OpKind::kReadLfc:
-    case OpKind::kMaterialized:
-      return 0;
-    case OpKind::kFilter:
-    case OpKind::kBooleanAnd:
-    case OpKind::kBooleanOr:
-    case OpKind::kMerge:
-      return 2;
-    case OpKind::kFusedMap:
-      // Filter+project variant consumes (frame, mask); the pure series
-      // chain consumes just the series.
-      return desc.column.empty() ? 1 : 2;
-    case OpKind::kCompare:
-    case OpKind::kArith:
-    case OpKind::kSetColumn:
-      return desc.has_scalar ? 1 : 2;
-    case OpKind::kPrint:
-    case OpKind::kConcat:
-      return -1;  // variadic
-    default:
-      return 1;
+  const OpTraits& traits = Traits(desc.kind);
+  if (traits.Is(OpTraits::kScalarOperand) && desc.has_scalar) {
+    return traits.arity - 1;
   }
+  // The filter+project form of fused_map consumes (frame, mask); the pure
+  // series chain consumes just the series.
+  if (desc.kind == OpKind::kFusedMap && desc.column.empty()) return 1;
+  return traits.arity;
 }
 
-bool IsMapOp(OpKind kind) {
-  switch (kind) {
-    case OpKind::kSelect:
-    case OpKind::kGetColumn:
-    case OpKind::kFilter:
-    case OpKind::kCompare:
-    case OpKind::kBooleanAnd:
-    case OpKind::kBooleanOr:
-    case OpKind::kBooleanNot:
-    case OpKind::kIsNull:
-    case OpKind::kStrContains:
-    case OpKind::kSetColumn:
-    case OpKind::kDropColumns:
-    case OpKind::kRename:
-    case OpKind::kArith:
-    case OpKind::kAbs:
-    case OpKind::kRound:
-    case OpKind::kFillNa:
-    case OpKind::kDropNa:
-    case OpKind::kAsType:
-    case OpKind::kToDatetime:
-    case OpKind::kDtAccessor:
-    case OpKind::kIsIn:
-    case OpKind::kFusedMap:  // row-wise by construction: filter + per-row steps
-      return true;
-    default:
-      return false;
-  }
+void EncodeOpDesc(const OpDesc& desc, WireWriter* w) {
+  FieldEncoder(w, nullptr).Encode(desc);
 }
 
-bool IsReductionOp(OpKind kind) {
-  switch (kind) {
-    case OpKind::kGroupByAgg:
-    case OpKind::kReduce:
-    case OpKind::kValueCounts:
-    case OpKind::kDescribe:
-    case OpKind::kLen:
-      return true;
-    default:
-      return false;
-  }
+bool EncodeOpDesc(const OpDesc& desc, WireWriter* w,
+                  const ColumnNameMap& map) {
+  FieldEncoder encoder(w, &map);
+  encoder.Encode(desc);
+  return encoder.ok();
 }
 
-bool HasSideEffect(OpKind kind) { return kind == OpKind::kPrint; }
-
-bool GetColumnEffects(const OpDesc& desc, std::vector<std::string>* used,
-                      std::vector<std::string>* modified) {
-  used->clear();
-  modified->clear();
-  switch (desc.kind) {
-    case OpKind::kSelect:
-      *used = desc.columns;
-      return true;
-    case OpKind::kGetColumn:
-      *used = {desc.column};
-      return true;
-    case OpKind::kSetColumn:
-      *modified = {desc.column};
-      return true;
-    case OpKind::kDropColumns:
-      return true;  // drops columns; reads nothing per-row
-    case OpKind::kRename:
-      for (const auto& [from, to] : desc.rename) {
-        used->push_back(from);
-        modified->push_back(to);
-      }
-      return true;
-    case OpKind::kCompare:
-    case OpKind::kArith:
-    case OpKind::kAbs:
-    case OpKind::kRound:
-    case OpKind::kAsType:
-    case OpKind::kToDatetime:
-    case OpKind::kDtAccessor:
-    case OpKind::kIsNull:
-    case OpKind::kStrContains:
-    case OpKind::kBooleanAnd:
-    case OpKind::kBooleanOr:
-    case OpKind::kBooleanNot:
-    case OpKind::kIsIn:
-      // Series-level transforms: operate on whichever single column flows
-      // in; they do not touch other columns of a frame.
-      return true;
-    case OpKind::kSortValues:
-    case OpKind::kDropDuplicates:
-      // Read their key columns, modify nothing.
-      *used = desc.columns;
-      return true;
-    case OpKind::kFillNa:
-    case OpKind::kDropNa:
-      // Reads every column (to find nulls); modifies in place.
-      return false;
-    default:
-      return false;  // unknown effects: pushdown barrier
-  }
+Status DecodeOpDesc(WireReader* r, OpDesc* out) {
+  return FieldDecoder::Decode(r, out, 0);
 }
 
-bool IsRowwiseInvariant(OpKind kind) {
-  switch (kind) {
-    case OpKind::kSelect:
-    case OpKind::kGetColumn:
-    case OpKind::kSetColumn:
-    case OpKind::kDropColumns:
-    case OpKind::kRename:
-    case OpKind::kCompare:
-    case OpKind::kArith:
-    case OpKind::kAbs:
-    case OpKind::kRound:
-    case OpKind::kFillNa:
-    case OpKind::kAsType:
-    case OpKind::kToDatetime:
-    case OpKind::kDtAccessor:
-    case OpKind::kIsNull:
-    case OpKind::kStrContains:
-    case OpKind::kBooleanAnd:
-    case OpKind::kBooleanOr:
-    case OpKind::kBooleanNot:
-    case OpKind::kIsIn:
-    case OpKind::kSortValues:       // value of surviving rows unchanged
-    case OpKind::kDropDuplicates:   // filtering first removes the same rows
-    case OpKind::kFilter:
-      return true;
+void EncodeScalar(const df::Scalar& s, WireWriter* w) {
+  switch (s.type()) {
+    case df::DataType::kNull:
+      w->U8(0);
+      return;
+    case df::DataType::kBool:
+      w->U8(1);
+      w->U8(s.bool_value() ? 1 : 0);
+      return;
+    case df::DataType::kInt64:
+      w->U8(2);
+      w->I64(s.int_value());
+      return;
+    case df::DataType::kDouble:
+      w->U8(3);
+      w->F64(s.double_value());
+      return;
+    case df::DataType::kTimestamp:
+      w->U8(4);
+      w->I64(s.int_value());
+      return;
+    case df::DataType::kString:
+    case df::DataType::kCategory:
+      w->U8(5);
+      w->Str(s.string_value());
+      return;
+  }
+  w->U8(0);
+}
+
+Status DecodeScalar(WireReader* r, df::Scalar* out) {
+  uint8_t tag = 0;
+  if (!r->U8(&tag)) return r->Error("scalar tag");
+  switch (tag) {
+    case 0:
+      *out = df::Scalar::Null();
+      return Status::OK();
+    case 1: {
+      uint8_t v = 0;
+      if (!r->U8(&v)) return r->Error("bool scalar");
+      *out = df::Scalar::Bool(v != 0);
+      return Status::OK();
+    }
+    case 2: {
+      int64_t v = 0;
+      if (!r->I64(&v)) return r->Error("int scalar");
+      *out = df::Scalar::Int(v);
+      return Status::OK();
+    }
+    case 3: {
+      double v = 0;
+      if (!r->F64(&v)) return r->Error("double scalar");
+      *out = df::Scalar::Double(v);
+      return Status::OK();
+    }
+    case 4: {
+      int64_t v = 0;
+      if (!r->I64(&v)) return r->Error("timestamp scalar");
+      *out = df::Scalar::Timestamp(v);
+      return Status::OK();
+    }
+    case 5: {
+      std::string v;
+      if (!r->Str(&v)) return r->Error("string scalar");
+      *out = df::Scalar::String(std::move(v));
+      return Status::OK();
+    }
     default:
-      return false;
+      return Status::IOError("wire: unknown scalar tag " +
+                             std::to_string(tag));
   }
 }
 

@@ -1,10 +1,14 @@
 #ifndef LAFP_EXEC_OP_H_
 #define LAFP_EXEC_OP_H_
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+#include "common/wire.h"
 #include "dataframe/ops.h"
 #include "io/columnar.h"
 #include "io/csv.h"
@@ -12,7 +16,8 @@
 namespace lafp::exec {
 
 /// The operator vocabulary of the LaFP task graph (paper §2.5). Each node
-/// of the graph is one OpDesc plus edges to its inputs.
+/// of the graph is one OpDesc plus edges to its inputs. Every kind has one
+/// row in the operator schema (Traits below).
 enum class OpKind : int {
   kReadCsv = 0,     // leaf; path + CsvReadOptions
   kSelect,          // df[["a","b"]]         (frame -> frame)
@@ -59,10 +64,90 @@ enum class OpKind : int {
                     // morsel pass with no intermediate materialization.
 };
 
-const char* OpKindName(OpKind kind);
+constexpr OpKind kLastOpKind = OpKind::kFusedMap;
+
+/// The OpDesc fields, in declaration order. A kind's trait row names the
+/// fields it reads; only those are printed, keyed and sent over the wire.
+enum class OpField : uint8_t {
+  kPath,
+  kCsvOptions,
+  kLfcOptions,
+  kColumns,
+  kColumn,
+  kCompareOp,
+  kArithOp,
+  kScalarOnLeft,
+  kHasScalar,
+  kScalar,
+  kAggs,
+  kAggFunc,
+  kAscending,
+  kJoinType,
+  kDtype,
+  kDtField,
+  kN,
+  kRename,
+  kStrArg,
+  kScalarList,
+  kDigits,
+  kFused,
+};
+
+const char* OpFieldName(OpField field);
+
+/// What a frame-to-frame operator does to its input's columns: condition
+/// (1) of predicate pushdown (§3.2), which sinks a filter only below ops
+/// whose effect is known.
+enum class ColumnEffect : uint8_t {
+  kOpaque,     // unknown, or not frame-to-frame: pushdown stops here
+  kPreserves,  // every column it passes on keeps its values
+  kWrites,     // creates or overwrites the column named by `column`
+  kRenames,    // renames columns per `rename`; values unchanged
+};
+
+/// How an operator's output column names follow from its inputs: the
+/// schema rule of the cross-query plan fingerprint (lazy/plan_fingerprint).
+enum class OutputNames : uint8_t {
+  kNone,    // nothing cacheable (print, spliced payloads, fused chains)
+  kCustom,  // op-specific (scans, select, get/set/drop, rename, groupby)
+  kInput,   // the primary input's columns, unchanged
+  kSeries,  // one column, named after the first column-valued input
+  kScalar,  // a scalar
+  kEngine,  // engine-derived names (join suffixes, unions, stats rows)
+};
+
+/// One row of the operator schema: what generic code (printing, keying,
+/// the wire codec, the partitioned backends, the optimizer and the plan
+/// fingerprint) knows about a kind. A new operator is one row plus its
+/// kernel in eager_ops.cc.
+struct OpTraits {
+  enum Flag : uint32_t {
+    kMap = 1u << 0,               // applies independently per partition
+    kRowwiseInvariant = 1u << 1,  // filtering its input first cannot change
+                                  // the output on surviving rows (§3.2 (2))
+    kFusableStep = 1u << 2,       // may be a per-element kFusedMap step
+    kScalarResult = 1u << 3,      // produces a scalar, not a frame
+    kScalarOperand = 1u << 4,     // `has_scalar` replaces the second input
+  };
+
+  OpKind kind;
+  const char* name;
+  int arity;  // dataframe inputs; -1 = variadic
+  uint32_t flags;
+  ColumnEffect effect;
+  OutputNames names;
+  uint32_t fields;  // bit i set: OpField i is meaningful for this kind
+
+  bool Is(Flag flag) const { return (flags & flag) != 0; }
+  bool Has(OpField field) const {
+    return ((fields >> static_cast<int>(field)) & 1u) != 0;
+  }
+};
+
+const OpTraits& Traits(OpKind kind);
 
 /// Full description of one operator instance. A plain struct: only the
-/// fields relevant to `kind` are meaningful (documented per field).
+/// fields the kind's trait row names are meaningful (documented per field).
 struct OpDesc {
   OpKind kind = OpKind::kReadCsv;
 
@@ -76,7 +161,8 @@ struct OpDesc {
   std::vector<std::string> columns;  // kSelect / kDropColumns /
                                      // kGroupByAgg keys / kMerge on /
                                      // kSortValues by / kDropDuplicates subset
-  std::string column;                // kGetColumn / kSetColumn target
+  std::string column;                // kGetColumn / kSetColumn target /
+                                     // kFusedMap projected column
 
   df::CompareOp compare_op = df::CompareOp::kEq;  // kCompare
   df::ArithOp arith_op = df::ArithOp::kAdd;       // kArith
@@ -93,49 +179,84 @@ struct OpDesc {
   df::DtField dt_field = df::DtField::kDayOfWeek; // kDtAccessor
   size_t n = 5;                        // kHead
   std::map<std::string, std::string> rename;  // kRename
-  std::string str_arg;                 // kStrContains needle; kPrint prefix
+  std::string str_arg;                 // kStrContains needle
   std::vector<df::Scalar> scalar_list;  // kIsIn membership values
   int digits = 0;                      // kRound
 
   /// kFusedMap: the fused elementwise steps, in application order. Each
-  /// entry is a full OpDesc of an eligible step kind (kArith/kCompare with
+  /// entry is a full OpDesc of a kFusableStep kind (kArith/kCompare with
   /// has_scalar, kAbs, kRound, kBooleanNot, kIsNull) whose single input is
   /// the running value of the chain.
   std::vector<OpDesc> fused;
 
-  /// Human-readable summary for debug dumps / DOT output.
+  /// Human-readable summary for debug dumps, DOT output and execution
+  /// reports: the kind name, `[column]`, then the other meaningful fields.
   std::string ToString() const;
 
-  /// Structural fingerprint for common-subexpression detection (§3.5):
-  /// two nodes with equal fingerprints and equal input nodes compute the
-  /// same value.
+  /// Structural key for common-subexpression detection (§3.5): the
+  /// operator codec's bytes (EncodeOpDesc), so two nodes with equal keys
+  /// and equal input nodes compute the same value.
   std::string Fingerprint() const;
 };
 
-/// Number of dataframe inputs `desc` consumes (print is variadic and
-/// returns -1).
+/// The one field visitor: calls `v(field, value)` for each field the
+/// kind's trait row names, in OpField order. `Desc` is OpDesc or const
+/// OpDesc; printing, keying and the wire codec all walk it.
+template <typename Desc, typename Visitor>
+void VisitFields(Desc& d, Visitor&& v) {
+  const OpTraits& traits = Traits(d.kind);
+  auto field = [&](OpField f, auto& value) {
+    if (traits.Has(f)) v(f, value);
+  };
+  field(OpField::kPath, d.path);
+  field(OpField::kCsvOptions, d.csv_options);
+  field(OpField::kLfcOptions, d.lfc_options);
+  field(OpField::kColumns, d.columns);
+  field(OpField::kColumn, d.column);
+  field(OpField::kCompareOp, d.compare_op);
+  field(OpField::kArithOp, d.arith_op);
+  field(OpField::kScalarOnLeft, d.scalar_on_left);
+  field(OpField::kHasScalar, d.has_scalar);
+  field(OpField::kScalar, d.scalar);
+  field(OpField::kAggs, d.aggs);
+  field(OpField::kAggFunc, d.agg_func);
+  field(OpField::kAscending, d.ascending);
+  field(OpField::kJoinType, d.join_type);
+  field(OpField::kDtype, d.dtype);
+  field(OpField::kDtField, d.dt_field);
+  field(OpField::kN, d.n);
+  field(OpField::kRename, d.rename);
+  field(OpField::kStrArg, d.str_arg);
+  field(OpField::kScalarList, d.scalar_list);
+  field(OpField::kDigits, d.digits);
+  field(OpField::kFused, d.fused);
+}
+
+/// Number of dataframe inputs `desc` consumes (-1 = variadic).
 int ExpectedArity(const OpDesc& desc);
 
-/// Classification used by the partitioned backends.
-/// A map op applies independently per partition (row-wise).
-bool IsMapOp(OpKind kind);
-/// A reduction collapses all partitions into one small result.
-bool IsReductionOp(OpKind kind);
-/// Ops with side effects (print); never elided or reordered past each other.
-bool HasSideEffect(OpKind kind);
+/// Operator codec: the kind, then each meaningful field in OpField order
+/// (recursing into `fused`). Byte-exact and reversible; it is both the
+/// shard plan-fragment format and the CSE key.
+void EncodeOpDesc(const OpDesc& desc, WireWriter* w);
 
-/// Columns a filter predicate / op uses and modifies — the safe-point
-/// machinery of predicate pushdown (§3.2). `used` is filled with the
-/// columns `desc` reads from its primary input; `modified` with columns it
-/// creates or overwrites. Returns false if the op's column usage cannot be
-/// determined statically (pushdown must then treat it as a barrier).
-bool GetColumnEffects(const OpDesc& desc, std::vector<std::string>* used,
-                      std::vector<std::string>* modified);
+/// Resolves an input-column reference to the name to encode, or nullptr
+/// when the reference cannot be resolved.
+using ColumnNameMap =
+    std::function<const std::string*(const std::string& name)>;
 
-/// True if filtering rows of the op's input cannot change the op's output
-/// on the surviving rows (condition (2) of §3.2). False for aggregations,
-/// joins, sorts, row-multiplying ops, etc.
-bool IsRowwiseInvariant(OpKind kind);
+/// EncodeOpDesc with every input-column reference (`columns`, `column`
+/// and aggregate source columns) replaced by `map(name)`. Returns false,
+/// leaving `w` partially written, as soon as `map` returns nullptr.
+bool EncodeOpDesc(const OpDesc& desc, WireWriter* w, const ColumnNameMap& map);
+
+/// Decodes one EncodeOpDesc fragment. Truncation, an unknown kind, an
+/// out-of-range enum or an over-deep fused chain is a clean IOError.
+Status DecodeOpDesc(WireReader* r, OpDesc* out);
+
+/// Scalar codec: u8 type tag + value.
+void EncodeScalar(const df::Scalar& s, WireWriter* w);
+Status DecodeScalar(WireReader* r, df::Scalar* out);
 
 }  // namespace lafp::exec
 

@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "common/hash.h"
+#include "common/wire.h"
 #include "io/columnar.h"
 #include "io/fingerprint.h"
 
@@ -34,37 +35,6 @@ bool IdentityNames(const std::optional<Schema>& schema) {
   return true;
 }
 
-/// Canonical-string field separator (cannot occur in quoted CSV names in
-/// a way that matters: collisions would need identical op kinds too).
-constexpr char kSep = '\x1f';
-
-void Append(std::string* cs, const std::string& s) {
-  *cs += s;
-  *cs += kSep;
-}
-
-void Append(std::string* cs, int64_t v) { Append(cs, std::to_string(v)); }
-
-/// Canonical form of a referenced column name: mapped through a known
-/// input schema, raw otherwise. False when the name is missing from a
-/// known schema (the op would KeyError at runtime — never cache that).
-bool AppendName(std::string* cs, const std::optional<Schema>& in_schema,
-                const std::string& name) {
-  if (!in_schema.has_value()) {
-    Append(cs, name);
-    return true;
-  }
-  const std::string* c = Canon(*in_schema, name);
-  if (c == nullptr) return false;
-  Append(cs, *c);
-  return true;
-}
-
-void AppendScalar(std::string* cs, const df::Scalar& s) {
-  Append(cs, static_cast<int64_t>(s.type()));
-  Append(cs, s.ToString());
-}
-
 /// Output schema of a series op that names its result after its input
 /// column (compare/arith/str/dt/... — see exec/eager_ops.cc SeriesName).
 /// False when the input statically cannot be viewed as a series.
@@ -84,6 +54,33 @@ Schema IdentitySchema(const std::vector<std::string>& names) {
   s.reserve(names.size());
   for (const auto& n : names) s.emplace_back(n, n);
   return s;
+}
+
+/// The schema after `rename` when it can be normalized away: the engine
+/// ignores unknown keys, so only keys present in the schema act, and it is
+/// safe when every target is a brand-new name (no chains, swaps or
+/// collisions). nullopt otherwise.
+std::optional<Schema> NormalizeRename(
+    const std::map<std::string, std::string>& rename, Schema schema) {
+  std::unordered_set<std::string> targets;
+  std::vector<std::pair<std::string, std::string>> effective;
+  for (const auto& [k, v] : rename) {
+    if (Canon(schema, k) == nullptr) continue;  // ignored key
+    if (k == v) continue;                       // no-op entry
+    if (Canon(schema, v) != nullptr || !targets.insert(v).second) {
+      return std::nullopt;
+    }
+    effective.emplace_back(k, v);
+  }
+  for (auto& [visible, canonical] : schema) {
+    for (const auto& [k, v] : effective) {
+      if (visible == k) {
+        visible = v;
+        break;
+      }
+    }
+  }
+  return schema;
 }
 
 }  // namespace
@@ -157,16 +154,14 @@ const std::optional<std::vector<std::string>>& PlanFingerprinter::LfcColumns(
 
 PlanFingerprint PlanFingerprinter::Compute(const TaskNodePtr& node) {
   using exec::OpKind;
+  using exec::OutputNames;
   const exec::OpDesc& d = node->desc;
-  if (d.kind == OpKind::kPrint) return Poison(node);
-  if (d.kind == OpKind::kMaterialized) {
-    // A spliced node reuses the fingerprint its subtree carried at splice
-    // time, so later rounds over a partially spliced graph hash exactly
-    // like the original plan.
-    if (node->spliced_fp != nullptr) return *node->spliced_fp;
-    return Poison(node);
+  // A spliced node reuses the fingerprint its subtree carried at splice
+  // time, so later rounds over a partially spliced graph hash exactly like
+  // the original plan.
+  if (d.kind == OpKind::kMaterialized && node->spliced_fp != nullptr) {
+    return *node->spliced_fp;
   }
-
   std::vector<const PlanFingerprint*> ins;
   ins.reserve(node->inputs.size());
   bool inputs_cacheable = true;
@@ -175,171 +170,151 @@ PlanFingerprint PlanFingerprinter::Compute(const TaskNodePtr& node) {
     inputs_cacheable &= f.cacheable;
     ins.push_back(&f);
   }
+  const PlanFingerprint* first = ins.empty() ? nullptr : ins[0];
   const std::optional<Schema> no_schema;
-  const std::optional<Schema>& in0 =
-      ins.empty() ? no_schema : ins[0]->schema;
+  const std::optional<Schema>& in0 = first ? first->schema : no_schema;
 
-  // Ops whose output column names we cannot model are sound only when no
-  // input carries a non-identity canonicalization (then raw names were
-  // hashed everywhere and any equal-hash plan used the same names).
-  auto all_inputs_identity = [&]() {
-    for (const auto* f : ins) {
-      if (!f->identity_names()) return false;
+  if (d.kind == OpKind::kRename && in0.has_value()) {
+    std::optional<Schema> renamed = NormalizeRename(d.rename, *in0);
+    if (renamed.has_value()) {
+      // The rename vanishes: the node hashes exactly like its input and
+      // only the visible->canonical map changes.
+      PlanFingerprint out = *first;
+      out.cacheable = inputs_cacheable;
+      out.schema = std::move(renamed);
+      out.scalar = false;
+      return out;
     }
-    return true;
-  };
+    // Order-dependent rename (swap/chain): only structurally sound when
+    // nothing upstream was name-normalized.
+    if (!first->identity_names()) return Poison(node);
+  }
 
   PlanFingerprint fp;
   fp.cacheable = inputs_cacheable;
-  std::string cs;
-  Append(&cs, static_cast<int64_t>(d.kind));
+  switch (exec::Traits(d.kind).names) {
+    case OutputNames::kNone:
+      return Poison(node);
+    case OutputNames::kInput:
+      fp.schema = in0;
+      break;
+    case OutputNames::kSeries: {
+      // Named after the column-valued operand (eager_ops.cc SeriesName: a
+      // runtime-scalar lhs of arith takes the rhs name).
+      const PlanFingerprint* src = nullptr;
+      for (const auto* f : ins) {
+        if (!f->scalar) {
+          src = f;
+          break;
+        }
+      }
+      if (src == nullptr || !SeriesSchema(*src, &fp.schema)) {
+        return Poison(node);
+      }
+      break;
+    }
+    case OutputNames::kScalar:
+      // A reduction needs a series; a frame input would error at runtime.
+      if (d.kind == OpKind::kReduce &&
+          (first->scalar || (in0.has_value() && in0->size() != 1))) {
+        return Poison(node);
+      }
+      fp.scalar = true;
+      fp.schema = Schema{};
+      break;
+    case OutputNames::kEngine:
+      // Output names we cannot model are sound only when no input carries
+      // a non-identity canonicalization (then raw names were hashed
+      // everywhere and any equal-hash plan used the same names).
+      for (const auto* f : ins) {
+        if (!f->identity_names()) return Poison(node);
+      }
+      break;  // schema unknown
+    case OutputNames::kCustom:
+      if (!CustomSchema(d, in0, &fp)) return Poison(node);
+      break;
+  }
 
+  // Input-column references hash under their canonical names: mapped
+  // through a known input schema, raw otherwise. A name missing from a
+  // known schema would KeyError at runtime, so such plans never cache;
+  // set_item's target is the exception, it may name a fresh column.
+  const bool fresh_ok = d.kind == OpKind::kSetColumn;
+  const exec::ColumnNameMap canonical =
+      [&](const std::string& name) -> const std::string* {
+    if (!in0.has_value()) return &name;
+    const std::string* c = Canon(*in0, name);
+    return c == nullptr && fresh_ok ? &name : c;
+  };
+  WireWriter key;
+  if (!exec::EncodeOpDesc(d, &key, canonical)) return Poison(node);
+  fp.plan_hash = Fnv1a64(key.Take());
+  for (const auto* in : ins) {
+    fp.plan_hash = HashCombine(fp.plan_hash, in->plan_hash);
+    fp.input_hash = HashCombine(fp.input_hash, in->input_hash);
+  }
+  return fp;
+}
+
+bool PlanFingerprinter::CustomSchema(const exec::OpDesc& d,
+                                     const std::optional<Schema>& in0,
+                                     PlanFingerprint* fp) {
+  using exec::OpKind;
+  auto canonical_or_raw = [&](const std::string& name) {
+    const std::string* c = in0.has_value() ? Canon(*in0, name) : nullptr;
+    return c != nullptr ? *c : name;
+  };
   switch (d.kind) {
     case OpKind::kReadCsv: {
       auto file = FileHash(d.path);
-      if (!file.has_value()) return Poison(node);
-      fp.input_hash = *file;
-      for (const auto& c : d.csv_options.usecols) Append(&cs, c);
-      for (const auto& [k, t] : d.csv_options.dtypes) {
-        Append(&cs, k);
-        Append(&cs, static_cast<int64_t>(t));
-      }
-      Append(&cs, std::string(1, d.csv_options.delimiter));
-      Append(&cs, static_cast<int64_t>(d.csv_options.nrows));
-      Append(&cs, static_cast<int64_t>(d.csv_options.infer_rows));
+      if (!file.has_value()) return false;
+      fp->input_hash = *file;
       const auto& header = Header(d.path, d.csv_options.delimiter);
       if (!d.csv_options.usecols.empty()) {
-        fp.schema = IdentitySchema(d.csv_options.usecols);
+        fp->schema = IdentitySchema(d.csv_options.usecols);
       } else if (header.has_value()) {
-        fp.schema = IdentitySchema(*header);
+        fp->schema = IdentitySchema(*header);
       }
-      break;
+      return true;
     }
     case OpKind::kReadLfc: {
       auto file = FileHash(d.path);
-      if (!file.has_value()) return Poison(node);
-      fp.input_hash = *file;
-      for (const auto& c : d.lfc_options.usecols) Append(&cs, c);
-      Append(&cs, static_cast<int64_t>(d.lfc_options.nrows));
-      Append(&cs, d.lfc_options.prune_enabled ? 1 : 0);
-      // Prune conjuncts change the node's output (fewer chunks), so a
-      // pruned and an unpruned scan must never share a fingerprint.
-      for (const auto& p : d.lfc_options.prune) {
-        Append(&cs, p.column);
-        Append(&cs, static_cast<int64_t>(p.op));
-        AppendScalar(&cs, p.scalar);
-      }
+      if (!file.has_value()) return false;
+      fp->input_hash = *file;
       if (!d.lfc_options.usecols.empty()) {
-        fp.schema = IdentitySchema(d.lfc_options.usecols);
+        fp->schema = IdentitySchema(d.lfc_options.usecols);
       } else {
         const auto& names = LfcColumns(d.path);
-        if (names.has_value()) fp.schema = IdentitySchema(*names);
+        if (names.has_value()) fp->schema = IdentitySchema(*names);
       }
-      break;
+      return true;
     }
     case OpKind::kSelect: {
-      for (const auto& c : d.columns) {
-        if (!AppendName(&cs, in0, c)) return Poison(node);
-      }
-      // Output names are the selected names; canonical via the input map
-      // (identity when the input schema is unknown — raw names hashed).
       Schema s;
-      for (const auto& c : d.columns) {
-        const std::string* canon =
-            in0.has_value() ? Canon(*in0, c) : nullptr;
-        s.emplace_back(c, canon != nullptr ? *canon : c);
-      }
-      fp.schema = std::move(s);
-      break;
+      for (const auto& c : d.columns) s.emplace_back(c, canonical_or_raw(c));
+      fp->schema = std::move(s);
+      return true;
     }
-    case OpKind::kGetColumn: {
-      if (!AppendName(&cs, in0, d.column)) return Poison(node);
-      const std::string* canon =
-          in0.has_value() ? Canon(*in0, d.column) : nullptr;
-      fp.schema = Schema{{d.column, canon != nullptr ? *canon : d.column}};
-      break;
-    }
-    case OpKind::kFilter:
-      fp.schema = in0;
-      break;
-    case OpKind::kCompare:
-      Append(&cs, static_cast<int64_t>(d.compare_op));
-      Append(&cs, d.has_scalar ? 1 : 0);
-      if (d.has_scalar) AppendScalar(&cs, d.scalar);
-      if (!SeriesSchema(*ins[0], &fp.schema)) return Poison(node);
-      break;
-    case OpKind::kArith: {
-      Append(&cs, static_cast<int64_t>(d.arith_op));
-      Append(&cs, d.scalar_on_left ? 1 : 0);
-      Append(&cs, d.has_scalar ? 1 : 0);
-      if (d.has_scalar) AppendScalar(&cs, d.scalar);
-      // The output series is named after the column-valued operand
-      // (eager_ops.cc: a runtime-scalar lhs takes the rhs name).
-      const PlanFingerprint* src = ins[0];
-      if (!d.has_scalar && ins.size() >= 2 && ins[0]->scalar) src = ins[1];
-      if (!SeriesSchema(*src, &fp.schema)) return Poison(node);
-      break;
-    }
-    case OpKind::kBooleanAnd:
-    case OpKind::kBooleanOr:
-    case OpKind::kBooleanNot:
-    case OpKind::kIsNull:
-    case OpKind::kToDatetime:
-    case OpKind::kUnique:
-      if (!SeriesSchema(*ins[0], &fp.schema)) return Poison(node);
-      break;
-    case OpKind::kStrContains:
-      Append(&cs, d.str_arg);
-      if (!SeriesSchema(*ins[0], &fp.schema)) return Poison(node);
-      break;
-    case OpKind::kIsIn:
-      for (const auto& s : d.scalar_list) AppendScalar(&cs, s);
-      if (!SeriesSchema(*ins[0], &fp.schema)) return Poison(node);
-      break;
-    case OpKind::kAbs:
-      if (!SeriesSchema(*ins[0], &fp.schema)) return Poison(node);
-      break;
-    case OpKind::kRound:
-      Append(&cs, d.digits);
-      if (!SeriesSchema(*ins[0], &fp.schema)) return Poison(node);
-      break;
-    case OpKind::kAsType:
-      Append(&cs, static_cast<int64_t>(d.dtype));
-      if (!SeriesSchema(*ins[0], &fp.schema)) return Poison(node);
-      break;
-    case OpKind::kDtAccessor:
-      Append(&cs, static_cast<int64_t>(d.dt_field));
-      if (!SeriesSchema(*ins[0], &fp.schema)) return Poison(node);
-      break;
+    case OpKind::kGetColumn:
+      fp->schema = Schema{{d.column, canonical_or_raw(d.column)}};
+      return true;
     case OpKind::kSetColumn: {
-      Append(&cs, d.has_scalar ? 1 : 0);
-      if (d.has_scalar) AppendScalar(&cs, d.scalar);
-      if (!in0.has_value()) {
-        Append(&cs, d.column);
-        break;  // schema stays unknown
-      }
+      if (!in0.has_value()) return true;  // schema stays unknown
       Schema s = *in0;
-      const std::string* existing = Canon(s, d.column);
-      if (existing != nullptr) {
-        Append(&cs, *existing);  // overwrite keeps name and position
-      } else {
-        // Fresh column: its visible name becomes its canonical name,
-        // which must not collide with an existing canonical slot.
-        if (HasCanonical(s, d.column)) return Poison(node);
-        Append(&cs, d.column);
+      if (Canon(s, d.column) == nullptr) {
+        // Fresh column: its visible name becomes its canonical name, which
+        // must not collide with an existing canonical slot. An overwrite
+        // keeps name and position.
+        if (HasCanonical(s, d.column)) return false;
         s.emplace_back(d.column, d.column);
       }
-      fp.schema = std::move(s);
-      break;
+      fp->schema = std::move(s);
+      return true;
     }
     case OpKind::kDropColumns: {
-      if (!in0.has_value()) {
-        for (const auto& c : d.columns) Append(&cs, c);
-        break;
-      }
+      if (!in0.has_value()) return true;
       Schema s = *in0;
       for (const auto& c : d.columns) {
-        if (!AppendName(&cs, in0, c)) return Poison(node);
         for (auto it = s.begin(); it != s.end(); ++it) {
           if (it->first == c) {
             s.erase(it);
@@ -347,146 +322,32 @@ PlanFingerprint PlanFingerprinter::Compute(const TaskNodePtr& node) {
           }
         }
       }
-      fp.schema = std::move(s);
-      break;
+      fp->schema = std::move(s);
+      return true;
     }
-    case OpKind::kRename: {
-      if (!in0.has_value()) {
-        // Unknown input schema implies identity canonicalization below;
-        // hash the rename structurally with raw names.
-        for (const auto& [k, v] : d.rename) {
-          Append(&cs, k);
-          Append(&cs, v);
-        }
-        break;
-      }
-      // Try to normalize the rename away entirely: the engine ignores
-      // unknown keys, so only keys present in the schema act. Safe when
-      // every target is a brand-new name (no chains, swaps, or
-      // collisions) — then the node hashes exactly like its input and
-      // only the visible->canonical map changes.
-      Schema s = *in0;
-      bool safe = true;
-      std::unordered_set<std::string> targets;
-      std::vector<std::pair<std::string, std::string>> effective;
-      for (const auto& [k, v] : d.rename) {
-        if (Canon(s, k) == nullptr) continue;  // ignored key
-        if (k == v) continue;                  // no-op entry
-        if (Canon(s, v) != nullptr || !targets.insert(v).second) {
-          safe = false;
-          break;
-        }
-        effective.emplace_back(k, v);
-      }
-      if (safe) {
-        for (auto& [visible, canonical] : s) {
-          for (const auto& [k, v] : effective) {
-            if (visible == k) {
-              visible = v;
-              break;
-            }
-          }
-        }
-        PlanFingerprint out = *ins[0];
-        out.cacheable = inputs_cacheable;
-        out.schema = std::move(s);
-        out.scalar = false;
-        return out;  // hash identical to the input: the rename vanishes
-      }
-      // Order-dependent rename (swap/chain): only structurally sound
-      // when nothing upstream was name-normalized.
-      if (!ins[0]->identity_names()) return Poison(node);
-      for (const auto& [k, v] : d.rename) {
-        Append(&cs, k);
-        Append(&cs, v);
-      }
-      break;  // schema unknown
-    }
-    case OpKind::kFillNa:
-      AppendScalar(&cs, d.scalar);
-      fp.schema = in0;
-      break;
-    case OpKind::kDropNa:
-      fp.schema = in0;
-      break;
+    case OpKind::kRename:
+      return true;  // not normalizable (see Compute): schema unknown
     case OpKind::kGroupByAgg: {
       Schema s;
       std::unordered_set<std::string> visible_seen, canonical_seen;
       bool ok = true;
       for (const auto& k : d.columns) {
-        if (!AppendName(&cs, in0, k)) return Poison(node);
-        const std::string* canon = in0.has_value() ? Canon(*in0, k) : nullptr;
-        const std::string& c = canon != nullptr ? *canon : k;
+        std::string c = canonical_or_raw(k);
         ok &= visible_seen.insert(k).second && canonical_seen.insert(c).second;
-        s.emplace_back(k, c);
+        s.emplace_back(k, std::move(c));
       }
       for (const auto& a : d.aggs) {
-        if (!AppendName(&cs, in0, a.column)) return Poison(node);
-        Append(&cs, static_cast<int64_t>(a.func));
-        Append(&cs, a.out_name);
         ok &= visible_seen.insert(a.out_name).second &&
               canonical_seen.insert(a.out_name).second;
         s.emplace_back(a.out_name, a.out_name);
       }
-      if (!ok) return Poison(node);  // ambiguous output naming
-      fp.schema = std::move(s);
-      break;
+      if (!ok) return false;  // ambiguous output naming
+      fp->schema = std::move(s);
+      return true;
     }
-    case OpKind::kReduce:
-      Append(&cs, static_cast<int64_t>(d.agg_func));
-      if (ins[0]->scalar ||
-          (in0.has_value() && in0->size() != 1)) {
-        return Poison(node);
-      }
-      fp.scalar = true;
-      fp.schema = Schema{};
-      break;
-    case OpKind::kLen:
-      fp.scalar = true;
-      fp.schema = Schema{};
-      break;
-    case OpKind::kMerge:
-      if (!all_inputs_identity()) return Poison(node);
-      Append(&cs, static_cast<int64_t>(d.join_type));
-      for (const auto& c : d.columns) Append(&cs, c);
-      break;  // suffix naming unmodeled: schema unknown
-    case OpKind::kSortValues:
-      for (const auto& c : d.columns) {
-        if (!AppendName(&cs, in0, c)) return Poison(node);
-      }
-      for (bool b : d.ascending) Append(&cs, b ? 1 : 0);
-      fp.schema = in0;
-      break;
-    case OpKind::kDropDuplicates:
-      for (const auto& c : d.columns) {
-        if (!AppendName(&cs, in0, c)) return Poison(node);
-      }
-      fp.schema = in0;
-      break;
-    case OpKind::kValueCounts:
-    case OpKind::kDescribe:
-      if (!all_inputs_identity()) return Poison(node);
-      break;  // engine-derived names: schema unknown
-    case OpKind::kHead:
-      Append(&cs, static_cast<int64_t>(d.n));
-      fp.schema = in0;
-      break;
-    case OpKind::kConcat:
-      if (!all_inputs_identity()) return Poison(node);
-      break;  // union naming: schema unknown
-    case OpKind::kPrint:
-    case OpKind::kMaterialized:
-      return Poison(node);  // handled above; keep the switch exhaustive
     default:
-      return Poison(node);  // unknown future op
+      return false;  // a kCustom kind without a rule here
   }
-
-  fp.plan_hash = Fnv1a64(cs);
-  for (const auto* in : ins) {
-    fp.plan_hash = HashCombine(fp.plan_hash, in->plan_hash);
-    fp.input_hash = HashCombine(fp.input_hash, in->input_hash);
-  }
-  return fp;
 }
 
 }  // namespace lafp::lazy

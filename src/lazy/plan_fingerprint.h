@@ -69,6 +69,14 @@ class PlanFingerprinter {
  private:
   PlanFingerprint Compute(const TaskNodePtr& node);
   PlanFingerprint Poison(const TaskNodePtr& node);
+  /// Output schema (and, for scans, input hash) of an OutputNames::kCustom
+  /// node from its first input's schema; false when the node must not
+  /// cache.
+  bool CustomSchema(
+      const exec::OpDesc& d,
+      const std::optional<std::vector<std::pair<std::string, std::string>>>&
+          in0,
+      PlanFingerprint* fp);
   /// Input fingerprint (path + size + mtime + sample) for a CSV source;
   /// nullopt when the file cannot be fingerprinted.
   std::optional<uint64_t> FileHash(const std::string& path);

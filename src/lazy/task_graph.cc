@@ -107,7 +107,11 @@ std::string TaskGraph::ToDot(const std::vector<TaskNodePtr>& roots) {
   std::ostringstream os;
   os << "digraph lafp {\n  rankdir=BT;\n";
   for (const auto& node : TopoSort(roots)) {
-    os << "  n" << node->id << " [label=\"" << node->desc.ToString();
+    os << "  n" << node->id << " [label=\"";
+    for (char c : node->desc.ToString()) {
+      if (c == '"' || c == '\\') os << '\\';
+      os << c;
+    }
     if (node->persist) os << " [persist]";
     os << "\"];\n";
     for (const auto& in : node->inputs) {

@@ -11,8 +11,10 @@
 
 namespace lafp::opt {
 
+using exec::ColumnEffect;
 using exec::OpDesc;
 using exec::OpKind;
+using exec::OpTraits;
 using lazy::Session;
 using lazy::TaskGraph;
 using lazy::TaskNode;
@@ -106,23 +108,8 @@ Status EliminateRedundantOps(Session* session,
 
 namespace {
 
-bool IsPushableThrough(OpKind kind) {
-  switch (kind) {
-    case OpKind::kSetColumn:
-    case OpKind::kSelect:
-    case OpKind::kRename:
-    case OpKind::kDropColumns:
-    case OpKind::kSortValues:
-    case OpKind::kDropDuplicates:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool ProducesScalar(const TaskNodePtr& node) {
-  return node->desc.kind == OpKind::kReduce ||
-         node->desc.kind == OpKind::kLen;
+  return exec::Traits(node->desc.kind).Is(OpTraits::kScalarResult);
 }
 
 /// Attempt to push one filter node below its input operator. Mutates
@@ -132,8 +119,10 @@ bool TryPushFilter(Session* session, const TaskNodePtr& filter) {
   if (filter->executed || filter->inputs.size() != 2) return false;
   const TaskNodePtr u = filter->inputs[0];
   if (u->executed || u->inputs.empty()) return false;
-  if (!IsPushableThrough(u->desc.kind)) return false;
-  if (!exec::IsRowwiseInvariant(u->desc.kind)) return false;
+  // Condition (2) of §3.2, and a known column effect for condition (1).
+  const OpTraits& traits = exec::Traits(u->desc.kind);
+  if (!traits.Is(OpTraits::kRowwiseInvariant)) return false;
+  if (traits.effect == ColumnEffect::kOpaque) return false;
   // Condition (3): the filter must be u's only consumer — not counting
   // the filter's own mask chain, which necessarily reads from u
   // (df[df.b < 20]) and is re-anchored by the rewrite.
@@ -153,19 +142,22 @@ bool TryPushFilter(Session* session, const TaskNodePtr& filter) {
   pred->CollectColumns(&pred_cols);
 
   // Condition (1): u must not modify/compute the predicate's columns.
-  if (u->desc.kind == OpKind::kRename) {
-    // Rename keeps values; map predicate columns back to pre-rename names.
-    std::map<std::string, std::string> reverse;
-    for (const auto& [from, to] : u->desc.rename) reverse[to] = from;
-    pred->RenameColumns(reverse);
-  } else {
-    std::vector<std::string> used, modified;
-    if (!exec::GetColumnEffects(u->desc, &used, &modified)) return false;
-    for (const auto& c : pred_cols) {
-      if (std::find(modified.begin(), modified.end(), c) !=
-          modified.end()) {
+  switch (traits.effect) {
+    case ColumnEffect::kOpaque:
+    case ColumnEffect::kPreserves:
+      break;
+    case ColumnEffect::kWrites:
+      if (std::find(pred_cols.begin(), pred_cols.end(), u->desc.column) !=
+          pred_cols.end()) {
         return false;
       }
+      break;
+    case ColumnEffect::kRenames: {
+      // Rename keeps values; map predicate columns back to pre-rename names.
+      std::map<std::string, std::string> reverse;
+      for (const auto& [from, to] : u->desc.rename) reverse[to] = from;
+      pred->RenameColumns(reverse);
+      break;
     }
   }
   // drop_duplicates keeps the first row per key: filtering first is only
@@ -276,22 +268,13 @@ namespace {
 bool IsFusableStep(const TaskNodePtr& node) {
   if (node->executed || node->inputs.size() != 1) return false;
   const OpDesc& d = node->desc;
-  switch (d.kind) {
-    case OpKind::kArith:
-    case OpKind::kCompare:
-      if (!d.has_scalar) return false;
-      return d.scalar.is_null() ||
-             d.scalar.type() == df::DataType::kInt64 ||
-             d.scalar.type() == df::DataType::kDouble ||
-             d.scalar.type() == df::DataType::kBool;
-    case OpKind::kAbs:
-    case OpKind::kRound:
-    case OpKind::kBooleanNot:
-    case OpKind::kIsNull:
-      return true;
-    default:
-      return false;
-  }
+  const OpTraits& traits = exec::Traits(d.kind);
+  if (!traits.Is(OpTraits::kFusableStep)) return false;
+  if (!traits.Is(OpTraits::kScalarOperand)) return true;
+  if (!d.has_scalar) return false;
+  return d.scalar.is_null() || d.scalar.type() == df::DataType::kInt64 ||
+         d.scalar.type() == df::DataType::kDouble ||
+         d.scalar.type() == df::DataType::kBool;
 }
 
 /// True when `node` may be absorbed into a fused chain (disappear as a

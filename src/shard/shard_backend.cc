@@ -396,7 +396,9 @@ Result<BackendValue> ShardBackend::Execute(
     case OpKind::kMerge:
       return ExecuteMerge(desc, inputs[0], inputs[1]);
     default:
-      if (exec::IsMapOp(desc.kind)) return ExecuteMapOp(desc, inputs);
+      if (exec::Traits(desc.kind).Is(exec::OpTraits::kMap)) {
+        return ExecuteMapOp(desc, inputs);
+      }
       return ExecuteViaGather(desc, inputs);
   }
 }

@@ -12,10 +12,6 @@ namespace lafp::shard {
 
 namespace {
 
-/// Fused chains are shallow by construction (one level in practice); the
-/// clamp only exists so a crafted fragment cannot recurse the decoder.
-constexpr uint32_t kMaxFusedDepth = 16;
-
 Status SendAll(int fd, const char* data, size_t n) {
   while (n > 0) {
     ssize_t sent = ::send(fd, data, n, MSG_NOSIGNAL);
@@ -82,345 +78,6 @@ Result<Message> RecvMessage(int fd) {
   msg.payload.resize(static_cast<size_t>(len));
   if (len > 0) LAFP_RETURN_NOT_OK(RecvAll(fd, msg.payload.data(), len));
   return msg;
-}
-
-bool WireReader::ReadPod(void* out, size_t n) {
-  if (remaining() < n) return false;
-  std::memcpy(out, data_.data() + pos_, n);
-  pos_ += n;
-  return true;
-}
-
-bool WireReader::U8(uint8_t* out) { return ReadPod(out, 1); }
-bool WireReader::U32(uint32_t* out) { return ReadPod(out, 4); }
-bool WireReader::U64(uint64_t* out) { return ReadPod(out, 8); }
-bool WireReader::I64(int64_t* out) { return ReadPod(out, 8); }
-bool WireReader::F64(double* out) { return ReadPod(out, 8); }
-
-bool WireReader::Str(std::string* out) {
-  uint32_t len = 0;
-  if (!U32(&len)) return false;
-  if (remaining() < len) return false;
-  out->assign(data_.data() + pos_, len);
-  pos_ += len;
-  return true;
-}
-
-void EncodeScalar(const df::Scalar& s, WireWriter* w) {
-  switch (s.type()) {
-    case df::DataType::kNull:
-      w->U8(0);
-      return;
-    case df::DataType::kBool:
-      w->U8(1);
-      w->U8(s.bool_value() ? 1 : 0);
-      return;
-    case df::DataType::kInt64:
-      w->U8(2);
-      w->I64(s.int_value());
-      return;
-    case df::DataType::kDouble:
-      w->U8(3);
-      w->F64(s.double_value());
-      return;
-    case df::DataType::kTimestamp:
-      w->U8(4);
-      w->I64(s.int_value());
-      return;
-    case df::DataType::kString:
-    case df::DataType::kCategory:
-      w->U8(5);
-      w->Str(s.string_value());
-      return;
-  }
-  w->U8(0);
-}
-
-Status DecodeScalar(WireReader* r, df::Scalar* out) {
-  uint8_t tag = 0;
-  if (!r->U8(&tag)) return r->Error("scalar tag");
-  switch (tag) {
-    case 0:
-      *out = df::Scalar::Null();
-      return Status::OK();
-    case 1: {
-      uint8_t v = 0;
-      if (!r->U8(&v)) return r->Error("bool scalar");
-      *out = df::Scalar::Bool(v != 0);
-      return Status::OK();
-    }
-    case 2: {
-      int64_t v = 0;
-      if (!r->I64(&v)) return r->Error("int scalar");
-      *out = df::Scalar::Int(v);
-      return Status::OK();
-    }
-    case 3: {
-      double v = 0;
-      if (!r->F64(&v)) return r->Error("double scalar");
-      *out = df::Scalar::Double(v);
-      return Status::OK();
-    }
-    case 4: {
-      int64_t v = 0;
-      if (!r->I64(&v)) return r->Error("timestamp scalar");
-      *out = df::Scalar::Timestamp(v);
-      return Status::OK();
-    }
-    case 5: {
-      std::string v;
-      if (!r->Str(&v)) return r->Error("string scalar");
-      *out = df::Scalar::String(std::move(v));
-      return Status::OK();
-    }
-    default:
-      return Status::IOError("shard wire: unknown scalar tag " +
-                             std::to_string(tag));
-  }
-}
-
-namespace {
-
-void EncodeStringVec(const std::vector<std::string>& v, WireWriter* w) {
-  w->U32(static_cast<uint32_t>(v.size()));
-  for (const auto& s : v) w->Str(s);
-}
-
-Status DecodeStringVec(WireReader* r, std::vector<std::string>* out,
-                       const char* what) {
-  uint32_t n = 0;
-  if (!r->U32(&n)) return r->Error(what);
-  // Each element costs at least its 4-byte length prefix; a count larger
-  // than the bytes left is corrupt, not merely large.
-  if (static_cast<uint64_t>(n) * 4 > r->remaining()) return r->Error(what);
-  out->clear();
-  out->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string s;
-    if (!r->Str(&s)) return r->Error(what);
-    out->push_back(std::move(s));
-  }
-  return Status::OK();
-}
-
-template <typename Enum>
-Status CheckEnum(uint8_t raw, Enum max, const char* what, Enum* out) {
-  if (raw > static_cast<uint8_t>(max)) {
-    return Status::IOError(std::string("shard wire: out-of-range ") + what +
-                           " " + std::to_string(raw));
-  }
-  *out = static_cast<Enum>(raw);
-  return Status::OK();
-}
-
-void EncodeOpDescImpl(const exec::OpDesc& d, WireWriter* w) {
-  w->U32(static_cast<uint32_t>(d.kind));
-  w->Str(d.path);
-  // CsvReadOptions.
-  EncodeStringVec(d.csv_options.usecols, w);
-  w->U32(static_cast<uint32_t>(d.csv_options.dtypes.size()));
-  for (const auto& [name, type] : d.csv_options.dtypes) {
-    w->Str(name);
-    w->U8(static_cast<uint8_t>(type));
-  }
-  w->U8(static_cast<uint8_t>(d.csv_options.delimiter));
-  w->U64(d.csv_options.nrows);
-  w->U64(d.csv_options.infer_rows);
-  // LfcReadOptions.
-  EncodeStringVec(d.lfc_options.usecols, w);
-  w->U64(d.lfc_options.nrows);
-  w->U32(static_cast<uint32_t>(d.lfc_options.prune.size()));
-  for (const auto& p : d.lfc_options.prune) {
-    w->Str(p.column);
-    w->U8(static_cast<uint8_t>(p.op));
-    EncodeScalar(p.scalar, w);
-  }
-  w->U8(d.lfc_options.prune_enabled ? 1 : 0);
-  // Generic operands.
-  EncodeStringVec(d.columns, w);
-  w->Str(d.column);
-  w->U8(static_cast<uint8_t>(d.compare_op));
-  w->U8(static_cast<uint8_t>(d.arith_op));
-  w->U8(d.scalar_on_left ? 1 : 0);
-  w->U8(d.has_scalar ? 1 : 0);
-  EncodeScalar(d.scalar, w);
-  w->U32(static_cast<uint32_t>(d.aggs.size()));
-  for (const auto& a : d.aggs) {
-    w->Str(a.column);
-    w->U8(static_cast<uint8_t>(a.func));
-    w->Str(a.out_name);
-  }
-  w->U8(static_cast<uint8_t>(d.agg_func));
-  w->U32(static_cast<uint32_t>(d.ascending.size()));
-  for (bool b : d.ascending) w->U8(b ? 1 : 0);
-  w->U8(static_cast<uint8_t>(d.join_type));
-  w->U8(static_cast<uint8_t>(d.dtype));
-  w->U8(static_cast<uint8_t>(d.dt_field));
-  w->U64(static_cast<uint64_t>(d.n));
-  w->U32(static_cast<uint32_t>(d.rename.size()));
-  for (const auto& [from, to] : d.rename) {
-    w->Str(from);
-    w->Str(to);
-  }
-  w->Str(d.str_arg);
-  w->U32(static_cast<uint32_t>(d.scalar_list.size()));
-  for (const auto& s : d.scalar_list) EncodeScalar(s, w);
-  w->I64(d.digits);
-  w->U32(static_cast<uint32_t>(d.fused.size()));
-  for (const auto& f : d.fused) EncodeOpDescImpl(f, w);
-}
-
-Status DecodeOpDescImpl(WireReader* r, exec::OpDesc* out, uint32_t depth) {
-  if (depth > kMaxFusedDepth) {
-    return Status::IOError("shard wire: fused op chain nests too deeply");
-  }
-  exec::OpDesc d;
-  uint32_t kind = 0;
-  if (!r->U32(&kind)) return r->Error("op kind");
-  if (kind > static_cast<uint32_t>(exec::OpKind::kFusedMap)) {
-    return Status::IOError("shard wire: unknown op kind " +
-                           std::to_string(kind));
-  }
-  d.kind = static_cast<exec::OpKind>(kind);
-  if (!r->Str(&d.path)) return r->Error("op path");
-  // CsvReadOptions.
-  LAFP_RETURN_NOT_OK(DecodeStringVec(r, &d.csv_options.usecols, "csv usecols"));
-  uint32_t ndtypes = 0;
-  if (!r->U32(&ndtypes)) return r->Error("csv dtypes");
-  if (static_cast<uint64_t>(ndtypes) * 5 > r->remaining()) {
-    return r->Error("csv dtypes");
-  }
-  for (uint32_t i = 0; i < ndtypes; ++i) {
-    std::string name;
-    uint8_t type = 0;
-    if (!r->Str(&name) || !r->U8(&type)) return r->Error("csv dtype entry");
-    df::DataType dt;
-    LAFP_RETURN_NOT_OK(CheckEnum(type, df::DataType::kCategory, "dtype", &dt));
-    d.csv_options.dtypes[std::move(name)] = dt;
-  }
-  uint8_t delim = 0;
-  if (!r->U8(&delim)) return r->Error("csv delimiter");
-  d.csv_options.delimiter = static_cast<char>(delim);
-  uint64_t nrows = 0, infer_rows = 0;
-  if (!r->U64(&nrows) || !r->U64(&infer_rows)) return r->Error("csv rows");
-  d.csv_options.nrows = static_cast<size_t>(nrows);
-  d.csv_options.infer_rows = static_cast<size_t>(infer_rows);
-  // LfcReadOptions.
-  LAFP_RETURN_NOT_OK(DecodeStringVec(r, &d.lfc_options.usecols, "lfc usecols"));
-  if (!r->U64(&nrows)) return r->Error("lfc rows");
-  d.lfc_options.nrows = static_cast<size_t>(nrows);
-  uint32_t nprune = 0;
-  if (!r->U32(&nprune)) return r->Error("lfc prune");
-  if (static_cast<uint64_t>(nprune) * 6 > r->remaining()) {
-    return r->Error("lfc prune");
-  }
-  for (uint32_t i = 0; i < nprune; ++i) {
-    io::LfcPredicate p;
-    uint8_t op = 0;
-    if (!r->Str(&p.column) || !r->U8(&op)) return r->Error("lfc predicate");
-    LAFP_RETURN_NOT_OK(CheckEnum(op, df::CompareOp::kGe, "compare op", &p.op));
-    LAFP_RETURN_NOT_OK(DecodeScalar(r, &p.scalar));
-    d.lfc_options.prune.push_back(std::move(p));
-  }
-  uint8_t flag = 0;
-  if (!r->U8(&flag)) return r->Error("lfc prune flag");
-  d.lfc_options.prune_enabled = flag != 0;
-  // Generic operands.
-  LAFP_RETURN_NOT_OK(DecodeStringVec(r, &d.columns, "op columns"));
-  if (!r->Str(&d.column)) return r->Error("op column");
-  uint8_t cmp = 0, arith = 0, on_left = 0, has_scalar = 0;
-  if (!r->U8(&cmp) || !r->U8(&arith) || !r->U8(&on_left) ||
-      !r->U8(&has_scalar)) {
-    return r->Error("op flags");
-  }
-  LAFP_RETURN_NOT_OK(
-      CheckEnum(cmp, df::CompareOp::kGe, "compare op", &d.compare_op));
-  LAFP_RETURN_NOT_OK(
-      CheckEnum(arith, df::ArithOp::kMod, "arith op", &d.arith_op));
-  d.scalar_on_left = on_left != 0;
-  d.has_scalar = has_scalar != 0;
-  LAFP_RETURN_NOT_OK(DecodeScalar(r, &d.scalar));
-  uint32_t naggs = 0;
-  if (!r->U32(&naggs)) return r->Error("op aggs");
-  if (static_cast<uint64_t>(naggs) * 9 > r->remaining()) {
-    return r->Error("op aggs");
-  }
-  for (uint32_t i = 0; i < naggs; ++i) {
-    df::AggSpec a;
-    uint8_t func = 0;
-    if (!r->Str(&a.column) || !r->U8(&func) || !r->Str(&a.out_name)) {
-      return r->Error("agg spec");
-    }
-    LAFP_RETURN_NOT_OK(
-        CheckEnum(func, df::AggFunc::kNunique, "agg func", &a.func));
-    d.aggs.push_back(std::move(a));
-  }
-  uint8_t agg_func = 0;
-  if (!r->U8(&agg_func)) return r->Error("op agg func");
-  LAFP_RETURN_NOT_OK(
-      CheckEnum(agg_func, df::AggFunc::kNunique, "agg func", &d.agg_func));
-  uint32_t nasc = 0;
-  if (!r->U32(&nasc)) return r->Error("op ascending");
-  if (nasc > r->remaining()) return r->Error("op ascending");
-  for (uint32_t i = 0; i < nasc; ++i) {
-    if (!r->U8(&flag)) return r->Error("op ascending");
-    d.ascending.push_back(flag != 0);
-  }
-  uint8_t join = 0, dtype = 0, dt_field = 0;
-  if (!r->U8(&join) || !r->U8(&dtype) || !r->U8(&dt_field)) {
-    return r->Error("op enums");
-  }
-  LAFP_RETURN_NOT_OK(
-      CheckEnum(join, df::JoinType::kLeft, "join type", &d.join_type));
-  LAFP_RETURN_NOT_OK(
-      CheckEnum(dtype, df::DataType::kCategory, "dtype", &d.dtype));
-  LAFP_RETURN_NOT_OK(
-      CheckEnum(dt_field, df::DtField::kDay, "dt field", &d.dt_field));
-  uint64_t head_n = 0;
-  if (!r->U64(&head_n)) return r->Error("op n");
-  d.n = static_cast<size_t>(head_n);
-  uint32_t nrename = 0;
-  if (!r->U32(&nrename)) return r->Error("op rename");
-  if (static_cast<uint64_t>(nrename) * 8 > r->remaining()) {
-    return r->Error("op rename");
-  }
-  for (uint32_t i = 0; i < nrename; ++i) {
-    std::string from, to;
-    if (!r->Str(&from) || !r->Str(&to)) return r->Error("rename entry");
-    d.rename[std::move(from)] = std::move(to);
-  }
-  if (!r->Str(&d.str_arg)) return r->Error("op str arg");
-  uint32_t nscalars = 0;
-  if (!r->U32(&nscalars)) return r->Error("op scalar list");
-  if (nscalars > r->remaining()) return r->Error("op scalar list");
-  for (uint32_t i = 0; i < nscalars; ++i) {
-    df::Scalar s;
-    LAFP_RETURN_NOT_OK(DecodeScalar(r, &s));
-    d.scalar_list.push_back(std::move(s));
-  }
-  int64_t digits = 0;
-  if (!r->I64(&digits)) return r->Error("op digits");
-  d.digits = static_cast<int>(digits);
-  uint32_t nfused = 0;
-  if (!r->U32(&nfused)) return r->Error("op fused");
-  if (nfused > r->remaining()) return r->Error("op fused");
-  for (uint32_t i = 0; i < nfused; ++i) {
-    exec::OpDesc f;
-    LAFP_RETURN_NOT_OK(DecodeOpDescImpl(r, &f, depth + 1));
-    d.fused.push_back(std::move(f));
-  }
-  *out = std::move(d);
-  return Status::OK();
-}
-
-}  // namespace
-
-void EncodeOpDesc(const exec::OpDesc& desc, WireWriter* w) {
-  EncodeOpDescImpl(desc, w);
-}
-
-Status DecodeOpDesc(WireReader* r, exec::OpDesc* out) {
-  return DecodeOpDescImpl(r, out, 0);
 }
 
 std::string EncodeErrorPayload(const Status& status) {

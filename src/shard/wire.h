@@ -7,7 +7,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "dataframe/types.h"
+#include "common/wire.h"
 #include "exec/op.h"
 
 /// Coordinator <-> worker wire protocol for the shared-nothing shard
@@ -16,7 +16,8 @@
 ///   u32 magic ("LFSH") | u32 type | u64 payload_len | payload bytes
 ///
 /// Payloads are little-endian structs built with WireWriter and decoded
-/// with the bounds-checked WireReader; dataframes travel as the spill
+/// with the bounds-checked WireReader (common/wire.h); plan fragments are
+/// the operator codec (exec::EncodeOpDesc); dataframes travel as the spill
 /// stream format (exec/spill.h, SerializeFrame/DeserializeFrame) so the
 /// exchange path reuses the hardened length-validated decoder.
 ///
@@ -83,71 +84,11 @@ Status SendMessage(int fd, MsgType type, std::string_view payload);
 /// magic, payload above kMaxMessageBytes) is a clean IOError.
 Result<Message> RecvMessage(int fd);
 
-/// Little-endian payload builder.
-class WireWriter {
- public:
-  void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) { AppendPod(&v, sizeof(v)); }
-  void U64(uint64_t v) { AppendPod(&v, sizeof(v)); }
-  void I64(int64_t v) { AppendPod(&v, sizeof(v)); }
-  void F64(double v) { AppendPod(&v, sizeof(v)); }
-  void Str(std::string_view s) {
-    U32(static_cast<uint32_t>(s.size()));
-    buf_.append(s.data(), s.size());
-  }
-  void Raw(std::string_view bytes) { buf_.append(bytes.data(), bytes.size()); }
-
-  std::string Take() { return std::move(buf_); }
-  size_t size() const { return buf_.size(); }
-
- private:
-  void AppendPod(const void* p, size_t n) {
-    buf_.append(static_cast<const char*>(p), n);
-  }
-  std::string buf_;
-};
-
-/// Bounds-checked payload decoder: every getter returns false instead of
-/// reading past the end, so a truncated or hostile payload can never walk
-/// off the buffer. `Error(what)` converts exhaustion into a clean Status.
-class WireReader {
- public:
-  explicit WireReader(std::string_view data) : data_(data) {}
-
-  bool U8(uint8_t* out);
-  bool U32(uint32_t* out);
-  bool U64(uint64_t* out);
-  bool I64(int64_t* out);
-  bool F64(double* out);
-  bool Str(std::string* out);
-
-  size_t remaining() const { return data_.size() - pos_; }
-  bool Done() const { return pos_ == data_.size(); }
-  /// The unread tail (used for trailing frame-bytes payloads).
-  std::string_view Rest() const { return data_.substr(pos_); }
-  void SkipRest() { pos_ = data_.size(); }
-
-  Status Error(const char* what) const {
-    return Status::IOError(std::string("shard wire: truncated ") + what);
-  }
-
- private:
-  bool ReadPod(void* out, size_t n);
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-/// Scalar codec: u8 type tag + value. Category scalars travel as strings
-/// (the scalar layer has no standalone dictionary to preserve).
-void EncodeScalar(const df::Scalar& s, WireWriter* w);
-Status DecodeScalar(WireReader* r, df::Scalar* out);
-
-/// Plan-fragment codec: a byte-exact, reversible walk of every OpDesc
-/// field (including the recursive `fused` chain, depth-clamped). Decode
-/// range-checks every enum so a corrupt fragment yields a clean Status
-/// instead of an out-of-range enum reaching the kernels.
-void EncodeOpDesc(const exec::OpDesc& desc, WireWriter* w);
-Status DecodeOpDesc(WireReader* r, exec::OpDesc* out);
+/// The scalar and plan-fragment codecs this protocol carries (exec/op.h).
+using exec::DecodeOpDesc;
+using exec::DecodeScalar;
+using exec::EncodeOpDesc;
+using exec::EncodeScalar;
 
 /// kError payload codec. Unknown status codes decode as kExecutionError.
 std::string EncodeErrorPayload(const Status& status);

@@ -124,6 +124,13 @@ TEST_F(ResultCacheTest, FingerprintSensitiveToParamsAndInputOrder) {
   ASSERT_TRUE(tip_minus_pax.ok() && pax_minus_tip.ok());
   EXPECT_NE(fp.Fingerprint(tip_minus_pax->node()).plan_hash,
             fp.Fingerprint(pax_minus_tip->node()).plan_hash);
+
+  // Thresholds that display alike ("0.0") are different plans.
+  auto lo = FilterPlan(session.get(), 1e-7);
+  auto hi = FilterPlan(session.get(), 4e-7);
+  ASSERT_TRUE(lo.ok() && hi.ok());
+  EXPECT_NE(fp.Fingerprint(lo->node()).plan_hash,
+            fp.Fingerprint(hi->node()).plan_hash);
 }
 
 TEST_F(ResultCacheTest, FileEditChangesInputHashNotPlanHash) {

@@ -259,6 +259,24 @@ TEST_F(OptimizerTest, DeduplicateCountsExecutionsOnce) {
   EXPECT_EQ(session->num_node_executions(), 3);
 }
 
+TEST_F(OptimizerTest, DeduplicateKeepsConstantsThatPrintAlike) {
+  // 1e-7 and 4e-7 both display as "0.0"; the CSE key must hold the values.
+  auto session = MakeSession();
+  auto a = FatDataFrame::ReadCsv(session.get(), csv_path_)->Col("a");
+  auto lo = a->ArithScalar(df::ArithOp::kAdd, Scalar::Double(1e-7));
+  auto hi = a->ArithScalar(df::ArithOp::kAdd, Scalar::Double(4e-7));
+  auto gap = hi->ArithCol(df::ArithOp::kSub, *lo);
+  ASSERT_TRUE(gap.ok());
+  PassStats stats;
+  ASSERT_TRUE(DeduplicateNodes(session.get(), {gap->node()}, &stats).ok());
+  EXPECT_EQ(stats.nodes_deduplicated, 0);
+  auto max = gap->Max();
+  ASSERT_TRUE(max.ok());
+  auto value = max->Value();
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_GT(value->double_value(), 0.0);
+}
+
 TEST_F(OptimizerTest, RedundantHeadAndSelectCollapse) {
   auto session = MakeSession();
   auto frame = FatDataFrame::ReadCsv(session.get(), csv_path_);
