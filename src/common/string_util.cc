@@ -24,14 +24,6 @@ std::vector<std::string> Split(std::string_view s, char delim) {
   return out;
 }
 
-std::string_view Trim(std::string_view s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep) {
   std::string out;

@@ -12,8 +12,14 @@ namespace lafp {
 /// Split on a single-character delimiter; keeps empty fields.
 std::vector<std::string> Split(std::string_view s, char delim);
 
-/// Strip ASCII whitespace from both ends.
-std::string_view Trim(std::string_view s);
+/// Strip ASCII whitespace (" \t\n\v\f\r") from both ends. Inline: the
+/// CSV parse trims every field.
+inline std::string_view Trim(std::string_view s) {
+  auto space = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
+  while (!s.empty() && space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && space(s.back())) s.remove_suffix(1);
+  return s;
+}
 
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep);

@@ -77,13 +77,13 @@ class PartitionedFrameStream : public PartitionStream {
 
 class CsvStream : public PartitionStream {
  public:
+  // The reader carries the MemoryTracker it was opened with.
   CsvStream(std::unique_ptr<io::CsvChunkReader> reader, size_t chunk_rows,
-            int64_t overhead_us, size_t prefetch, MemoryTracker* tracker)
+            int64_t overhead_us, size_t prefetch)
       : reader_(std::move(reader)),
         chunk_rows_(chunk_rows),
         overhead_us_(overhead_us),
-        prefetch_(prefetch == 0 ? 1 : prefetch),
-        tracker_(tracker) {}
+        prefetch_(prefetch == 0 ? 1 : prefetch) {}
 
   Result<std::optional<df::DataFrame>> Next() override {
     // Keep a window of decoded partitions resident, like Dask workers
@@ -107,17 +107,7 @@ class CsvStream : public PartitionStream {
       // columns by name and must not see a schemaless frame.
       if (emitted_ == 0 && !empty_emitted_) {
         empty_emitted_ = true;
-        const auto& names = reader_->column_names();
-        const auto& types = reader_->column_types();
-        std::vector<df::ColumnPtr> cols;
-        cols.reserve(names.size());
-        for (size_t c = 0; c < names.size(); ++c) {
-          df::ColumnBuilder builder(types[c], tracker_);
-          LAFP_ASSIGN_OR_RETURN(df::ColumnPtr col, builder.Finish());
-          cols.push_back(std::move(col));
-        }
-        LAFP_ASSIGN_OR_RETURN(df::DataFrame empty,
-                              df::DataFrame::Make(names, std::move(cols)));
+        LAFP_ASSIGN_OR_RETURN(df::DataFrame empty, reader_->EmptyFrame());
         return std::optional<df::DataFrame>(std::move(empty));
       }
       return std::optional<df::DataFrame>();
@@ -132,7 +122,6 @@ class CsvStream : public PartitionStream {
   size_t chunk_rows_;
   int64_t overhead_us_;
   size_t prefetch_;
-  MemoryTracker* tracker_;
   std::deque<df::DataFrame> buffer_;
   size_t emitted_ = 0;
   bool empty_emitted_ = false;
@@ -564,7 +553,7 @@ Result<std::unique_ptr<PartitionStream>> DaskEvaluator::StreamInner(
       return std::unique_ptr<PartitionStream>(std::make_unique<CsvStream>(
           std::move(reader), backend_->config().partition_rows,
           backend_->config().task_overhead_us,
-          backend_->config().prefetch_partitions, tracker_));
+          backend_->config().prefetch_partitions));
     }
     case OpKind::kReadLfc: {
       LAFP_ASSIGN_OR_RETURN(auto reader,

@@ -101,22 +101,30 @@ Result<BackendValue> ModinBackend::Execute(
   if (span.active()) span.AddArg("op", desc.ToString());
   switch (desc.kind) {
     case OpKind::kReadCsv: {
-      // Partitioned read: chunked, but eager (all partitions in memory).
+      // Partitioned read, like Modin's parallel read_csv: one row scan
+      // finds the partition boundaries, then the partitions parse in
+      // parallel (eager: all partitions in memory).
       LAFP_ASSIGN_OR_RETURN(
           auto reader,
           io::CsvChunkReader::Open(desc.path, desc.csv_options, tracker_));
-      PartitionedFrame parts;
+      std::vector<io::CsvRange> ranges;
       while (true) {
-        LAFP_ASSIGN_OR_RETURN(auto chunk,
-                              reader->NextChunk(config_.partition_rows));
-        if (!chunk.has_value()) break;
-        PayOverhead();
-        parts.Add(std::move(*chunk));
+        LAFP_ASSIGN_OR_RETURN(auto range,
+                              reader->NextRange(config_.partition_rows));
+        if (!range.has_value()) break;
+        PayOverhead();  // simulated per-task cost, paid at serial dispatch
+        ranges.push_back(*range);
       }
+      std::vector<df::DataFrame> frames(ranges.size());
+      LAFP_RETURN_NOT_OK(RunPartitions(
+          work_pool_, ranges.size(), "read_csv", [&](int i) -> Status {
+            LAFP_ASSIGN_OR_RETURN(frames[i], reader->ParseRange(ranges[i]));
+            return Status::OK();
+          }));
+      PartitionedFrame parts;
+      for (auto& frame : frames) parts.Add(std::move(frame));
       if (parts.num_partitions() == 0) {
-        LAFP_ASSIGN_OR_RETURN(
-            df::DataFrame empty,
-            io::ReadCsv(desc.path, desc.csv_options, tracker_));
+        LAFP_ASSIGN_OR_RETURN(df::DataFrame empty, reader->EmptyFrame());
         parts.Add(std::move(empty));
       }
       return WrapParts(std::move(parts));

@@ -1,15 +1,22 @@
 #include "io/csv.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <fstream>
+#include <unordered_map>
 
 #include "common/fault.h"
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/trace.h"
-#include "dataframe/ops.h"
 
 namespace lafp::io {
 
@@ -19,8 +26,7 @@ using df::ColumnPtr;
 using df::DataFrame;
 using df::DataType;
 
-std::vector<std::string> SplitCsvLine(const std::string& line,
-                                      char delimiter) {
+std::vector<std::string> SplitCsvLine(std::string_view line, char delimiter) {
   std::vector<std::string> fields;
   std::string cur;
   bool in_quotes = false;
@@ -52,8 +58,45 @@ std::vector<std::string> SplitCsvLine(const std::string& line,
 
 namespace {
 
+/// Rows per range when ReadRest parses a whole file: the grain of its
+/// `csv.read` fault sites and `csv:parse` spans.
+constexpr size_t kRangeRows = 1 << 16;
+
+/// One record: its content [begin, end) without the line terminator (a
+/// '\r' before the '\n' or the end of file is dropped), and where the
+/// next record starts. Every '"' flips the quote state (SplitCsvLine's
+/// rule, "" escapes included), so a '\n' ends the record only at even
+/// quote parity.
+struct Record {
+  const char* begin;
+  const char* end;
+  const char* next;
+  bool quoted;  // holds a '"', so its fields need unescaping
+};
+
+Record ScanRecord(const char* p, const char* limit) {
+  const auto* nl = static_cast<const char*>(
+      std::memchr(p, '\n', static_cast<size_t>(limit - p)));
+  const char* stop = nl != nullptr ? nl : limit;
+  const auto* quote = static_cast<const char*>(
+      std::memchr(p, '"', static_cast<size_t>(stop - p)));
+  if (quote != nullptr) {
+    bool in_quotes = false;
+    for (stop = quote; stop < limit; ++stop) {
+      if (*stop == '"') {
+        in_quotes = !in_quotes;
+      } else if (*stop == '\n' && !in_quotes) {
+        break;
+      }
+    }
+  }
+  const char* end = stop;
+  if (end > p && end[-1] == '\r') --end;
+  return {p, end, stop < limit ? stop + 1 : limit, quote != nullptr};
+}
+
 /// Infer the type of one value; kNull for blanks.
-DataType InferValueType(const std::string& raw) {
+DataType InferValueType(std::string_view raw) {
   std::string_view v = Trim(raw);
   if (v.empty()) return DataType::kNull;
   if (v == "True" || v == "False" || v == "true" || v == "false") {
@@ -87,66 +130,203 @@ DataType UnifyTypes(DataType a, DataType b) {
   return DataType::kString;  // any other mix degrades to string
 }
 
-bool AppendParsed(ColumnBuilder* builder, DataType type,
-                  const std::string& raw) {
-  std::string_view v = Trim(raw);
-  if (v.empty()) {
-    builder->AppendNull();
+bool IsDigit(char c) { return static_cast<unsigned char>(c - '0') < 10; }
+
+/// `-?digits(.digits)?`, at most ParseDouble's 63 characters: on this
+/// shape from_chars and strtod both round correctly, so the bits agree.
+/// With at most 15 digits the value is also m / 10^k for m and 10^k exact
+/// doubles, which one IEEE division rounds correctly (Clinger's fast
+/// path, cheaper than from_chars).
+bool ParsePlainDouble(std::string_view v, double* out) {
+  static constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,
+                                      1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+                                      1e12, 1e13, 1e14, 1e15};
+  if (v.size() > 63) return false;
+  const bool negative = v[0] == '-';
+  size_t i = negative ? 1 : 0;
+  uint64_t mantissa = 0;  // wraps past 19 digits, used only up to 15
+  auto take_digits = [&] {
+    const size_t begin = i;
+    for (; i < v.size() && IsDigit(v[i]); ++i) {
+      mantissa = mantissa * 10 + static_cast<uint64_t>(v[i] - '0');
+    }
+    return i - begin;
+  };
+  size_t digits = take_digits();
+  if (digits == 0) return false;
+  size_t frac = 0;
+  if (i < v.size()) {
+    if (v[i] != '.') return false;
+    ++i;
+    frac = take_digits();
+    if (frac == 0 || i != v.size()) return false;
+    digits += frac;
+  }
+  if (digits <= 15) {
+    const double x = static_cast<double>(mantissa) / kPow10[frac];
+    *out = negative ? -x : x;
     return true;
   }
-  switch (type) {
-    case DataType::kInt64: {
-      auto p = ParseInt64(v);
-      if (!p.has_value()) {
-        // Tolerate "3.0" in an int column (replication artifacts).
-        auto d = ParseDouble(v);
-        if (!d.has_value()) {
-          builder->AppendNull();
-          return true;
-        }
-        builder->AppendInt(static_cast<int64_t>(*d));
-        return true;
-      }
-      builder->AppendInt(*p);
-      return true;
-    }
-    case DataType::kDouble: {
-      auto p = ParseDouble(v);
-      if (!p.has_value()) {
-        builder->AppendNull();
-      } else {
-        builder->AppendDouble(*p);
-      }
-      return true;
-    }
-    case DataType::kBool: {
-      if (v == "True" || v == "true" || v == "1") {
-        builder->AppendBool(true);
-      } else if (v == "False" || v == "false" || v == "0") {
-        builder->AppendBool(false);
-      } else {
-        builder->AppendNull();
-      }
-      return true;
-    }
-    case DataType::kTimestamp: {
-      auto p = df::ParseTimestamp(raw);
-      if (!p.ok()) {
-        builder->AppendNull();
-      } else {
-        builder->AppendInt(*p);
-      }
-      return true;
-    }
-    case DataType::kString:
-      builder->AppendString(raw);
-      return true;
-    default:
-      return false;
-  }
+  auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), *out);
+  return ec == std::errc() && end == v.data() + v.size();
 }
 
+/// `YYYY-MM-DD HH:MM:SS` or `YYYY-MM-DD`, every field in range: the value
+/// df::ParseTimestamp gives for the same text.
+bool ParseFixedTimestamp(std::string_view v, int64_t* out) {
+  if (v.size() != 19 && v.size() != 10) return false;
+  auto digits = [&v](size_t at, size_t n, int* value) {
+    int x = 0;
+    for (size_t i = at; i < at + n; ++i) {
+      if (!IsDigit(v[i])) return false;
+      x = x * 10 + (v[i] - '0');
+    }
+    *value = x;
+    return true;
+  };
+  int y = 0, mo = 0, d = 0, h = 0, mi = 0, s = 0;
+  if (!digits(0, 4, &y) || v[4] != '-' || !digits(5, 2, &mo) ||
+      v[7] != '-' || !digits(8, 2, &d)) {
+    return false;
+  }
+  if (v.size() == 19 &&
+      (v[10] != ' ' || !digits(11, 2, &h) || v[13] != ':' ||
+       !digits(14, 2, &mi) || v[16] != ':' || !digits(17, 2, &s))) {
+    return false;
+  }
+  if (mo < 1 || mo > 12 || d < 1 || d > 31 || h > 23 || mi > 59 || s > 60) {
+    return false;
+  }
+  *out = df::DaysFromCivil(y, mo, d) * 86400 + h * 3600 + mi * 60 + s;
+  return true;
+}
+
+/// Category codes built straight from the field bytes: the dictionary
+/// lists distinct values in first-appearance order and a null row holds
+/// code 0, as df::CategorizeStrings lays them out.
+class CategoryBuilder {
+ public:
+  void AppendNull() {
+    if (validity_.size() < codes_.size()) validity_.resize(codes_.size(), 1);
+    validity_.push_back(0);
+    codes_.push_back(0);
+  }
+
+  void Append(std::string_view value) {
+    key_.assign(value);
+    auto [it, inserted] =
+        index_.try_emplace(key_, static_cast<int32_t>(dict_->size()));
+    if (inserted) dict_->push_back(key_);
+    if (!validity_.empty()) validity_.push_back(1);
+    codes_.push_back(it->second);
+  }
+
+  void Reserve(size_t n) { codes_.reserve(n); }
+
+  Result<ColumnPtr> Finish(MemoryTracker* tracker) {
+    return Column::MakeCategory(std::move(codes_), std::move(validity_),
+                                std::move(dict_), tracker);
+  }
+
+ private:
+  std::vector<int32_t> codes_;
+  std::vector<uint8_t> validity_;  // empty until the first null
+  std::shared_ptr<df::Dictionary> dict_ = std::make_shared<df::Dictionary>();
+  std::unordered_map<std::string, int32_t> index_;
+  std::string key_;  // reused lookup buffer
+};
+
 }  // namespace
+
+/// Where one output column's values go while ranges are parsed.
+struct CsvChunkReader::Sink {
+  Sink(DataType type, bool category, MemoryTracker* tracker)
+      : type(type), category(category), values(type, tracker) {}
+
+  void AppendNull() {
+    if (category) {
+      codes.AppendNull();
+    } else {
+      values.AppendNull();
+    }
+  }
+
+  /// A blank field is null; a value its type cannot hold is null, except
+  /// that an int column truncates a double. Strings keep their spaces.
+  void Append(std::string_view raw) {
+    std::string_view v = Trim(raw);
+    if (v.empty()) {
+      AppendNull();
+      return;
+    }
+    switch (type) {
+      case DataType::kInt64: {
+        int64_t x = 0;
+        auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
+        if (ec == std::errc() && end == v.data() + v.size()) {
+          values.AppendInt(x);
+        } else if (auto p = ParseInt64(v)) {
+          values.AppendInt(*p);
+        } else if (auto d = ParseDouble(v)) {
+          // Tolerate "3.0" in an int column (replication artifacts).
+          values.AppendInt(static_cast<int64_t>(*d));
+        } else {
+          values.AppendNull();
+        }
+        return;
+      }
+      case DataType::kDouble: {
+        double x = 0.0;
+        if (ParsePlainDouble(v, &x)) {
+          values.AppendDouble(x);
+        } else if (auto p = ParseDouble(v)) {
+          values.AppendDouble(*p);
+        } else {
+          values.AppendNull();
+        }
+        return;
+      }
+      case DataType::kBool:
+        if (v == "True" || v == "true" || v == "1") {
+          values.AppendBool(true);
+        } else if (v == "False" || v == "false" || v == "0") {
+          values.AppendBool(false);
+        } else {
+          values.AppendNull();
+        }
+        return;
+      case DataType::kTimestamp: {
+        int64_t ts = 0;
+        if (ParseFixedTimestamp(v, &ts)) {
+          values.AppendInt(ts);
+        } else if (auto p = df::ParseTimestamp(std::string(raw)); p.ok()) {
+          values.AppendInt(*p);
+        } else {
+          values.AppendNull();
+        }
+        return;
+      }
+      default:  // kString
+        if (category) {
+          codes.Append(raw);
+        } else {
+          values.AppendString(std::string(raw));
+        }
+        return;
+    }
+  }
+
+  DataType type;  // parse type: kString for a category column
+  bool category;
+  ColumnBuilder values;   // every column but category
+  CategoryBuilder codes;  // category columns
+};
+
+CsvChunkReader::~CsvChunkReader() {
+  if (data_ != nullptr) {
+    ::munmap(const_cast<char*>(data_), size_);
+  }
+}
 
 Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::Open(
     const std::string& path, const CsvReadOptions& options,
@@ -159,28 +339,38 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::Open(
 Status CsvChunkReader::Init(const std::string& path,
                             const CsvReadOptions& options,
                             MemoryTracker* tracker) {
-  path_ = path;
   options_ = options;
   tracker_ = tracker != nullptr ? tracker : MemoryTracker::Default();
-  in_.open(path);
-  if (!in_.is_open()) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open '" + path + "'");
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
     return Status::IOError("cannot open '" + path + "'");
   }
-  std::string header_line;
-  if (!std::getline(in_, header_line)) {
+  size_ = static_cast<size_t>(st.st_size);
+  if (size_ == 0) {
+    // mmap rejects a zero-length mapping; there is no header to read.
+    ::close(fd);
     return Status::IOError("empty CSV file '" + path + "'");
   }
-  if (!header_line.empty() && header_line.back() == '\r') {
-    header_line.pop_back();
+  void* map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
+  ::close(fd);
+  if (map == MAP_FAILED) {
+    return Status::IOError("cannot mmap '" + path + "' (" +
+                           std::strerror(errno) + ")");
   }
-  header_ = SplitCsvLine(header_line, options_.delimiter);
+  data_ = static_cast<const char*>(map);
+  const char* limit = data_ + size_;
+
+  Record head = ScanRecord(data_, limit);
+  header_ = SplitCsvLine(std::string_view(head.begin, head.end - head.begin),
+                         options_.delimiter);
+  data_begin_ = pos_ = static_cast<size_t>(head.next - data_);
 
   // Resolve usecols -> field indexes, preserving file order like pandas.
-  std::vector<int> selected;
   if (options_.usecols.empty()) {
-    for (size_t i = 0; i < header_.size(); ++i) {
-      selected.push_back(static_cast<int>(i));
-    }
+    for (size_t i = 0; i < header_.size(); ++i) out_field_index_.push_back(i);
   } else {
     for (const auto& want : options_.usecols) {
       auto it = std::find(header_.begin(), header_.end(), want);
@@ -188,44 +378,39 @@ Status CsvChunkReader::Init(const std::string& path,
         return Status::KeyError("usecols: no column '" + want + "' in '" +
                                 path + "'");
       }
-      selected.push_back(static_cast<int>(it - header_.begin()));
+      out_field_index_.push_back(static_cast<size_t>(it - header_.begin()));
     }
-    std::sort(selected.begin(), selected.end());
+    std::sort(out_field_index_.begin(), out_field_index_.end());
   }
-  for (int idx : selected) {
-    out_names_.push_back(header_[idx]);
-    out_field_index_.push_back(idx);
-  }
+  for (size_t idx : out_field_index_) out_names_.push_back(header_[idx]);
 
-  // Buffer a prefix for type inference.
-  std::string line;
-  while (buffered_lines_.size() < options_.infer_rows &&
-         std::getline(in_, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    buffered_lines_.push_back(std::move(line));
+  // Types: an override, else the widest type over the first infer_rows
+  // records.
+  std::vector<std::vector<std::string>> sample;
+  for (const char* p = data_ + data_begin_;
+       p < limit && sample.size() < options_.infer_rows;) {
+    Record rec = ScanRecord(p, limit);
+    p = rec.next;
+    if (rec.begin == rec.end) continue;
+    sample.push_back(SplitCsvLine(
+        std::string_view(rec.begin, rec.end - rec.begin), options_.delimiter));
   }
-  if (buffered_lines_.size() < options_.infer_rows) eof_ = true;
-
   out_types_.assign(out_names_.size(), DataType::kNull);
   wants_category_.assign(out_names_.size(), false);
   for (size_t c = 0; c < out_names_.size(); ++c) {
     auto it = options_.dtypes.find(out_names_[c]);
     if (it != options_.dtypes.end()) {
-      if (it->second == DataType::kCategory) {
-        out_types_[c] = DataType::kString;
-        wants_category_[c] = true;
-      } else {
-        out_types_[c] = it->second;
+      if (it->second == DataType::kNull) {
+        return Status::Invalid("dtype override for '" + out_names_[c] +
+                               "' names no type");
       }
+      wants_category_[c] = it->second == DataType::kCategory;
+      out_types_[c] = wants_category_[c] ? DataType::kString : it->second;
       continue;
     }
     DataType t = DataType::kNull;
-    for (const auto& buffered : buffered_lines_) {
-      auto fields = SplitCsvLine(buffered, options_.delimiter);
-      if (static_cast<size_t>(out_field_index_[c]) >= fields.size()) {
-        continue;
-      }
+    for (const auto& fields : sample) {
+      if (out_field_index_[c] >= fields.size()) continue;
       t = UnifyTypes(t, InferValueType(fields[out_field_index_[c]]));
       if (t == DataType::kString) break;
     }
@@ -235,81 +420,142 @@ Status CsvChunkReader::Init(const std::string& path,
   return Status::OK();
 }
 
-Status CsvChunkReader::ParseRowInto(
-    const std::string& line, std::vector<ColumnBuilder>* builders) {
-  auto fields = SplitCsvLine(line, options_.delimiter);
-  for (size_t c = 0; c < out_field_index_.size(); ++c) {
-    size_t idx = static_cast<size_t>(out_field_index_[c]);
-    if (idx >= fields.size()) {
-      (*builders)[c].AppendNull();
-      continue;
+Result<std::optional<CsvRange>> CsvChunkReader::NextRange(size_t rows) {
+  if (rows == 0) return Status::Invalid("chunk size must be positive");
+  static auto* range_counter =
+      metrics::Registry::Global()->GetCounter("csv.chunks");
+  range_counter->Increment();
+  LAFP_RETURN_NOT_OK(FaultPoint("csv.read"));
+  if (options_.nrows > 0) {
+    if (rows_emitted_ >= options_.nrows) return std::optional<CsvRange>();
+    rows = std::min(rows, options_.nrows - rows_emitted_);
+  }
+  const char* limit = data_ + size_;
+  const char* p = data_ + pos_;
+  CsvRange range;
+  while (range.rows < rows && p < limit) {
+    Record rec = ScanRecord(p, limit);
+    if (rec.begin != rec.end) {
+      if (range.rows == 0) range.begin = static_cast<size_t>(p - data_);
+      range.end = static_cast<size_t>(rec.next - data_);
+      ++range.rows;
     }
-    if (!AppendParsed(&(*builders)[c], out_types_[c], fields[idx])) {
-      return Status::IOError("unparseable field in '" + path_ + "'");
+    p = rec.next;
+  }
+  if (range.rows == 0) {
+    pos_ = size_;
+    return std::optional<CsvRange>();
+  }
+  pos_ = range.end;
+  rows_emitted_ += range.rows;
+  return std::optional<CsvRange>(range);
+}
+
+std::vector<CsvChunkReader::Sink> CsvChunkReader::MakeSinks(
+    size_t rows) const {
+  std::vector<Sink> sinks;
+  sinks.reserve(out_types_.size());
+  for (size_t c = 0; c < out_types_.size(); ++c) {
+    sinks.emplace_back(out_types_[c], wants_category_[c], tracker_);
+    if (wants_category_[c]) {
+      sinks.back().codes.Reserve(rows);
+    } else {
+      sinks.back().values.Reserve(rows);
     }
   }
-  return Status::OK();
+  return sinks;
+}
+
+void CsvChunkReader::ParseInto(const CsvRange& range,
+                               std::vector<Sink>* sinks) const {
+  trace::Span span("csv:parse", "io");
+  if (span.active()) {
+    span.AddArg("rows", static_cast<int64_t>(range.rows));
+    span.AddArg("bytes", static_cast<int64_t>(range.end - range.begin));
+  }
+  const char delimiter = options_.delimiter;
+  const size_t ncols = sinks->size();
+  const char* limit = data_ + range.end;
+  const char* p = data_ + range.begin;
+  while (p < limit) {
+    Record rec = ScanRecord(p, limit);
+    p = rec.next;
+    if (rec.begin == rec.end) continue;
+    size_t c = 0;
+    if (!rec.quoted) {
+      // Fields are slices of the mapping; those usecols drops are only
+      // stepped over, and the scan stops after the last selected one.
+      const char* f = rec.begin;
+      for (size_t field = 0; c < ncols; ++field) {
+        const char* f_end = f;
+        while (f_end < rec.end && *f_end != delimiter) ++f_end;
+        if (field == out_field_index_[c]) {
+          (*sinks)[c++].Append(std::string_view(f, f_end - f));
+        }
+        if (f_end == rec.end) break;
+        f = f_end + 1;
+      }
+    } else {
+      std::vector<std::string> fields = SplitCsvLine(
+          std::string_view(rec.begin, rec.end - rec.begin), delimiter);
+      for (; c < ncols && out_field_index_[c] < fields.size(); ++c) {
+        (*sinks)[c].Append(fields[out_field_index_[c]]);
+      }
+    }
+    for (; c < ncols; ++c) (*sinks)[c].AppendNull();  // short record
+  }
+}
+
+Result<DataFrame> CsvChunkReader::Finish(std::vector<Sink>* sinks) const {
+  std::vector<ColumnPtr> cols;
+  cols.reserve(sinks->size());
+  for (Sink& sink : *sinks) {
+    LAFP_ASSIGN_OR_RETURN(ColumnPtr col, sink.category
+                                             ? sink.codes.Finish(tracker_)
+                                             : sink.values.Finish());
+    cols.push_back(std::move(col));
+  }
+  return DataFrame::Make(out_names_, std::move(cols));
+}
+
+Result<DataFrame> CsvChunkReader::ParseRange(const CsvRange& range) const {
+  std::vector<Sink> sinks = MakeSinks(range.rows);
+  ParseInto(range, &sinks);
+  return Finish(&sinks);
 }
 
 Result<std::optional<DataFrame>> CsvChunkReader::NextChunk(size_t rows) {
-  if (rows == 0) return Status::Invalid("chunk size must be positive");
-  static auto* chunk_counter =
-      metrics::Registry::Global()->GetCounter("csv.chunks");
-  chunk_counter->Increment();
-  LAFP_RETURN_NOT_OK(FaultPoint("csv.read"));
-  bool exhausted =
-      buffered_pos_ >= buffered_lines_.size() && (eof_ || !in_.good());
-  if (exhausted || (options_.nrows > 0 && rows_emitted_ >= options_.nrows)) {
-    return std::optional<DataFrame>();
-  }
-  if (options_.nrows > 0) {
-    rows = std::min(rows, options_.nrows - rows_emitted_);
-  }
-  std::vector<ColumnBuilder> builders;
-  builders.reserve(out_names_.size());
-  for (size_t c = 0; c < out_names_.size(); ++c) {
-    builders.emplace_back(out_types_[c], tracker_);
-    builders.back().Reserve(rows);
-  }
-  size_t built = 0;
-  while (built < rows) {
-    if (buffered_pos_ < buffered_lines_.size()) {
-      LAFP_RETURN_NOT_OK(
-          ParseRowInto(buffered_lines_[buffered_pos_], &builders));
-      ++buffered_pos_;
-      ++built;
-      if (buffered_pos_ == buffered_lines_.size()) {
-        buffered_lines_.clear();
-        buffered_pos_ = 0;
-        if (eof_) break;
-      }
-      continue;
-    }
-    std::string line;
-    if (!std::getline(in_, line)) {
-      eof_ = true;
-      break;
-    }
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    LAFP_RETURN_NOT_OK(ParseRowInto(line, &builders));
-    ++built;
-  }
-  if (built == 0) return std::optional<DataFrame>();
-  rows_emitted_ += built;
+  LAFP_ASSIGN_OR_RETURN(std::optional<CsvRange> range, NextRange(rows));
+  if (!range.has_value()) return std::optional<DataFrame>();
+  LAFP_ASSIGN_OR_RETURN(DataFrame chunk, ParseRange(*range));
+  return std::optional<DataFrame>(std::move(chunk));
+}
 
+Result<DataFrame> CsvChunkReader::ReadRest() {
+  // Scan first, so each column is allocated once at its final size.
+  std::vector<CsvRange> ranges;
+  size_t rows = 0;
+  while (true) {
+    LAFP_ASSIGN_OR_RETURN(std::optional<CsvRange> range,
+                          NextRange(kRangeRows));
+    if (!range.has_value()) break;
+    ranges.push_back(*range);
+    rows += range->rows;
+  }
+  if (ranges.empty()) return EmptyFrame();
+  std::vector<Sink> sinks = MakeSinks(rows);
+  for (const CsvRange& range : ranges) ParseInto(range, &sinks);
+  return Finish(&sinks);
+}
+
+Result<DataFrame> CsvChunkReader::EmptyFrame() const {
   std::vector<ColumnPtr> cols;
-  cols.reserve(builders.size());
-  for (size_t c = 0; c < builders.size(); ++c) {
-    LAFP_ASSIGN_OR_RETURN(ColumnPtr col, builders[c].Finish());
-    if (wants_category_[c]) {
-      LAFP_ASSIGN_OR_RETURN(col, df::CategorizeStrings(*col, tracker_));
-    }
+  cols.reserve(out_types_.size());
+  for (DataType t : out_types_) {
+    LAFP_ASSIGN_OR_RETURN(ColumnPtr col, ColumnBuilder(t, tracker_).Finish());
     cols.push_back(std::move(col));
   }
-  LAFP_ASSIGN_OR_RETURN(DataFrame chunk,
-                        DataFrame::Make(out_names_, std::move(cols)));
-  return std::optional<DataFrame>(std::move(chunk));
+  return DataFrame::Make(out_names_, std::move(cols));
 }
 
 Result<DataFrame> ReadCsv(const std::string& path,
@@ -319,27 +565,7 @@ Result<DataFrame> ReadCsv(const std::string& path,
   if (span.active()) span.AddArg("path", path);
   LAFP_ASSIGN_OR_RETURN(auto reader,
                         CsvChunkReader::Open(path, options, tracker));
-  std::vector<DataFrame> chunks;
-  while (true) {
-    LAFP_ASSIGN_OR_RETURN(auto chunk,
-                          reader->NextChunk(1 << 16));
-    if (!chunk.has_value()) break;
-    chunks.push_back(std::move(*chunk));
-  }
-  if (chunks.empty()) {
-    // Header-only file: empty columns of the inferred types.
-    std::vector<ColumnPtr> cols;
-    for (size_t c = 0; c < reader->column_names().size(); ++c) {
-      DataType t = reader->column_types()[c];
-      ColumnBuilder b(t == DataType::kCategory ? DataType::kString : t,
-                      tracker);
-      LAFP_ASSIGN_OR_RETURN(ColumnPtr col, b.Finish());
-      cols.push_back(std::move(col));
-    }
-    return DataFrame::Make(reader->column_names(), std::move(cols));
-  }
-  if (chunks.size() == 1) return std::move(chunks[0]);
-  return df::Concat(chunks);
+  return reader->ReadRest();
 }
 
 namespace {
@@ -359,10 +585,6 @@ std::string QuoteField(const std::string& s) {
   out += "\"";
   return out;
 }
-
-}  // namespace
-
-namespace {
 
 Status CsvWriteError(const std::string& path) {
   std::string detail = "write failed for '" + path + "'";

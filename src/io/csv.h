@@ -1,11 +1,11 @@
 #ifndef LAFP_IO_CSV_H_
 #define LAFP_IO_CSV_H_
 
-#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/memory_tracker.h"
@@ -25,51 +25,86 @@ struct CsvReadOptions {
   size_t infer_rows = 64;  // data rows sampled for type inference
 };
 
-/// Streaming CSV reader; the Dask backend pulls fixed-size chunks so no
-/// more than a partition is resident at a time.
+/// Data rows [begin, end) of the file: `rows` non-blank records, the
+/// last one's line terminator included.
+struct CsvRange {
+  size_t begin = 0;
+  size_t end = 0;
+  size_t rows = 0;
+};
+
+/// CSV reader over a read-only mmap of the file, in two stages. The row
+/// scan (NextRange) finds where records end: memchr for '\n', switching
+/// to a quote-parity scan on records that contain '"', so a quoted
+/// newline stays in its field. The typed parse (ParseRange) turns any
+/// scanned range into columns. Ranges come out in file order; parsing is
+/// const, so ranges may be parsed concurrently (Modin's partitioned read)
+/// or skipped (shard workers parse only the partitions they own).
 class CsvChunkReader {
  public:
-  /// Opens the file and reads the header. Column types are inferred from a
-  /// buffered prefix (or taken from options.dtypes).
+  /// Maps the file and reads the header. Column types come from
+  /// options.dtypes or are inferred from the first `infer_rows` records.
   static Result<std::unique_ptr<CsvChunkReader>> Open(
       const std::string& path, const CsvReadOptions& options,
       MemoryTracker* tracker);
+  ~CsvChunkReader();
 
-  /// Next chunk of at most `rows` rows, or nullopt at end of file.
-  /// Columns follow the selected-column order.
+  CsvChunkReader(const CsvChunkReader&) = delete;
+  CsvChunkReader& operator=(const CsvChunkReader&) = delete;
+
+  /// Row scan: the next range of at most `rows` records (fewer at end of
+  /// file or at the nrows limit), or nullopt when none is left. Every
+  /// call is one `csv.read` fault site.
+  Result<std::optional<CsvRange>> NextRange(size_t rows);
+
+  /// Typed parse of a range from NextRange. Thread-safe.
+  Result<df::DataFrame> ParseRange(const CsvRange& range) const;
+
+  /// NextRange, then ParseRange: the next chunk of at most `rows` rows,
+  /// or nullopt at end of file. Columns follow the selected-column order.
   Result<std::optional<df::DataFrame>> NextChunk(size_t rows);
 
-  /// Names of the columns this reader produces (after usecols).
-  const std::vector<std::string>& column_names() const { return out_names_; }
-  const std::vector<df::DataType>& column_types() const { return out_types_; }
+  /// Every remaining row as one frame: the rest of the file is scanned
+  /// into ranges of a fixed size, which parse into one set of column
+  /// buffers allocated at the final row count (no chunk concatenation).
+  Result<df::DataFrame> ReadRest();
+
+  /// A frame with no rows and this reader's columns (header-only files).
+  Result<df::DataFrame> EmptyFrame() const;
 
   /// All header names in file order (before usecols).
   const std::vector<std::string>& header() const { return header_; }
 
+  /// Byte offset of the first data row, and of the byte after the last
+  /// range handed out.
+  size_t data_begin() const { return data_begin_; }
+  size_t position() const { return pos_; }
+
  private:
+  struct Sink;
   CsvChunkReader() = default;
 
   Status Init(const std::string& path, const CsvReadOptions& options,
               MemoryTracker* tracker);
-  Status ParseRowInto(const std::string& line,
-                      std::vector<df::ColumnBuilder>* builders);
+  std::vector<Sink> MakeSinks(size_t rows) const;
+  void ParseInto(const CsvRange& range, std::vector<Sink>* sinks) const;
+  Result<df::DataFrame> Finish(std::vector<Sink>* sinks) const;
 
-  std::ifstream in_;
-  std::string path_;
   CsvReadOptions options_;
   MemoryTracker* tracker_ = nullptr;
+  const char* data_ = nullptr;  // the mapping; null until Init maps it
+  size_t size_ = 0;
   std::vector<std::string> header_;
   std::vector<std::string> out_names_;
-  std::vector<df::DataType> out_types_;
-  std::vector<int> out_field_index_;  // position in the CSV row
-  std::vector<bool> wants_category_;  // categorize after building strings
-  std::vector<std::string> buffered_lines_;  // inference prefix not yet consumed
-  size_t buffered_pos_ = 0;
+  std::vector<df::DataType> out_types_;  // category columns parse as kString
+  std::vector<size_t> out_field_index_;  // ascending positions in a record
+  std::vector<bool> wants_category_;
+  size_t data_begin_ = 0;
+  size_t pos_ = 0;
   size_t rows_emitted_ = 0;
-  bool eof_ = false;
 };
 
-/// Eager whole-file read (the Pandas/Modin path).
+/// Eager whole-file read (the Pandas path).
 Result<df::DataFrame> ReadCsv(const std::string& path,
                               const CsvReadOptions& options,
                               MemoryTracker* tracker);
@@ -78,9 +113,8 @@ Result<df::DataFrame> ReadCsv(const std::string& path,
 Status WriteCsv(const df::DataFrame& frame, const std::string& path);
 
 /// Split one CSV record honoring double-quoted fields with "" escapes.
-/// Exposed for tests and the metadata sampler.
-std::vector<std::string> SplitCsvLine(const std::string& line,
-                                      char delimiter);
+/// The parse's path for records that hold a quote; exposed for tests.
+std::vector<std::string> SplitCsvLine(std::string_view line, char delimiter);
 
 }  // namespace lafp::io
 

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "common/hash.h"
+#include "common/macros.h"
 #include "io/columnar.h"
 #include "io/csv.h"
 
@@ -91,14 +92,12 @@ Result<FileFingerprint> FingerprintInputFile(const std::string& path) {
 
 Result<std::vector<std::string>> ReadCsvHeaderNames(const std::string& path,
                                                     char delimiter) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::IOError("cannot open " + path);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::IOError("empty CSV file: " + path);
-  }
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return SplitCsvLine(line, delimiter);
+  CsvReadOptions options;
+  options.delimiter = delimiter;
+  options.infer_rows = 0;  // the header record only
+  LAFP_ASSIGN_OR_RETURN(auto reader,
+                        CsvChunkReader::Open(path, options, nullptr));
+  return reader->header();
 }
 
 }  // namespace lafp::io

@@ -163,35 +163,22 @@ Result<FileMetadata> ComputeFileMetadata(const std::string& csv_path,
   read_opts.nrows = static_cast<size_t>(options.sample_rows);
   read_opts.infer_rows =
       static_cast<size_t>(std::min<int64_t>(options.sample_rows, 256));
-  LAFP_ASSIGN_OR_RETURN(df::DataFrame sample,
-                        io::ReadCsv(csv_path, read_opts, &scratch));
+  LAFP_ASSIGN_OR_RETURN(
+      auto reader, io::CsvChunkReader::Open(csv_path, read_opts, &scratch));
+  LAFP_ASSIGN_OR_RETURN(df::DataFrame sample, reader->ReadRest());
   md.sample_rows = static_cast<int64_t>(sample.num_rows());
 
-  // On-disk average row width from the sampled prefix: count bytes of the
-  // first sample_rows lines.
-  {
-    std::ifstream in(csv_path);
-    std::string line;
-    std::getline(in, line);  // header
-    int64_t bytes = 0, lines = 0;
-    while (lines < md.sample_rows && std::getline(in, line)) {
-      bytes += static_cast<int64_t>(line.size()) + 1;
-      ++lines;
-    }
-    md.avg_row_bytes = lines > 0 ? static_cast<double>(bytes) / lines : 0.0;
-    int64_t header_bytes = 0;
-    {
-      std::ifstream hin(csv_path);
-      std::string h;
-      std::getline(hin, h);
-      header_bytes = static_cast<int64_t>(h.size()) + 1;
-    }
-    md.approx_rows =
-        md.avg_row_bytes > 0
-            ? static_cast<int64_t>((md.file_bytes - header_bytes) /
-                                   md.avg_row_bytes)
-            : 0;
-  }
+  // On-disk average row width from the sampled prefix, measured with the
+  // reader's own record boundaries (a quoted newline stays in its row).
+  const auto header_bytes = static_cast<double>(reader->data_begin());
+  const auto sampled_bytes =
+      static_cast<double>(reader->position()) - header_bytes;
+  md.avg_row_bytes = md.sample_rows > 0 ? sampled_bytes / md.sample_rows : 0;
+  md.approx_rows =
+      md.avg_row_bytes > 0
+          ? static_cast<int64_t>((md.file_bytes - header_bytes) /
+                                 md.avg_row_bytes)
+          : 0;
 
   for (size_t ci = 0; ci < sample.num_columns(); ++ci) {
     const df::Column& col = *sample.column(ci);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <unordered_map>
 
 #include "common/hash.h"
@@ -826,13 +828,7 @@ class Interpreter {
   /// magnitude above the ~1e-10 relative reassociation error.
   static std::string HashValue(const df::Column& col, size_t row) {
     if (col.IsValid(row) && col.type() == df::DataType::kDouble) {
-      char buf[40];
-      double v = col.DoubleAt(row);
-      // Collapse -0.0: an all-int partition computes +0 where the
-      // whole-column double path computes -0 (e.g. -1 * 0), and "%.6g"
-      // would render them differently.
-      std::snprintf(buf, sizeof(buf), "%.6g", v == 0.0 ? 0.0 : v);
-      return buf;
+      return script::HashDouble(col.DoubleAt(row));
     }
     return col.ValueString(row);
   }
@@ -1184,6 +1180,16 @@ class Interpreter {
 Status ExecuteIR(const IRProgram& program, const ProgramModel& model,
                  Session* session, InterpreterStats* stats) {
   return Interpreter(program, model, session, stats).Run();
+}
+
+std::string HashDouble(double v) {
+  // Collapse -0.0: an all-int partition computes +0 where the
+  // whole-column double path computes -0 (e.g. -1 * 0).
+  if (v == 0.0) v = 0.0;
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.12g", v);
+  std::snprintf(buf, sizeof(buf), "%.6g", std::strtod(buf, nullptr));
+  return buf;
 }
 
 }  // namespace lafp::script

@@ -109,6 +109,14 @@ Status ExecuteIR(const IRProgram& program, const ProgramModel& model,
                  lazy::Session* session,
                  InterpreterStats* stats = nullptr);
 
+/// A double as `checksum()` hashes it: snapped to 12 significant digits,
+/// then rounded to 6. Two sums of the same values added in different
+/// orders (one pass vs. two-phase over partitions) differ in the last
+/// bits; the snap makes them print alike even at a 6-digit rounding tie,
+/// where "%.6g" alone would round them apart (48.54125 vs. one ULP below).
+/// -0.0 prints as 0.
+std::string HashDouble(double v);
+
 }  // namespace lafp::script
 
 #endif  // LAFP_SCRIPT_INTERPRETER_H_

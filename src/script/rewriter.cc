@@ -1,11 +1,11 @@
 #include "script/rewriter.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "common/macros.h"
 #include "io/columnar.h"
 #include "io/csv.h"
+#include "io/fingerprint.h"
 
 namespace lafp::script {
 
@@ -38,12 +38,9 @@ void FilterToFileColumns(const std::string& path,
     if (!info.ok()) return;  // cannot verify: leave as-is
     for (const auto& c : info->columns) fields.push_back(c.name);
   } else {
-    std::ifstream in(path);
-    if (!in.is_open()) return;  // cannot verify: leave as-is
-    std::string header;
-    if (!std::getline(in, header)) return;
-    if (!header.empty() && header.back() == '\r') header.pop_back();
-    fields = io::SplitCsvLine(header, ',');
+    auto header = io::ReadCsvHeaderNames(path, ',');
+    if (!header.ok()) return;  // cannot verify: leave as-is
+    fields = std::move(*header);
   }
   cols->erase(std::remove_if(cols->begin(), cols->end(),
                              [&](const std::string& c) {

@@ -51,9 +51,10 @@ struct LocalPartition {
 /// Scan request: every worker walks the same chunk sequence (the same
 /// geometry the Modin backend produces) and keeps the chunks whose global
 /// index hashes to it (idx % num_workers == worker_index), so the union
-/// across workers is exactly the single-process partitioning. CSV chunks
-/// are parsed by every worker (the text format has no random access); LFC
-/// chunks are only decoded by their owner.
+/// across workers is exactly the single-process partitioning. Every
+/// worker row-scans the whole CSV (the text format has no random access)
+/// but parses only the ranges it owns; LFC chunks are only decoded by
+/// their owner.
 Result<Message> HandleScan(WorkerState* st, const Message& req) {
   WireReader r(req.payload);
   exec::OpDesc desc;
@@ -85,9 +86,12 @@ Result<Message> HandleScan(WorkerState* st, const Message& req) {
         io::CsvChunkReader::Open(desc.path, desc.csv_options, &st->tracker));
     while (true) {
       LAFP_ASSIGN_OR_RETURN(
-          auto chunk, reader->NextChunk(static_cast<size_t>(partition_rows)));
-      if (!chunk.has_value()) break;
-      if (total % num_workers == worker_index) keep(std::move(*chunk));
+          auto range, reader->NextRange(static_cast<size_t>(partition_rows)));
+      if (!range.has_value()) break;
+      if (total % num_workers == worker_index) {
+        LAFP_ASSIGN_OR_RETURN(df::DataFrame part, reader->ParseRange(*range));
+        keep(std::move(part));
+      }
       ++total;
     }
     if (total == 0) {
@@ -95,9 +99,7 @@ Result<Message> HandleScan(WorkerState* st, const Message& req) {
       // worker 0; every worker still reports total == 1.
       total = 1;
       if (mine_first) {
-        LAFP_ASSIGN_OR_RETURN(
-            df::DataFrame empty,
-            io::ReadCsv(desc.path, desc.csv_options, &st->tracker));
+        LAFP_ASSIGN_OR_RETURN(df::DataFrame empty, reader->EmptyFrame());
         keep(std::move(empty));
         locals.back().global_index = 0;
       }

@@ -49,6 +49,31 @@ std::string Cell(const FuzzColumn& col, SplitMix* rng, bool skewed) {
   return "";
 }
 
+/// A `quoted` table's string cell: `draw` decorates three cells in eight
+/// with a delimiter, a newline or surrounding quotes, written quoted.
+std::string Decorate(std::string cell, uint64_t draw) {
+  if (cell.empty()) return cell;  // null stays an empty field
+  switch (draw % 8) {
+    case 0:
+      cell += ",x";
+      break;
+    case 1:
+      cell += "\nx";
+      break;
+    case 2:
+      cell = "\"" + cell + "\"";
+      break;
+    default:
+      return cell;
+  }
+  std::string out = "\"";
+  for (char c : cell) {
+    out += c;
+    if (c == '"') out += c;  // "" escape
+  }
+  return out + "\"";
+}
+
 }  // namespace
 
 std::vector<FuzzColumn> SchemaForSeed(uint64_t seed,
@@ -118,10 +143,16 @@ Result<std::string> WriteTable(const TableSpec& spec,
   }
   out << '\n';
   SplitMix rng(spec.seed ^ Fnv1a64("cells"));
+  // One draw per string cell of the full schema, so shrinking never
+  // shifts the stream.
+  SplitMix quote_rng(spec.seed ^ Fnv1a64("quoted"));
   for (int64_t r = 0; r < spec.rows; ++r) {
     first = true;
     for (size_t c = 0; c < full.size(); ++c) {
       std::string cell = Cell(full[c], &rng, /*skewed=*/c == 0);
+      if (spec.quoted && full[c].kind == 's') {
+        cell = Decorate(std::move(cell), quote_rng.Next());
+      }
       if (!kept[c]) continue;
       if (!first) out << ',';
       first = false;
@@ -144,6 +175,7 @@ std::string TableSpec::ToDirective() const {
       line += keep[i];
     }
   }
+  if (quoted) line += " quoted=1";
   return line;
 }
 
@@ -166,6 +198,8 @@ Result<TableSpec> TableSpec::FromDirective(const std::string& line) {
       spec.seed = std::strtoull(value.c_str(), nullptr, 10);
     } else if (key == "rows") {
       spec.rows = std::strtoll(value.c_str(), nullptr, 10);
+    } else if (key == "quoted") {
+      spec.quoted = value == "1";
     } else if (key == "keep") {
       for (const std::string& col : Split(value, ',')) {
         if (!col.empty()) spec.keep.push_back(col);

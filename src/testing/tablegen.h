@@ -30,8 +30,15 @@ struct TableSpec {
   uint64_t seed = 0;
   int64_t rows = 0;
   std::vector<std::string> keep;  // empty = keep every column
+  /// Decorate some string cells with a delimiter, a newline or a '"',
+  /// so the writer quotes them ("" escapes). The decorations come from
+  /// their own RNG stream: a table without `quoted` is byte-identical to
+  /// one written before the option existed, and `rows`/`keep` shrinking
+  /// still never perturbs surviving cells.
+  bool quoted = false;
 
-  /// Corpus-file directive ("#! table t0 seed=7 rows=40 keep=key,f0_t0").
+  /// Corpus-file directive ("#! table t0 seed=7 rows=40 keep=key,f0_t0",
+  /// plus " quoted=1" when set).
   std::string ToDirective() const;
   static Result<TableSpec> FromDirective(const std::string& line);
 };

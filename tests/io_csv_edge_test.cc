@@ -118,5 +118,74 @@ TEST_F(CsvEdgeTest, UsecolsSingleOfMany) {
   EXPECT_EQ((*frame->column("d"))->IntAt(9), 4);
 }
 
+TEST_F(CsvEdgeTest, EmptyFileIsACleanIOError) {
+  WriteFile("");
+  auto frame = ReadCsv(path_, {}, &tracker_);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kIOError);
+  EXPECT_NE(frame.status().message().find("empty"), std::string::npos);
+  EXPECT_FALSE(CsvChunkReader::Open(path_, {}, &tracker_).ok());
+}
+
+/// A file of exactly one page whose last record has no newline: the
+/// mapping ends at the page boundary, so any read past the last byte
+/// faults (ASan cannot see past the end of an mmap).
+class CsvPageEndTest : public CsvEdgeTest {
+ protected:
+  /// Pads `header` with filler rows so that `last` ends the file at
+  /// exactly 4096 bytes.
+  std::string PageFile(const std::string& header, const std::string& filler,
+                       const std::string& last) {
+    std::string content = header;
+    while (content.size() + filler.size() + last.size() <= 4096) {
+      content += filler;
+    }
+    content += std::string(4096 - content.size() - last.size(), '\n');
+    content += last;
+    EXPECT_EQ(content.size(), 4096u);
+    WriteFile(content);
+    return content;
+  }
+};
+
+TEST_F(CsvPageEndTest, EndsInANumber) {
+  PageFile("a,b\n", "1,2.5\n", "7,12.75");
+  auto frame = ReadCsv(path_, {}, &tracker_);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  const size_t last = frame->num_rows() - 1;
+  EXPECT_EQ((*frame->column("a"))->IntAt(last), 7);
+  EXPECT_EQ((*frame->column("b"))->DoubleAt(last), 12.75);
+}
+
+TEST_F(CsvPageEndTest, EndsInATimestamp) {
+  PageFile("id,ts\n", "1,2024-01-05 08:00:00\n", "2,2024-03-09 10:11:12");
+  auto frame = ReadCsv(path_, {}, &tracker_);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  const df::Column& ts = **frame->column("ts");
+  ASSERT_EQ(ts.type(), df::DataType::kTimestamp);
+  EXPECT_EQ(ts.ValueString(ts.size() - 1), "2024-03-09 10:11:12");
+}
+
+TEST_F(CsvPageEndTest, EndsInAnUnterminatedQuote) {
+  PageFile("id,s\n", "1,x\n", "2,\"open\nto the end");
+  auto frame = ReadCsv(path_, {}, &tracker_);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  const df::Column& s = **frame->column("s");
+  // The open quote runs to the end of the file, newline included.
+  EXPECT_EQ(s.StringAt(s.size() - 1), "open\nto the end");
+  for (size_t chunk : {1, 5}) {
+    auto reader = CsvChunkReader::Open(path_, {}, &tracker_);
+    ASSERT_TRUE(reader.ok());
+    size_t rows = 0;
+    while (true) {
+      auto next = (*reader)->NextChunk(chunk);
+      ASSERT_TRUE(next.ok());
+      if (!next->has_value()) break;
+      rows += (*next)->num_rows();
+    }
+    EXPECT_EQ(rows, frame->num_rows());
+  }
+}
+
 }  // namespace
 }  // namespace lafp::io

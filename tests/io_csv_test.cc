@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <thread>
 
 #include "dataframe/ops.h"
 
@@ -252,6 +253,77 @@ TEST_F(CsvTest, SplitCsvLineEdgeCases) {
   EXPECT_EQ(SplitCsvLine("", ','), (std::vector<std::string>{""}));
   EXPECT_EQ(SplitCsvLine("\"\"\"\"", ','),
             (std::vector<std::string>{"\""}));
+}
+
+TEST_F(CsvTest, CategoryHintSurvivesManyRanges) {
+  // More rows than one parse range: every range appends to the same
+  // dictionary-coded column. (Concatenating per-chunk category columns
+  // decays them to strings.)
+  std::string content = "city,n\n";
+  const char* cities[] = {"pune", "delhi", "mumbai"};
+  for (int i = 0; i < 70000; ++i) {
+    content += std::string(cities[i % 3]) + "," + std::to_string(i) + "\n";
+  }
+  WriteFile(content);
+  CsvReadOptions opts;
+  opts.dtypes = {{"city", DataType::kCategory}};
+  auto frame = ReadCsv(path_, opts, &tracker_);
+  ASSERT_TRUE(frame.ok());
+  const df::Column& city = **frame->column("city");
+  ASSERT_EQ(city.type(), DataType::kCategory);
+  EXPECT_EQ(city.dictionary()->size(), 3u);
+  EXPECT_EQ(city.StringAt(69999), "pune");
+  // Peak equals the result: no second copy of any column.
+  EXPECT_EQ(tracker_.peak(), frame->footprint_bytes());
+}
+
+TEST_F(CsvTest, RangesParseConcurrentlyLikeOneRead) {
+  std::string content = "id,v,s\n";
+  for (int i = 0; i < 5000; ++i) {
+    content += std::to_string(i) + "," + std::to_string(i * 0.25) + ",s" +
+               std::to_string(i % 7) + (i % 11 == 0 ? "\n" : "x\n");
+  }
+  WriteFile(content);
+  CsvReadOptions opts;
+  opts.dtypes = {{"s", DataType::kCategory}};
+  auto whole = ReadCsv(path_, opts, &tracker_);
+  ASSERT_TRUE(whole.ok());
+  auto reader = CsvChunkReader::Open(path_, opts, &tracker_);
+  ASSERT_TRUE(reader.ok());
+  std::vector<CsvRange> ranges;
+  while (true) {
+    auto range = (*reader)->NextRange(300);
+    ASSERT_TRUE(range.ok());
+    if (!range->has_value()) break;
+    ranges.push_back(**range);
+  }
+  ASSERT_EQ(ranges.size(), 17u);
+  // Modin's partitioned read: ranges parse on worker threads against one
+  // shared tracker.
+  std::vector<Result<DataFrame>> parts(ranges.size(), DataFrame());
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = t; i < ranges.size(); i += 4) {
+        parts[i] = (*reader)->ParseRange(ranges[i]);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  size_t offset = 0;
+  for (auto& part : parts) {
+    ASSERT_TRUE(part.ok());
+    for (size_t c = 0; c < part->num_columns(); ++c) {
+      const df::Column& got = *part->column(c);
+      const df::Column& want = *whole->column(c);
+      ASSERT_EQ(got.type(), want.type());
+      for (size_t r = 0; r < got.size(); ++r) {
+        ASSERT_EQ(got.ValueString(r), want.ValueString(offset + r));
+      }
+    }
+    offset += part->num_rows();
+  }
+  EXPECT_EQ(offset, 5000u);
 }
 
 TEST_F(CsvTest, OutOfMemoryDuringReadSurfacesAsStatus) {

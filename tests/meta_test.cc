@@ -31,6 +31,23 @@ class MetaTest : public ::testing::Test {
   std::string csv_path_;
 };
 
+TEST_F(MetaTest, RowWidthsCountQuotedNewlinesInTheirRow) {
+  // 40 rows of exactly 12 bytes, four of them spanning two lines.
+  std::ofstream out(csv_path_);
+  out << "id,note\n";
+  for (int i = 10; i < 50; ++i) {
+    out << i << (i % 10 == 0 ? ",\"ab\ncde\"\n" : ",abcdefgh\n");
+  }
+  out.close();
+  ComputeOptions options;
+  options.sample_rows = 20;
+  auto md = ComputeFileMetadata(csv_path_, options);
+  ASSERT_TRUE(md.ok()) << md.status().ToString();
+  EXPECT_EQ(md->sample_rows, 20);
+  EXPECT_DOUBLE_EQ(md->avg_row_bytes, 12.0);
+  EXPECT_EQ(md->approx_rows, 40);
+}
+
 TEST_F(MetaTest, ComputeBasicStats) {
   auto md = ComputeFileMetadata(csv_path_);
   ASSERT_TRUE(md.ok());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -68,6 +70,25 @@ class InterpreterTest : public ::testing::TestWithParam<BackendKind> {
 
   std::string dir_, csv_path_;
 };
+
+TEST(HashDoubleTest, RoundingTieHashesAlikeOneUlpApart) {
+  // A mean of 48.54125 (38833 / 800), summed in one pass and in two
+  // phases over partitions: the sums land a ULP either side of the
+  // 6-digit tie, where "%.6g" alone prints 48.5412 and 48.5413.
+  const double tie = 38833.0 / 800.0;
+  const double below = std::nextafter(tie, 0.0);
+  const double above = std::nextafter(tie, 100.0);
+  char lo[40], hi[40];
+  std::snprintf(lo, sizeof(lo), "%.6g", below);
+  std::snprintf(hi, sizeof(hi), "%.6g", above);
+  ASSERT_STRNE(lo, hi);
+  EXPECT_EQ(HashDouble(below), HashDouble(tie));
+  EXPECT_EQ(HashDouble(above), HashDouble(tie));
+  // Away from ties the hash is plain "%.6g".
+  EXPECT_EQ(HashDouble(2.0 / 3.0), "0.666667");
+  EXPECT_EQ(HashDouble(1234567.0), "1.23457e+06");
+  EXPECT_EQ(HashDouble(-0.0), "0");
+}
 
 TEST_P(InterpreterTest, TaxiProgramRunsInAllModes) {
   auto eager = Run(Taxi(), /*analyze=*/false, ExecutionMode::kEager);

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "testing/csv_reference.h"
 #include "testing/tablegen.h"
 
 namespace {
@@ -132,6 +133,52 @@ TEST(TablegenTest, DirectiveRoundTrips) {
   EXPECT_EQ(parsed->seed, spec.seed);
   EXPECT_EQ(parsed->rows, spec.rows);
   EXPECT_EQ(parsed->keep, spec.keep);
+  EXPECT_FALSE(parsed->quoted);
+  spec.quoted = true;
+  parsed = TableSpec::FromDirective(spec.ToDirective());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_TRUE(parsed->quoted);
+}
+
+TEST(TablegenTest, QuotedDecoratesOnlyStringCells) {
+  for (uint64_t seed : {3ull, 8ull, 21ull}) {
+    TableSpec plain;
+    plain.name = "t0";
+    plain.seed = seed;
+    plain.rows = 60;
+    TableSpec quoted = plain;
+    quoted.quoted = true;
+    auto pp = WriteTable(plain, TempDir("lafp_tablegen_plain"));
+    auto pq = WriteTable(quoted, TempDir("lafp_tablegen_quoted"));
+    ASSERT_TRUE(pp.ok() && pq.ok());
+    for (const std::string& line : ReadLines(*pp)) {
+      EXPECT_EQ(line.find('"'), std::string::npos) << line;
+    }
+    lafp::MemoryTracker tracker(0);
+    auto a = lafp::testing::ReferenceReadCsv(*pp, {}, &tracker);
+    auto b = lafp::testing::ReferenceReadCsv(*pq, {}, &tracker);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(a->names(), b->names());
+    ASSERT_EQ(a->num_rows(), 60u);
+    ASSERT_EQ(b->num_rows(), 60u);
+    const std::vector<FuzzColumn> schema = SchemaForSeed(seed, "t0");
+    int decorated = 0;
+    for (size_t c = 0; c < schema.size(); ++c) {
+      for (size_t r = 0; r < 60; ++r) {
+        const std::string x = a->column(c)->ValueString(r);
+        const std::string y = b->column(c)->ValueString(r);
+        if (schema[c].kind != 's') {
+          EXPECT_EQ(x, y);
+          continue;
+        }
+        EXPECT_TRUE(y == x || y == x + ",x" || y == x + "\nx" ||
+                    y == "\"" + x + "\"")
+            << x << " vs " << y;
+        decorated += y != x;
+      }
+    }
+    EXPECT_GT(decorated, 0) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -277,6 +277,7 @@ TEST(TraceSmokeTest, CorpusProgramHasSpanPerNodeWithMorselAccounting) {
 
   // Index complete spans by id; collect node + kernel spans.
   struct SpanInfo {
+    std::string name;
     std::string cat;
     int64_t parent = 0;
     int64_t tid = 0;
@@ -294,6 +295,7 @@ TEST(TraceSmokeTest, CorpusProgramHasSpanPerNodeWithMorselAccounting) {
     int64_t id = args->IntField("span_id", 0);
     ASSERT_NE(id, 0);
     SpanInfo info;
+    info.name = e.StrField("name");
     info.cat = e.StrField("cat");
     info.parent = args->IntField("parent", 0);
     info.tid = e.IntField("tid", 0);
@@ -347,6 +349,17 @@ TEST(TraceSmokeTest, CorpusProgramHasSpanPerNodeWithMorselAccounting) {
   // workers, so some kernel span must live on a different thread than its
   // owning node span.
   EXPECT_TRUE(cross_thread);
+
+  // The partitioned CSV read emits one csv:parse span per partition,
+  // parsed on the partition workers and owned by the read node.
+  int parse_spans = 0;
+  for (const auto& [id, info] : spans) {
+    if (info.name != "csv:parse") continue;
+    ++parse_spans;
+    EXPECT_EQ(info.cat, "io");
+    EXPECT_NE(owning_node(id), 0) << "csv:parse span " << id;
+  }
+  EXPECT_EQ(parse_spans, 20);  // ceil(20000 / 1024)
 
   std::filesystem::remove_all(dir);
 }
