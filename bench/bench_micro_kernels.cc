@@ -232,6 +232,32 @@ int RunKernelThreadSweep() {
   auto value = *df::Column::MakeDouble(std::move(dbls), {}, &tracker);
   auto grp = *df::Column::MakeInt(std::move(keys), {}, &tracker);
   auto frame = *df::DataFrame::Make({"grp", "value"}, {grp, value});
+  // Hash-key fixtures: the same 31 groups as strings ("name_<grp>") and as
+  // a category, a second 7-value string key for composite keys, and a
+  // 31-row lookup table to merge against.
+  std::vector<std::string> names(rows), origins(rows);
+  for (int64_t i = 0; i < rows; ++i) {
+    names[i] = "name_" + std::to_string(i % 31);
+    origins[i] = "origin_" + std::to_string(i % 7);
+  }
+  auto name = *df::Column::MakeString(std::move(names), {}, &tracker);
+  auto origin = *df::Column::MakeString(std::move(origins), {}, &tracker);
+  auto cat = *df::CategorizeStrings(*name, &tracker);
+  auto keyed = *df::DataFrame::Make(
+      {"grp", "value", "name", "cat", "origin"},
+      {grp, value, name, cat, origin});
+  std::vector<int64_t> lookup_keys(31);
+  std::vector<std::string> labels(31);
+  for (int i = 0; i < 31; ++i) {
+    lookup_keys[i] = i;
+    labels[i] = "label_" + std::to_string(i);
+  }
+  auto lookup = *df::DataFrame::Make(
+      {"grp", "label"},
+      {*df::Column::MakeInt(std::move(lookup_keys), {}, &tracker),
+       *df::Column::MakeString(std::move(labels), {}, &tracker)});
+  const std::vector<df::AggSpec> sum_mean{
+      {"value", df::AggFunc::kSum, "s"}, {"value", df::AggFunc::kMean, "m"}};
   std::vector<int64_t> take_idx(rows);
   for (int64_t i = 0; i < rows; ++i) take_idx[i] = rows - 1 - i;
 
@@ -267,12 +293,27 @@ int RunKernelThreadSweep() {
          std::memcpy(&bits, &v, sizeof(bits));
          return bits;
        }},
+      // groupby_sum_mean is the int64-keyed groupby.
       {"groupby_sum_mean",
+       [&] { return Checksum(*df::GroupByAgg(frame, {"grp"}, sum_mean)); }},
+      {"groupby_category",
+       [&] { return Checksum(*df::GroupByAgg(keyed, {"cat"}, sum_mean)); }},
+      {"groupby_string",
+       [&] { return Checksum(*df::GroupByAgg(keyed, {"name"}, sum_mean)); }},
+      {"groupby_composite",
        [&] {
-         return Checksum(*df::GroupByAgg(frame, {"grp"},
-                                         {{"value", df::AggFunc::kSum, "s"},
-                                          {"value", df::AggFunc::kMean,
-                                           "m"}}));
+         return Checksum(*df::GroupByAgg(keyed, {"origin", "grp"}, sum_mean));
+       }},
+      {"drop_duplicates",
+       [&] {
+         return Checksum(*df::DropDuplicates(keyed, {"origin", "name"}));
+       }},
+      {"value_counts",
+       [&] { return Checksum(*df::ValueCounts(*name, "name")); }},
+      {"merge",
+       [&] {
+         return Checksum(
+             *df::Merge(keyed, lookup, {"grp"}, df::JoinType::kInner));
        }},
       // filter -> project -> (*2) -> (+2.5) -> abs, first as five separate
       // kernel calls with materialized intermediates, then as one kFusedMap

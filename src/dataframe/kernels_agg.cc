@@ -1,172 +1,266 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
 
 #include "common/macros.h"
 #include "dataframe/arith_semantics.h"
 #include "dataframe/kahan.h"
 #include "dataframe/kernel_context.h"
+#include "dataframe/key_index.h"
 #include "dataframe/ops.h"
-#include "dataframe/row_key.h"
 
 namespace lafp::df {
 
 namespace {
 
-/// Streaming accumulator for one aggregate over one group.
-struct AggState {
-  KahanSum sum;
-  int64_t isum = 0;
-  int64_t count = 0;  // non-null count
-  double dmin = std::numeric_limits<double>::infinity();
-  double dmax = -std::numeric_limits<double>::infinity();
-  std::string smin, smax;
-  bool has_str = false;
-  std::unordered_set<std::string> distinct;
-};
-
 bool IsStringy(DataType t) {
   return t == DataType::kString || t == DataType::kCategory;
 }
 
-// Approximate per-row cost of a hash table keyed by encoded row keys
-// (node + key string), matching pandas' transient groupby/dedup footprint.
+// Approximate per-row cost of pandas' transient groupby/dedup hash table.
+// It models pandas' footprint for the Fig 12/15 OOM results, not what the
+// key index allocates.
 constexpr int64_t kHashScratchBytesPerRow = 48;
 
-void Accumulate(AggState* st, AggFunc func, const Column& col, size_t row) {
-  if (!col.IsValid(row)) return;
-  if (func == AggFunc::kNunique) {
-    std::string key;
-    internal::AppendRowKey(col, row, &key);
-    st->distinct.insert(std::move(key));
-    return;
+/// Group ids of rows [0, n), built morsel by morsel: each morsel
+/// factorizes its own rows (in parallel), then the first rows of morsels
+/// 1.. are folded into morsel 0's index in morsel order. A group's first
+/// morsel is folded first and a morsel opens its groups in row order, so
+/// the ids are the ones a single pass assigns, whatever the geometry.
+struct MorselGroups {
+  size_t morsel_rows = 1;
+  std::vector<uint32_t> local;  // per row: id within its morsel
+  std::vector<size_t> local_groups;  // per morsel: number of local ids
+  std::vector<std::vector<uint32_t>> to_global;  // [morsel][local id]
+  std::optional<KeyIndex> index;  // every group; ids are the global ids
+
+  size_t num_morsels() const { return local_groups.size(); }
+  size_t num_groups() const { return index->num_groups(); }
+  const std::vector<int64_t>& first_rows() const {
+    return index->first_rows();
   }
-  if (IsStringy(col.type())) {
-    const std::string& s = col.StringAt(row);
-    if (func == AggFunc::kCount) {
-      ++st->count;
-      return;
-    }
-    if (!st->has_str) {
-      st->smin = st->smax = s;
-      st->has_str = true;
-    } else {
-      if (s < st->smin) st->smin = s;
-      if (s > st->smax) st->smax = s;
-    }
-    ++st->count;
-    return;
+  size_t begin(size_t m) const { return m * morsel_rows; }
+  size_t end(size_t m) const {
+    return std::min(local.size(), (m + 1) * morsel_rows);
   }
-  double v;
+  uint32_t Global(size_t m, uint32_t id) const {
+    return m == 0 ? id : to_global[m][id];
+  }
+
+  /// fn(row, global id) for every row, in row order.
+  template <typename Fn>
+  void ForEachRow(Fn fn) const {
+    for (size_t m = 0; m < num_morsels(); ++m) {
+      for (size_t r = begin(m); r < end(m); ++r) fn(r, Global(m, local[r]));
+    }
+  }
+};
+
+Result<MorselGroups> GroupMorsels(const std::vector<const Column*>& cols,
+                                  size_t n) {
+  MorselGroups g;
+  const size_t morsels = NumMorsels(n);
+  if (morsels > 1) g.morsel_rows = KernelContext::Current().morsel_rows();
+  if (morsels == 1) g.morsel_rows = n;
+  g.local.resize(n);
+  std::vector<std::optional<KeyIndex>> locals(morsels);
+  LAFP_RETURN_NOT_OK(RunMorsels(n, [&](size_t begin, size_t end) {
+    KeyIndex& idx = locals[begin / g.morsel_rows].emplace(cols);
+    idx.Insert(begin, end, g.local.data() + begin);
+    return Status::OK();
+  }));
+  g.local_groups.resize(morsels);
+  g.to_global.resize(morsels);
+  for (size_t m = 0; m < morsels; ++m) {
+    g.local_groups[m] = locals[m]->num_groups();
+    if (m == 0) continue;
+    g.to_global[m].resize(g.local_groups[m]);
+    locals[0]->InsertRows(locals[m]->first_rows(), g.to_global[m].data());
+    locals[m].reset();
+  }
+  if (morsels == 0) {
+    g.index.emplace(cols);
+  } else {
+    g.index = std::move(locals[0]);
+  }
+  return g;
+}
+
+/// The running fields an aggregate reads when it is emitted.
+struct Needs {
+  bool sum = false;
+  bool isum = false;
+  bool count = false;
+  bool min = false;
+  bool max = false;
+};
+
+Needs NeedsOf(AggFunc func, DataType src) {
+  Needs n;
+  switch (func) {
+    case AggFunc::kCount:
+      n.count = true;
+      break;
+    case AggFunc::kSum:
+      (src == DataType::kInt64 || src == DataType::kBool ? n.isum : n.sum) =
+          true;
+      break;
+    case AggFunc::kMean:
+      n.sum = n.count = true;
+      break;
+    case AggFunc::kMin:
+      n.min = n.count = true;
+      break;
+    case AggFunc::kMax:
+      n.max = n.count = true;
+      break;
+    case AggFunc::kNunique:
+      break;
+  }
+  return n;
+}
+
+/// Running state of one aggregate over every group of one morsel, column
+/// at a time: arrays indexed by group id, sized only for the fields the
+/// aggregate reads. Numeric min/max run in double (as pandas' cython
+/// groupby does for its float path); string min/max point into the
+/// column's storage.
+struct AggAcc {
+  std::vector<KahanSum> sum;
+  std::vector<int64_t> isum;
+  std::vector<int64_t> count;
+  std::vector<double> dmin, dmax;
+  std::vector<const std::string*> smin, smax;  // nullptr: no value yet
+
+  void Resize(const Needs& nd, bool stringy, size_t groups) {
+    if (nd.sum) sum.resize(groups);
+    if (nd.isum) isum.resize(groups, 0);
+    if (nd.count) count.resize(groups, 0);
+    if (nd.min && stringy) smin.resize(groups, nullptr);
+    if (nd.max && stringy) smax.resize(groups, nullptr);
+    if (nd.min && !stringy) {
+      dmin.resize(groups, std::numeric_limits<double>::infinity());
+    }
+    if (nd.max && !stringy) {
+      dmax.resize(groups, -std::numeric_limits<double>::infinity());
+    }
+  }
+};
+
+/// Fold rows [begin, end) of `col` into `acc`; row r belongs to group
+/// gid(r). Rows are visited in row order, so every group's Kahan sum
+/// adds its values in the order of a serial per-row loop, bit for bit.
+/// Nulls and NaNs are skipped (pandas skipna).
+template <typename Gid>
+void Accumulate(AggAcc* acc, const Needs& nd, const Column& col,
+                size_t begin, size_t end, Gid gid) {
+  const uint8_t* valid = col.validity_data();
+  auto numeric = [&](auto load) {
+    for (size_t r = begin; r < end; ++r) {
+      if (valid != nullptr && valid[r] == 0) continue;
+      int64_t x;
+      double v;
+      if (!load(r, &x, &v)) continue;
+      const uint32_t g = gid(r);
+      if (nd.isum) acc->isum[g] = WrapAdd(acc->isum[g], x);
+      if (nd.sum) acc->sum[g].Add(v);
+      if (nd.count) ++acc->count[g];
+      if (nd.min && v < acc->dmin[g]) acc->dmin[g] = v;
+      if (nd.max && v > acc->dmax[g]) acc->dmax[g] = v;
+    }
+  };
   switch (col.type()) {
     case DataType::kInt64:
-    case DataType::kTimestamp:
-      // NumPy int64 sum wraps; plain += would be signed-overflow UB.
-      st->isum = WrapAdd(st->isum, col.IntAt(row));
-      v = static_cast<double>(col.IntAt(row));
-      break;
-    case DataType::kDouble:
-      v = col.DoubleAt(row);
-      if (std::isnan(v)) return;  // pandas skipna
-      break;
-    case DataType::kBool:
-      v = col.BoolAt(row) ? 1.0 : 0.0;
-      st->isum += col.BoolAt(row) ? 1 : 0;
-      break;
-    default:
+    case DataType::kTimestamp: {
+      const int64_t* p = col.int_data();
+      numeric([p](size_t r, int64_t* x, double* v) {
+        *x = p[r];
+        *v = static_cast<double>(p[r]);
+        return true;
+      });
+      return;
+    }
+    case DataType::kDouble: {
+      const double* p = col.double_data();
+      numeric([p](size_t r, int64_t* x, double* v) {
+        *x = 0;
+        *v = p[r];
+        return !std::isnan(p[r]);
+      });
+      return;
+    }
+    case DataType::kBool: {
+      const uint8_t* p = col.bool_data();
+      numeric([p](size_t r, int64_t* x, double* v) {
+        *x = p[r] != 0 ? 1 : 0;
+        *v = p[r] != 0 ? 1.0 : 0.0;
+        return true;
+      });
+      return;
+    }
+    case DataType::kString:
+    case DataType::kCategory:
+      for (size_t r = begin; r < end; ++r) {
+        if (valid != nullptr && valid[r] == 0) continue;
+        const uint32_t g = gid(r);
+        if (nd.count) ++acc->count[g];
+        if (!nd.min && !nd.max) continue;
+        const std::string* s = &col.StringAt(r);
+        if (nd.min && (acc->smin[g] == nullptr || *s < *acc->smin[g])) {
+          acc->smin[g] = s;
+        }
+        if (nd.max && (acc->smax[g] == nullptr || *s > *acc->smax[g])) {
+          acc->smax[g] = s;
+        }
+      }
+      return;
+    case DataType::kNull:
       return;
   }
-  st->sum.Add(v);
-  ++st->count;
-  if (v < st->dmin) st->dmin = v;
-  if (v > st->dmax) st->dmax = v;
 }
 
-/// Accumulate rows [begin, end) of `col` into `st`: the Reduce hot loop
-/// with the type switch and validity dispatch hoisted out of the inner
-/// loop. Row order and the per-row operations match Accumulate exactly
-/// (same Kahan add sequence, same min/max comparisons), so the resulting
-/// state is bit-identical to the per-row path. Numeric columns accumulate
-/// the same fields for every AggFunc (EmitAgg picks what it needs), so
-/// the loop is func-independent; string/nunique fall back per row.
-void AccumulateRange(AggState* st, AggFunc func, const Column& col,
-                     size_t begin, size_t end) {
-  if (func != AggFunc::kNunique && !IsStringy(col.type())) {
-    const uint8_t* valid = col.validity_data();
-    switch (col.type()) {
-      case DataType::kInt64:
-      case DataType::kTimestamp: {
-        const int64_t* vals = col.int_data();
-        for (size_t i = begin; i < end; ++i) {
-          if (valid != nullptr && valid[i] == 0) continue;
-          st->isum = WrapAdd(st->isum, vals[i]);
-          const double v = static_cast<double>(vals[i]);
-          st->sum.Add(v);
-          ++st->count;
-          if (v < st->dmin) st->dmin = v;
-          if (v > st->dmax) st->dmax = v;
-        }
-        return;
-      }
-      case DataType::kDouble: {
-        const double* vals = col.double_data();
-        for (size_t i = begin; i < end; ++i) {
-          if (valid != nullptr && valid[i] == 0) continue;
-          const double v = vals[i];
-          if (std::isnan(v)) continue;  // pandas skipna
-          st->sum.Add(v);
-          ++st->count;
-          if (v < st->dmin) st->dmin = v;
-          if (v > st->dmax) st->dmax = v;
-        }
-        return;
-      }
-      case DataType::kBool: {
-        const uint8_t* vals = col.bool_data();
-        for (size_t i = begin; i < end; ++i) {
-          if (valid != nullptr && valid[i] == 0) continue;
-          const double v = vals[i] != 0 ? 1.0 : 0.0;
-          st->isum += vals[i] != 0 ? 1 : 0;
-          st->sum.Add(v);
-          ++st->count;
-          if (v < st->dmin) st->dmin = v;
-          if (v > st->dmax) st->dmax = v;
-        }
-        return;
-      }
-      default:
-        return;  // mirrors Accumulate's default: nothing to do
-    }
-  }
-  for (size_t i = begin; i < end; ++i) Accumulate(st, func, col, i);
-}
-
-/// Fold a morsel-partial accumulator into `into`. Called serially in fixed
-/// morsel order, so the merged state (including the Kahan compensation) is a
-/// pure function of the morsel geometry, never of the thread count.
-void MergeState(AggState* into, AggState* from) {
-  into->sum.MergeFrom(from->sum);
-  into->isum += from->isum;
-  into->count += from->count;
-  into->dmin = std::min(into->dmin, from->dmin);
-  into->dmax = std::max(into->dmax, from->dmax);
-  if (from->has_str) {
-    if (!into->has_str) {
-      into->smin = std::move(from->smin);
-      into->smax = std::move(from->smax);
-      into->has_str = true;
+/// Fold group `g` of a later morsel's partial into group `into_g`. A group
+/// the morsel opened takes the partial as is; an older one merges it.
+/// Callers go in morsel order, so the merged state (the Kahan compensation
+/// included) is a pure function of the morsel geometry.
+void MergeGroup(AggAcc* into, size_t into_g, const AggAcc& from, size_t g,
+                bool opened) {
+  if (!into->sum.empty()) {
+    if (opened) {
+      into->sum[into_g] = from.sum[g];
     } else {
-      if (from->smin < into->smin) into->smin = std::move(from->smin);
-      if (from->smax > into->smax) into->smax = std::move(from->smax);
+      into->sum[into_g].MergeFrom(from.sum[g]);
     }
   }
-  if (into->distinct.empty()) {
-    into->distinct.swap(from->distinct);
-  } else {
-    for (auto& key : from->distinct) into->distinct.insert(key);
+  if (!into->isum.empty()) {
+    into->isum[into_g] =
+        opened ? from.isum[g] : WrapAdd(into->isum[into_g], from.isum[g]);
   }
+  if (!into->count.empty()) {
+    into->count[into_g] =
+        opened ? from.count[g] : into->count[into_g] + from.count[g];
+  }
+  if (!into->dmin.empty()) {
+    into->dmin[into_g] =
+        opened ? from.dmin[g] : std::min(into->dmin[into_g], from.dmin[g]);
+  }
+  if (!into->dmax.empty()) {
+    into->dmax[into_g] =
+        opened ? from.dmax[g] : std::max(into->dmax[into_g], from.dmax[g]);
+  }
+  auto pick = [opened](const std::string*& dst, const std::string* src,
+                       bool less) {
+    if (src == nullptr) {
+      if (opened) dst = nullptr;
+      return;
+    }
+    if (opened || dst == nullptr || (less ? *src < *dst : *src > *dst)) {
+      dst = src;
+    }
+  };
+  if (!into->smin.empty()) pick(into->smin[into_g], from.smin[g], true);
+  if (!into->smax.empty()) pick(into->smax[into_g], from.smax[g], false);
 }
 
 /// Output column type for an aggregate over a source column type.
@@ -189,105 +283,164 @@ DataType AggOutputType(AggFunc func, DataType src) {
   return DataType::kDouble;
 }
 
-Status EmitAgg(ColumnBuilder* builder, const AggState& st, AggFunc func,
-               DataType src) {
+void EmitAgg(ColumnBuilder* builder, const AggAcc& acc, size_t g,
+             AggFunc func, DataType src) {
   switch (func) {
     case AggFunc::kCount:
-      builder->AppendInt(st.count);
-      return Status::OK();
+      builder->AppendInt(acc.count[g]);
+      return;
     case AggFunc::kNunique:
-      builder->AppendInt(static_cast<int64_t>(st.distinct.size()));
-      return Status::OK();
+      return;  // counted by GroupNunique
     case AggFunc::kSum:
       if (builder->type() == DataType::kInt64) {
-        builder->AppendInt(st.isum);
+        builder->AppendInt(acc.isum[g]);
       } else {
-        builder->AppendDouble(st.sum.Total());
+        builder->AppendDouble(acc.sum[g].Total());
       }
-      return Status::OK();
+      return;
     case AggFunc::kMean:
-      if (st.count == 0) {
+      if (acc.count[g] == 0) {
         builder->AppendNull();
       } else {
-        builder->AppendDouble(st.sum.Total() / static_cast<double>(st.count));
+        builder->AppendDouble(acc.sum[g].Total() /
+                              static_cast<double>(acc.count[g]));
       }
-      return Status::OK();
+      return;
     case AggFunc::kMin:
     case AggFunc::kMax: {
+      const bool is_min = func == AggFunc::kMin;
       if (IsStringy(src)) {
-        if (!st.has_str) {
+        const std::string* s = is_min ? acc.smin[g] : acc.smax[g];
+        if (s == nullptr) {
           builder->AppendNull();
         } else {
-          builder->AppendString(func == AggFunc::kMin ? st.smin : st.smax);
+          builder->AppendString(*s);
         }
-        return Status::OK();
+        return;
       }
-      if (st.count == 0) {
+      if (acc.count[g] == 0) {
         builder->AppendNull();
-        return Status::OK();
+        return;
       }
-      double v = func == AggFunc::kMin ? st.dmin : st.dmax;
+      const double v = is_min ? acc.dmin[g] : acc.dmax[g];
       if (builder->type() == DataType::kDouble) {
         builder->AppendDouble(v);
+      } else if (builder->type() == DataType::kBool) {
+        builder->AppendBool(v != 0.0);
       } else {
         builder->AppendInt(static_cast<int64_t>(v));
       }
-      return Status::OK();
+      return;
     }
   }
-  return Status::Invalid("bad aggregate");
+}
+
+/// One aggregate for every group: a partial per morsel over the morsel's
+/// local ids, merged into the global ids in morsel order.
+Result<AggAcc> AggregateGroups(const MorselGroups& groups, const Needs& nd,
+                               const Column& col) {
+  const bool stringy = IsStringy(col.type());
+  std::vector<AggAcc> partials(std::max<size_t>(groups.num_morsels(), 1));
+  for (size_t m = 0; m < groups.num_morsels(); ++m) {
+    partials[m].Resize(nd, stringy, groups.local_groups[m]);
+  }
+  LAFP_RETURN_NOT_OK(RunMorsels(col.size(), [&](size_t begin, size_t end) {
+    Accumulate(&partials[begin / groups.morsel_rows], nd, col, begin, end,
+               [&groups](size_t r) { return groups.local[r]; });
+    return Status::OK();
+  }));
+  AggAcc total = std::move(partials[0]);
+  total.Resize(nd, stringy, groups.num_groups());
+  const auto& first_rows = groups.first_rows();
+  for (size_t m = 1; m < groups.num_morsels(); ++m) {
+    const auto& to = groups.to_global[m];
+    for (size_t g = 0; g < to.size(); ++g) {
+      const bool opened =
+          static_cast<size_t>(first_rows[to[g]]) >= groups.begin(m);
+      MergeGroup(&total, to[g], partials[m], g, opened);
+    }
+  }
+  return total;
+}
+
+/// Distinct non-null values of `col` within each group: the groups of the
+/// (keys..., value) tuple index, credited to the group of their first row.
+std::vector<int64_t> GroupNunique(const MorselGroups& groups,
+                                  std::vector<const Column*> key_cols,
+                                  const Column& col) {
+  key_cols.push_back(&col);
+  KeyIndex pairs(key_cols);
+  std::vector<uint32_t> ids(col.size());
+  pairs.Insert(0, col.size(), ids.data());
+  std::vector<uint8_t> opens(col.size(), 0);
+  for (int64_t r : pairs.first_rows()) {
+    opens[r] = col.IsValid(static_cast<size_t>(r)) ? 1 : 0;
+  }
+  std::vector<int64_t> counts(groups.num_groups(), 0);
+  groups.ForEachRow([&](size_t r, uint32_t g) { counts[g] += opens[r]; });
+  return counts;
 }
 
 }  // namespace
 
 Result<Scalar> Reduce(const Column& col, AggFunc func) {
+  if (func == AggFunc::kNunique) {
+    LAFP_ASSIGN_OR_RETURN(MorselGroups groups,
+                          GroupMorsels({&col}, col.size()));
+    const size_t null_group = col.null_count() > 0 ? 1 : 0;
+    return Scalar::Int(static_cast<int64_t>(groups.num_groups() - null_group));
+  }
+  // A whole-column reduction is a groupby with one group: a partial per
+  // morsel, merged in morsel order, so the result is bit-identical across
+  // thread counts.
   const size_t n = col.size();
-  AggState st;
-  if (NumMorsels(n) <= 1) {
-    // Single morsel: the legacy sequential accumulation, byte-for-byte.
-    AccumulateRange(&st, func, col, 0, n);
-  } else {
-    // Partial aggregate per morsel, merged serially in morsel order. The
-    // morsel boundaries depend only on (n, morsel_rows), so the result is
-    // bit-identical across thread counts.
-    const size_t morsel_rows = KernelContext::Current().morsel_rows();
-    std::vector<AggState> partials(NumMorsels(n));
-    LAFP_RETURN_NOT_OK(RunMorsels(n, [&](size_t begin, size_t end) {
-      AccumulateRange(&partials[begin / morsel_rows], func, col, begin, end);
-      return Status::OK();
-    }));
-    st = std::move(partials[0]);
-    for (size_t m = 1; m < partials.size(); ++m) {
-      MergeState(&st, &partials[m]);
-    }
+  const Needs nd = NeedsOf(func, col.type());
+  const bool stringy = IsStringy(col.type());
+  const size_t morsels = std::max<size_t>(NumMorsels(n), 1);
+  const size_t morsel_rows = morsels > 1
+                                 ? KernelContext::Current().morsel_rows()
+                                 : std::max<size_t>(n, 1);
+  std::vector<AggAcc> partials(morsels);
+  for (AggAcc& p : partials) p.Resize(nd, stringy, 1);
+  LAFP_RETURN_NOT_OK(RunMorsels(n, [&](size_t begin, size_t end) {
+    Accumulate(&partials[begin / morsel_rows], nd, col, begin, end,
+               [](size_t) { return uint32_t{0}; });
+    return Status::OK();
+  }));
+  AggAcc& st = partials[0];
+  for (size_t m = 1; m < morsels; ++m) {
+    MergeGroup(&st, 0, partials[m], 0, /*opened=*/false);
   }
   switch (func) {
     case AggFunc::kCount:
-      return Scalar::Int(st.count);
+      return Scalar::Int(st.count[0]);
     case AggFunc::kNunique:
-      return Scalar::Int(static_cast<int64_t>(st.distinct.size()));
+      break;
     case AggFunc::kSum:
       if (col.type() == DataType::kInt64 || col.type() == DataType::kBool) {
-        return Scalar::Int(st.isum);
+        return Scalar::Int(st.isum[0]);
       }
       if (!IsNumeric(col.type())) {
         return Status::TypeError("sum on non-numeric column");
       }
-      return Scalar::Double(st.sum.Total());
+      return Scalar::Double(st.sum[0].Total());
     case AggFunc::kMean:
       if (!IsNumeric(col.type())) {
         return Status::TypeError("mean on non-numeric column");
       }
-      if (st.count == 0) return Scalar::Null();
-      return Scalar::Double(st.sum.Total() / static_cast<double>(st.count));
+      if (st.count[0] == 0) return Scalar::Null();
+      return Scalar::Double(st.sum[0].Total() /
+                            static_cast<double>(st.count[0]));
     case AggFunc::kMin:
     case AggFunc::kMax: {
-      if (IsStringy(col.type())) {
-        if (!st.has_str) return Scalar::Null();
-        return Scalar::String(func == AggFunc::kMin ? st.smin : st.smax);
+      const bool is_min = func == AggFunc::kMin;
+      if (stringy) {
+        const std::string* s = is_min ? st.smin[0] : st.smax[0];
+        if (s == nullptr) return Scalar::Null();
+        return Scalar::String(*s);
       }
-      if (st.count == 0) return Scalar::Null();
-      double v = func == AggFunc::kMin ? st.dmin : st.dmax;
+      if (st.count[0] == 0) return Scalar::Null();
+      const double v = is_min ? st.dmin[0] : st.dmax[0];
       if (col.type() == DataType::kInt64) {
         return Scalar::Int(static_cast<int64_t>(v));
       }
@@ -326,91 +479,34 @@ Result<DataFrame> GroupByAgg(const DataFrame& df,
       static_cast<int64_t>(df.num_rows()) * kHashScratchBytesPerRow,
       &scratch));
 
-  // Group discovery: composite key -> dense group id.
-  std::unordered_map<std::string, size_t> group_ids;
-  std::vector<int64_t> representative_row;  // first row of each group
-  std::vector<std::vector<AggState>> states;  // [group][agg]
-  const size_t n = df.num_rows();
-  if (NumMorsels(n) <= 1) {
-    // Single morsel: the legacy sequential hash-aggregation, byte-for-byte.
-    for (size_t r = 0; r < n; ++r) {
-      std::string key = internal::RowKey(key_cols, r);
-      auto [it, inserted] = group_ids.emplace(std::move(key), states.size());
-      if (inserted) {
-        representative_row.push_back(static_cast<int64_t>(r));
-        states.emplace_back(aggs.size());
-      }
-      auto& group_states = states[it->second];
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        Accumulate(&group_states[a], aggs[a].func, *agg_cols[a], r);
-      }
-    }
-  } else {
-    // Each morsel builds a private hash table over its row range; the
-    // partials are then merged serially in morsel order, which reproduces
-    // the global first-appearance group order (a group's first morsel is
-    // visited first, and within a morsel insertion order is row order) and
-    // keeps every per-group state a pure function of the morsel geometry.
-    struct LocalGroups {
-      std::unordered_map<std::string, size_t> ids;
-      std::vector<const std::string*> key_in_order;  // stable map-node keys
-      std::vector<int64_t> first_row;
-      std::vector<std::vector<AggState>> states;
-    };
-    const size_t morsel_rows = KernelContext::Current().morsel_rows();
-    std::vector<LocalGroups> locals(NumMorsels(n));
-    LAFP_RETURN_NOT_OK(RunMorsels(n, [&](size_t begin, size_t end) {
-      LocalGroups& loc = locals[begin / morsel_rows];
-      for (size_t r = begin; r < end; ++r) {
-        std::string key = internal::RowKey(key_cols, r);
-        auto [it, inserted] = loc.ids.emplace(std::move(key),
-                                              loc.states.size());
-        if (inserted) {
-          loc.key_in_order.push_back(&it->first);
-          loc.first_row.push_back(static_cast<int64_t>(r));
-          loc.states.emplace_back(aggs.size());
-        }
-        auto& group_states = loc.states[it->second];
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          Accumulate(&group_states[a], aggs[a].func, *agg_cols[a], r);
-        }
-      }
-      return Status::OK();
-    }));
-    for (auto& loc : locals) {
-      for (size_t g = 0; g < loc.states.size(); ++g) {
-        auto [it, inserted] =
-            group_ids.emplace(*loc.key_in_order[g], states.size());
-        if (inserted) {
-          representative_row.push_back(loc.first_row[g]);
-          states.push_back(std::move(loc.states[g]));
-        } else {
-          auto& dst = states[it->second];
-          for (size_t a = 0; a < aggs.size(); ++a) {
-            MergeState(&dst[a], &loc.states[g][a]);
-          }
-        }
-      }
-    }
-  }
+  LAFP_ASSIGN_OR_RETURN(MorselGroups groups,
+                        GroupMorsels(key_cols, df.num_rows()));
+  const size_t num_groups = groups.num_groups();
 
   std::vector<std::string> out_names;
   std::vector<ColumnPtr> out_cols;
-  // Key columns: gather representative rows.
+  // Key columns: gather each group's first row.
   for (size_t k = 0; k < keys.size(); ++k) {
     LAFP_ASSIGN_OR_RETURN(ColumnPtr keyed,
-                          key_cols[k]->Take(representative_row));
+                          key_cols[k]->Take(groups.first_rows()));
     out_names.push_back(keys[k]);
     out_cols.push_back(std::move(keyed));
   }
-  // Aggregate output columns.
   for (size_t a = 0; a < aggs.size(); ++a) {
-    DataType out_type = AggOutputType(aggs[a].func, agg_cols[a]->type());
-    ColumnBuilder builder(out_type, df.tracker());
-    builder.Reserve(states.size());
-    for (const auto& group_states : states) {
-      LAFP_RETURN_NOT_OK(EmitAgg(&builder, group_states[a], aggs[a].func,
-                                 agg_cols[a]->type()));
+    const AggFunc func = aggs[a].func;
+    const Column& col = *agg_cols[a];
+    ColumnBuilder builder(AggOutputType(func, col.type()), df.tracker());
+    builder.Reserve(num_groups);
+    if (func == AggFunc::kNunique) {
+      for (int64_t c : GroupNunique(groups, key_cols, col)) {
+        builder.AppendInt(c);
+      }
+    } else {
+      LAFP_ASSIGN_OR_RETURN(
+          AggAcc acc, AggregateGroups(groups, NeedsOf(func, col.type()), col));
+      for (size_t g = 0; g < num_groups; ++g) {
+        EmitAgg(&builder, acc, g, func, col.type());
+      }
     }
     LAFP_ASSIGN_OR_RETURN(ColumnPtr out, builder.Finish());
     out_names.push_back(aggs[a].out_name);
@@ -432,51 +528,36 @@ Result<DataFrame> DropDuplicates(const DataFrame& df,
       key_cols.push_back(c.get());
     }
   }
+  if (key_cols.empty()) return df;
   ScopedReservation scratch;
   LAFP_RETURN_NOT_OK(ScopedReservation::Make(
       df.tracker(),
       static_cast<int64_t>(df.num_rows()) * kHashScratchBytesPerRow,
       &scratch));
-  std::unordered_set<std::string> seen;
-  std::vector<int64_t> keep;
-  for (size_t r = 0; r < df.num_rows(); ++r) {
-    std::string key = internal::RowKey(key_cols, r);
-    if (seen.insert(std::move(key)).second) {
-      keep.push_back(static_cast<int64_t>(r));
-    }
-  }
-  return df.TakeRows(keep);
+  LAFP_ASSIGN_OR_RETURN(MorselGroups groups,
+                        GroupMorsels(key_cols, df.num_rows()));
+  return df.TakeRows(groups.first_rows());
 }
 
 Result<ColumnPtr> Unique(const Column& col) {
-  std::unordered_set<std::string> seen;
-  std::vector<int64_t> keep;
-  for (size_t r = 0; r < col.size(); ++r) {
-    std::string key;
-    internal::AppendRowKey(col, r, &key);
-    if (seen.insert(std::move(key)).second) {
-      keep.push_back(static_cast<int64_t>(r));
-    }
-  }
-  return col.Take(keep);
+  LAFP_ASSIGN_OR_RETURN(MorselGroups groups, GroupMorsels({&col}, col.size()));
+  return col.Take(groups.first_rows());
 }
 
 Result<DataFrame> ValueCounts(const Column& col,
                               const std::string& value_name) {
-  std::unordered_map<std::string, std::pair<int64_t, int64_t>>
-      counts;  // key -> (first row, count)
-  for (size_t r = 0; r < col.size(); ++r) {
-    if (!col.IsValid(r)) continue;  // pandas value_counts drops NaN
-    std::string key;
-    internal::AppendRowKey(col, r, &key);
-    auto [it, inserted] =
-        counts.emplace(std::move(key),
-                       std::make_pair(static_cast<int64_t>(r), int64_t{0}));
-    ++it->second.second;
+  LAFP_ASSIGN_OR_RETURN(MorselGroups groups, GroupMorsels({&col}, col.size()));
+  std::vector<int64_t> counts(groups.num_groups(), 0);
+  groups.ForEachRow([&](size_t, uint32_t g) { ++counts[g]; });
+  std::vector<std::pair<int64_t, int64_t>> rows;  // (first row, count)
+  rows.reserve(counts.size());
+  for (size_t g = 0; g < counts.size(); ++g) {
+    const int64_t first = groups.first_rows()[g];
+    // pandas value_counts drops NaN (here: null).
+    if (col.IsValid(static_cast<size_t>(first))) {
+      rows.emplace_back(first, counts[g]);
+    }
   }
-  std::vector<std::pair<int64_t, int64_t>> rows(counts.size());
-  size_t i = 0;
-  for (const auto& [_, rc] : counts) rows[i++] = rc;
   // Descending count; ties by first appearance for determinism.
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;

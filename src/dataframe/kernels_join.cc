@@ -1,9 +1,8 @@
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/macros.h"
+#include "dataframe/key_index.h"
 #include "dataframe/ops.h"
-#include "dataframe/row_key.h"
 
 namespace lafp::df {
 
@@ -40,32 +39,44 @@ Result<DataFrame> Merge(const DataFrame& left, const DataFrame& right,
     rkeys.push_back(rc.get());
   }
 
-  // Build phase on the right side. The hash table is charged against the
+  // Build phase on the right side: dense ids over the right keys, and the
+  // rows of each id in row order. The hash table is charged against the
   // budget while the join runs (large build sides OOM, matching pandas).
   ScopedReservation scratch;
   LAFP_RETURN_NOT_OK(ScopedReservation::Make(
       right.tracker(), static_cast<int64_t>(right.num_rows()) * 56,
       &scratch));
-  std::unordered_map<std::string, std::vector<int64_t>> table;
-  table.reserve(right.num_rows());
-  for (size_t r = 0; r < right.num_rows(); ++r) {
-    table[internal::RowKey(rkeys, r)].push_back(static_cast<int64_t>(r));
+  const size_t nr = right.num_rows();
+  KeyIndex build(rkeys, lkeys);
+  std::vector<uint32_t> ids(nr);
+  build.Insert(0, nr, ids.data());
+  std::vector<size_t> start(build.num_groups() + 1, 0);
+  for (uint32_t id : ids) ++start[id + 1];
+  for (size_t g = 0; g < build.num_groups(); ++g) start[g + 1] += start[g];
+  std::vector<int64_t> rows_of(nr);
+  {
+    std::vector<size_t> next(start.begin(), start.end() - 1);
+    for (size_t r = 0; r < nr; ++r) {
+      rows_of[next[ids[r]]++] = static_cast<int64_t>(r);
+    }
   }
 
   // Probe phase streaming the left side.
+  ids.resize(left.num_rows());
+  build.Find(lkeys, 0, left.num_rows(), ids.data());
   std::vector<int64_t> left_idx, right_idx;
   for (size_t r = 0; r < left.num_rows(); ++r) {
-    auto it = table.find(internal::RowKey(lkeys, r));
-    if (it == table.end()) {
+    const uint32_t id = ids[r];
+    if (id == kNoGroup) {
       if (how == JoinType::kLeft) {
         left_idx.push_back(static_cast<int64_t>(r));
         right_idx.push_back(-1);
       }
       continue;
     }
-    for (int64_t rr : it->second) {
+    for (size_t k = start[id]; k < start[id + 1]; ++k) {
       left_idx.push_back(static_cast<int64_t>(r));
-      right_idx.push_back(rr);
+      right_idx.push_back(rows_of[k]);
     }
   }
 

@@ -4,7 +4,6 @@
 
 #include "common/macros.h"
 #include "dataframe/kahan.h"
-#include "dataframe/row_key.h"
 
 namespace lafp::exec {
 
@@ -177,12 +176,9 @@ Status ReduceCombiner::AddPartition(const DataFrame& partition) {
   const Column& col = *partition.column(size_t{0});
   if (seen_type_ == df::DataType::kNull) seen_type_ = col.type();
   if (func_ == AggFunc::kNunique) {
-    for (size_t r = 0; r < col.size(); ++r) {
-      if (!col.IsValid(r)) continue;
-      std::string key;
-      df::internal::AppendRowKey(col, r, &key);
-      distinct_.insert(std::move(key));
-    }
+    LAFP_ASSIGN_OR_RETURN(ColumnPtr u, df::Unique(col));
+    LAFP_ASSIGN_OR_RETURN(DataFrame values, DataFrame::Make({"v"}, {u}));
+    distinct_.push_back(std::move(values));
     return Status::OK();
   }
   // Fold using the engine's single-column reductions.
@@ -216,8 +212,11 @@ Status ReduceCombiner::AddPartition(const DataFrame& partition) {
 
 Result<Scalar> ReduceCombiner::Finish() {
   switch (func_) {
-    case AggFunc::kNunique:
-      return Scalar::Int(static_cast<int64_t>(distinct_.size()));
+    case AggFunc::kNunique: {
+      if (distinct_.empty()) return Scalar::Int(0);
+      LAFP_ASSIGN_OR_RETURN(DataFrame all, df::Concat(distinct_));
+      return df::Reduce(*all.column(size_t{0}), AggFunc::kNunique);
+    }
     case AggFunc::kCount:
       return Scalar::Int(count_);
     case AggFunc::kSum:

@@ -2,7 +2,6 @@
 #define LAFP_EXEC_AGG_TWOPHASE_H_
 
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "dataframe/kahan.h"
@@ -51,7 +50,7 @@ class GroupByCombiner {
 };
 
 /// Two-phase whole-column reduction (series.sum()/mean()/min()/...).
-/// nunique folds per-partition distinct encodings and is supported.
+/// nunique keeps each partition's distinct values and counts their union.
 class ReduceCombiner {
  public:
   explicit ReduceCombiner(df::AggFunc func);
@@ -68,7 +67,7 @@ class ReduceCombiner {
   int64_t count_ = 0;
   bool has_value_ = false;
   df::Scalar min_, max_;
-  std::unordered_set<std::string> distinct_;
+  std::vector<df::DataFrame> distinct_;  // nunique: per-partition uniques
   df::DataType seen_type_ = df::DataType::kNull;
 };
 

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "common/hash.h"
+#include "common/macros.h"
 #include "common/string_util.h"
 #include "testing/rng.h"
 
@@ -209,6 +210,61 @@ Result<TableSpec> TableSpec::FromDirective(const std::string& line) {
     }
   }
   return spec;
+}
+
+Result<df::DataFrame> KeyTable(uint64_t seed, int64_t rows, bool all_null,
+                               MemoryTracker* tracker) {
+  SplitMix rng(seed ^ Fnv1a64("keys"));
+  const size_t n = static_cast<size_t>(rows);
+  // A nullable cell is null with chance 1/8; "g" has no validity vector.
+  auto validity = [&](bool nullable) {
+    std::vector<uint8_t> v;
+    if (!nullable && !all_null) return v;
+    v.assign(n, 1);
+    for (auto& bit : v) {
+      bit = all_null || rng.Below(8) == 0 ? 0 : 1;
+    }
+    return v;
+  };
+  std::vector<int64_t> ints(n), groups(n), stamps(n);
+  std::vector<double> doubles(n);
+  std::vector<std::string> strs(n), strs2(n), cats(n);
+  std::vector<uint8_t> bools(n);
+  static const double kDoubles[] = {0.0, -0.0, 1.5, -2.25, 1e16, 1.0, -1e16};
+  static const char* const kStrings[] = {"a", "a\x1f", "\x1f" "a", "",
+                                         "\x02N\x03", "b"};
+  static const char* const kStrings2[] = {"b", "\x1f" "b", "\x1f", "a"};
+  static const char* const kCats[] = {"x", "y\x1f", "\x02N\x03"};
+  for (size_t r = 0; r < n; ++r) {
+    ints[r] = static_cast<int64_t>(rng.Below(4)) - 1;
+    groups[r] = static_cast<int64_t>(rng.Below(3));
+    const uint64_t d = rng.Below(9);
+    doubles[r] = d < 7 ? kDoubles[d] : std::nan(d == 7 ? "" : "7");
+    strs[r] = kStrings[rng.Below(6)];
+    strs2[r] = kStrings2[rng.Below(4)];
+    cats[r] = kCats[rng.Below(3)];
+    stamps[r] = 1700000000 + 3600 * static_cast<int64_t>(rng.Below(3));
+    bools[r] = static_cast<uint8_t>(rng.Below(2));
+  }
+  using df::Column;
+  LAFP_ASSIGN_OR_RETURN(auto i, Column::MakeInt(ints, validity(true), tracker));
+  LAFP_ASSIGN_OR_RETURN(auto g,
+                        Column::MakeInt(groups, validity(false), tracker));
+  LAFP_ASSIGN_OR_RETURN(auto f,
+                        Column::MakeDouble(doubles, validity(true), tracker));
+  LAFP_ASSIGN_OR_RETURN(auto s,
+                        Column::MakeString(strs, validity(true), tracker));
+  LAFP_ASSIGN_OR_RETURN(auto s2,
+                        Column::MakeString(strs2, validity(true), tracker));
+  LAFP_ASSIGN_OR_RETURN(auto plain,
+                        Column::MakeString(cats, validity(true), tracker));
+  LAFP_ASSIGN_OR_RETURN(auto c, df::CategorizeStrings(*plain, tracker));
+  LAFP_ASSIGN_OR_RETURN(auto t,
+                        Column::MakeTimestamp(stamps, validity(true), tracker));
+  LAFP_ASSIGN_OR_RETURN(auto b,
+                        Column::MakeBool(bools, validity(true), tracker));
+  return df::DataFrame::Make({"i", "g", "f", "s", "s2", "c", "t", "b"},
+                             {i, g, f, s, s2, c, t, b});
 }
 
 }  // namespace lafp::testing

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "dataframe/dataframe.h"
 
 namespace lafp::testing {
 
@@ -56,6 +57,15 @@ std::vector<FuzzColumn> SchemaForSpec(const TableSpec& spec);
 /// drawn row-major over the *full* schema so `rows`/`keep` shrinking
 /// never perturbs surviving cells.
 Result<std::string> WriteTable(const TableSpec& spec, const std::string& dir);
+
+/// An in-memory table for the hash-key differential tests. One column per
+/// key dtype, over small domains so keys repeat, each with nulls: "i"
+/// int64, "g" int64 without nulls, "f" double (NaNs of two payloads, -0.0
+/// and 0.0, Kahan-hostile magnitudes), "s" and "s2" strings holding the
+/// bytes "\x1f" and "\x02N\x03", "c" a category, "t" timestamp, "b"
+/// bool. Deterministic in `seed`; `all_null` nulls every cell.
+Result<df::DataFrame> KeyTable(uint64_t seed, int64_t rows, bool all_null,
+                               MemoryTracker* tracker);
 
 }  // namespace lafp::testing
 

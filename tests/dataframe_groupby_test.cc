@@ -180,6 +180,70 @@ TEST_F(GroupByTest, ValueCountsDropsNulls) {
   EXPECT_EQ(vc->num_rows(), 2u);
 }
 
+// Hash keys are typed tuples, not separator-joined byte strings: these
+// rows used to collide as "a\x1f" "b" == "a" "\x1fb".
+TEST_F(GroupByTest, CompositeKeysDoNotCollideThroughSeparator) {
+  auto a = *Column::MakeString({"a\x1f", "a"}, {}, &tracker_);
+  auto b = *Column::MakeString({"b", "\x1f" "b"}, {}, &tracker_);
+  auto frame = *DataFrame::Make({"a", "b"}, {a, b});
+  auto out = GroupByAgg(frame, {"a", "b"}, {{"a", AggFunc::kCount, "n"}});
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->num_rows(), 2u);
+  auto dedup = DropDuplicates(frame, {"a", "b"});
+  ASSERT_TRUE(dedup.ok());
+  EXPECT_EQ(dedup->num_rows(), 2u);
+}
+
+// A null key cell is its own value, never equal to any string: these rows
+// used to collide as the null marker "\x02N\x03" followed by "\x1fb".
+TEST_F(GroupByTest, NullKeyCellDiffersFromEveryString) {
+  auto a = *Column::MakeString({"", "\x02N\x03"}, {0, 1}, &tracker_);
+  auto b = *Column::MakeString({"\x1f" "b", "b"}, {}, &tracker_);
+  auto frame = *DataFrame::Make({"a", "b"}, {a, b});
+  auto out = GroupByAgg(frame, {"a", "b"}, {{"b", AggFunc::kCount, "n"}});
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->num_rows(), 2u);
+  EXPECT_EQ((*Unique(*a))->size(), 2u);
+}
+
+// pandas' khash rule: double keys compare by value, so -0.0 == 0.0 and
+// every NaN (whatever its payload) is one key.
+TEST_F(GroupByTest, SignedZerosAndNaNsAreOneKey) {
+  auto col = *Column::MakeDouble({0.0, -0.0, 1.0}, {}, &tracker_);
+  auto vc = ValueCounts(*col, "v");
+  ASSERT_TRUE(vc.ok());
+  ASSERT_EQ(vc->num_rows(), 2u);
+  EXPECT_EQ((*vc->column("count"))->IntAt(0), 2);
+  EXPECT_EQ((*Reduce(*col, AggFunc::kNunique)).int_value(), 2);
+
+  const double nan_a = std::nan("");
+  const double nan_b = std::nan("7");
+  auto nans = *Column::MakeDouble({nan_a, -nan_b, 0.0, -0.0}, {}, &tracker_);
+  auto frame = *DataFrame::Make({"k"}, {nans});
+  auto out = GroupByAgg(frame, {"k"}, {{"k", AggFunc::kCount, "n"}});
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->num_rows(), 2u);
+  auto dedup = DropDuplicates(frame, {});
+  ASSERT_TRUE(dedup.ok());
+  EXPECT_EQ(dedup->num_rows(), 2u);
+}
+
+// min/max of a bool column keep the bool dtype (this used to abort on an
+// int append into the bool output column).
+TEST_F(GroupByTest, BoolMinMaxStaysBool) {
+  auto k = *Column::MakeInt({1, 1, 2}, {}, &tracker_);
+  auto b = *Column::MakeBool({1, 0, 1}, {}, &tracker_);
+  auto frame = *DataFrame::Make({"k", "b"}, {k, b});
+  auto out = GroupByAgg(frame, {"k"}, {{"b", AggFunc::kMin, "lo"},
+                                       {"b", AggFunc::kMax, "hi"}});
+  ASSERT_TRUE(out.ok());
+  const Column& lo = **out->column("lo");
+  ASSERT_EQ(lo.type(), DataType::kBool);
+  EXPECT_FALSE(lo.BoolAt(0));
+  EXPECT_TRUE(lo.BoolAt(1));
+  EXPECT_TRUE((*out->column("hi"))->BoolAt(0));
+}
+
 TEST_F(GroupByTest, DescribeSummarizesNumericColumns) {
   auto d = Describe(MakeTrips());
   ASSERT_TRUE(d.ok());

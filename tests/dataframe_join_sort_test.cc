@@ -94,6 +94,54 @@ TEST_F(JoinSortTest, MultiKeyJoin) {
   EXPECT_EQ((*joined->column("w"))->IntAt(0), 7);
 }
 
+// int64 against float64 keys compare by value, as pandas' merge does.
+// Comparing raw bits matched 0 == 0.0 only.
+TEST_F(JoinSortTest, IntKeysMatchDoubleKeysByValue) {
+  auto li = *Column::MakeInt({0, 1, 2}, {}, &tracker_);
+  auto lv = *Column::MakeString({"a", "b", "c"}, {}, &tracker_);
+  auto rd = *Column::MakeDouble({2.0, 1.0, 0.0, 0.5}, {}, &tracker_);
+  auto rv = *Column::MakeInt({20, 10, 0, 5}, {}, &tracker_);
+  auto left = *DataFrame::Make({"k", "l"}, {li, lv});
+  auto right = *DataFrame::Make({"k", "r"}, {rd, rv});
+  auto out = Merge(left, right, {"k"}, JoinType::kInner);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->num_rows(), 3u);
+  EXPECT_EQ((*out->column("k"))->type(), DataType::kInt64);
+  EXPECT_EQ((*out->column("r"))->IntAt(1), 10);
+  auto flipped = Merge(right, left, {"k"}, JoinType::kInner);
+  ASSERT_TRUE(flipped.ok());
+  EXPECT_EQ(flipped->num_rows(), 3u);
+}
+
+TEST_F(JoinSortTest, CompositeKeysDoNotCollideThroughSeparator) {
+  auto la = *Column::MakeString({"a\x1f"}, {}, &tracker_);
+  auto lb = *Column::MakeString({"b"}, {}, &tracker_);
+  auto ra = *Column::MakeString({"a"}, {}, &tracker_);
+  auto rb = *Column::MakeString({"\x1f" "b"}, {}, &tracker_);
+  auto left = *DataFrame::Make({"a", "b"}, {la, lb});
+  auto right = *DataFrame::Make({"a", "b"}, {ra, rb});
+  auto out = Merge(left, right, {"a", "b"}, JoinType::kInner);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->num_rows(), 0u);
+}
+
+// Nulls match nulls; a bool key matches only a bool key.
+TEST_F(JoinSortTest, NullsMatchAndBoolsStayApart) {
+  auto lk = *Column::MakeInt({1, 0}, {1, 0}, &tracker_);
+  auto rk = *Column::MakeDouble({0.0, 1.0}, {0, 1}, &tracker_);
+  auto left = *DataFrame::Make({"k"}, {lk});
+  auto right = *DataFrame::Make({"k"}, {rk});
+  auto out = Merge(left, right, {"k"}, JoinType::kInner);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->num_rows(), 2u);
+  auto lb = *Column::MakeBool({1}, {}, &tracker_);
+  auto ri = *Column::MakeInt({1}, {}, &tracker_);
+  auto bools = Merge(*DataFrame::Make({"k"}, {lb}),
+                     *DataFrame::Make({"k"}, {ri}), {"k"}, JoinType::kInner);
+  ASSERT_TRUE(bools.ok());
+  EXPECT_EQ(bools->num_rows(), 0u);
+}
+
 TEST_F(JoinSortTest, MergeRequiresKeys) {
   DataFrame empty;
   EXPECT_FALSE(Merge(empty, empty, {}, JoinType::kInner).ok());
