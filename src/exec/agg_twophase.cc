@@ -76,10 +76,12 @@ Status GroupByCombiner::AddPartition(const DataFrame& partition) {
   return Status::OK();
 }
 
-Result<DataFrame> GroupByCombiner::PartialAggregate(
-    const DataFrame& partition) const {
-  if (!supported_) return Status::Invalid("nunique is not two-phase");
-  return df::GroupByAgg(partition, keys_, partial_specs_);
+OpDesc GroupByCombiner::PartialOp() const {
+  OpDesc op;
+  op.kind = OpKind::kGroupByAgg;
+  op.columns = keys_;
+  op.aggs = partial_specs_;
+  return op;
 }
 
 Status GroupByCombiner::AddPartial(DataFrame partial) {

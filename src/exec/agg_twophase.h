@@ -6,6 +6,7 @@
 
 #include "dataframe/kahan.h"
 #include "dataframe/ops.h"
+#include "exec/op.h"
 
 namespace lafp::exec {
 
@@ -21,25 +22,21 @@ class GroupByCombiner {
   /// False if some aggregate (nunique) cannot run in two phases.
   bool supported() const { return supported_; }
 
-  /// Partially aggregate one partition and retain the (small) partial.
+  /// Phase one as an ordinary kGroupByAgg over the partial specs: run it
+  /// on each partition wherever the partition lives (a pool worker, a
+  /// shard worker) and fold the outputs with AddPartial.
+  OpDesc PartialOp() const;
+
+  /// Partially aggregate one partition here and retain the partial.
   Status AddPartition(const df::DataFrame& partition);
 
-  /// Phase one alone: partially aggregate a partition without retaining
-  /// it. The shard workers run this remotely and ship the (small) partial
-  /// back; the coordinator folds the results with AddPartial in global
-  /// partition order so the combined output is byte-identical to the
-  /// single-process two-phase path.
-  Result<df::DataFrame> PartialAggregate(const df::DataFrame& partition) const;
-
-  /// Fold a partial produced by PartialAggregate (possibly in another
-  /// process). Order matters: partials must be added in global partition
-  /// order for deterministic first-appearance group ordering.
+  /// Fold the PartialOp output of one partition. Order matters: partials
+  /// must be added in partition order for deterministic first-appearance
+  /// group ordering.
   Status AddPartial(df::DataFrame partial);
 
   /// Combine all partials into the final result. The combiner is spent.
   Result<df::DataFrame> Finish();
-
-  size_t num_partials() const { return partials_.size(); }
 
  private:
   std::vector<std::string> keys_;

@@ -16,6 +16,7 @@
 #include "common/trace.h"
 #include "dataframe/kahan.h"
 #include "exec/agg_twophase.h"
+#include "exec/partitioned.h"
 
 namespace lafp::exec {
 
@@ -75,133 +76,42 @@ class PartitionedFrameStream : public PartitionStream {
   size_t idx_ = 0;
 };
 
-class CsvStream : public PartitionStream {
+/// A scan's partitions, pulled from the scan-unit walker in file order.
+/// Up to `window` decoded units stay resident, like Dask workers that
+/// prefetch blocks for their task pool.
+class ScanStream : public PartitionStream {
  public:
-  // The reader carries the MemoryTracker it was opened with.
-  CsvStream(std::unique_ptr<io::CsvChunkReader> reader, size_t chunk_rows,
-            int64_t overhead_us, size_t prefetch)
-      : reader_(std::move(reader)),
-        chunk_rows_(chunk_rows),
-        overhead_us_(overhead_us),
-        prefetch_(prefetch == 0 ? 1 : prefetch) {}
+  ScanStream(std::unique_ptr<ScanUnits> units, size_t window,
+             int64_t overhead_us)
+      : units_(std::move(units)),
+        window_(window == 0 ? 1 : window),
+        overhead_us_(overhead_us) {}
 
   Result<std::optional<df::DataFrame>> Next() override {
-    // Keep a window of decoded partitions resident, like Dask workers
-    // that prefetch blocks for their task pool.
-    while (!eof_ && buffer_.size() < prefetch_) {
-      if (overhead_us_ > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(overhead_us_));
-      }
-      LAFP_ASSIGN_OR_RETURN(auto chunk, reader_->NextChunk(chunk_rows_));
-      if (!chunk.has_value()) {
+    while (!eof_ && buffer_.size() < window_) {
+      LAFP_ASSIGN_OR_RETURN(std::optional<ScanUnit> unit, units_->Next());
+      if (!unit.has_value()) {
         eof_ = true;
         break;
       }
-      buffer_.push_back(std::move(*chunk));
-      ++emitted_;
-    }
-    if (buffer_.empty()) {
-      // A header-only file yields no chunks. Emit one empty partition
-      // carrying the inferred schema: downstream merges/filters resolve
-      // columns by name and must not see a schemaless frame.
-      if (emitted_ == 0 && !empty_emitted_) {
-        empty_emitted_ = true;
-        LAFP_ASSIGN_OR_RETURN(df::DataFrame empty, reader_->EmptyFrame());
-        return std::optional<df::DataFrame>(std::move(empty));
+      if (overhead_us_ > 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(overhead_us_));
       }
-      return std::optional<df::DataFrame>();
+      LAFP_ASSIGN_OR_RETURN(df::DataFrame part, units_->Read(*unit));
+      buffer_.push_back(std::move(part));
     }
+    if (buffer_.empty()) return std::optional<df::DataFrame>();
     df::DataFrame out = std::move(buffer_.front());
     buffer_.pop_front();
     return std::optional<df::DataFrame>(std::move(out));
   }
 
  private:
-  std::unique_ptr<io::CsvChunkReader> reader_;
-  size_t chunk_rows_;
+  std::unique_ptr<ScanUnits> units_;
+  size_t window_;
   int64_t overhead_us_;
-  size_t prefetch_;
   std::deque<df::DataFrame> buffer_;
-  size_t emitted_ = 0;
-  bool empty_emitted_ = false;
   bool eof_ = false;
-};
-
-class LfcStream : public PartitionStream {
- public:
-  // The reader already carries the MemoryTracker it was opened with, so
-  // the stream needs no tracker of its own.
-  LfcStream(std::unique_ptr<io::LfcReader> reader, io::LfcReadOptions options,
-            int64_t overhead_us)
-      : reader_(std::move(reader)),
-        options_(std::move(options)),
-        overhead_us_(overhead_us),
-        remaining_(options_.nrows == 0 ? std::numeric_limits<uint64_t>::max()
-                                       : options_.nrows) {}
-
-  Result<std::optional<df::DataFrame>> Next() override {
-    if (!resolved_) {
-      LAFP_ASSIGN_OR_RETURN(sel_, reader_->SelectColumns(options_.usecols));
-      resolved_ = true;
-    }
-    // One surviving LFC chunk per partition; pruned chunks still consume
-    // their slice of the nrows quota (matches the eager scan exactly).
-    const bool pruning = options_.prune_enabled && !options_.prune.empty();
-    while (chunk_ < reader_->num_chunks() && remaining_ > 0) {
-      const size_t chunk = chunk_++;
-      const uint64_t take =
-          std::min<uint64_t>(reader_->chunk_rows(chunk), remaining_);
-      remaining_ -= take;
-      if (pruning && !reader_->ChunkMayMatch(chunk, options_.prune)) {
-        continue;
-      }
-      if (overhead_us_ > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(overhead_us_));
-      }
-      ++emitted_;
-      LAFP_ASSIGN_OR_RETURN(
-          df::DataFrame part,
-          reader_->ReadChunk(chunk, sel_, static_cast<size_t>(take)));
-      return std::optional<df::DataFrame>(std::move(part));
-    }
-    if (emitted_ == 0 && !empty_emitted_) {
-      // All chunks pruned (or an empty file): emit one empty partition
-      // carrying the projected schema, like the header-only CSV case.
-      empty_emitted_ = true;
-      LAFP_ASSIGN_OR_RETURN(df::DataFrame empty, reader_->EmptyFrame(sel_));
-      return std::optional<df::DataFrame>(std::move(empty));
-    }
-    return std::optional<df::DataFrame>();
-  }
-
- private:
-  std::unique_ptr<io::LfcReader> reader_;
-  io::LfcReadOptions options_;
-  int64_t overhead_us_;
-  std::vector<size_t> sel_;
-  bool resolved_ = false;
-  size_t chunk_ = 0;
-  uint64_t remaining_;
-  size_t emitted_ = 0;
-  bool empty_emitted_ = false;
-};
-
-class SingleFrameStream : public PartitionStream {
- public:
-  explicit SingleFrameStream(df::DataFrame frame)
-      : frame_(std::move(frame)) {}
-
-  Result<std::optional<df::DataFrame>> Next() override {
-    if (done_) return std::optional<df::DataFrame>();
-    done_ = true;
-    return std::optional<df::DataFrame>(std::move(frame_));
-  }
-
- private:
-  df::DataFrame frame_;
-  bool done_ = false;
 };
 
 }  // namespace
@@ -330,17 +240,6 @@ class DaskEvaluator {
   }
 
  private:
-  Result<std::shared_ptr<PartitionedFrame>> Collect(
-      std::unique_ptr<PartitionStream> stream) {
-    auto out = std::make_shared<PartitionedFrame>();
-    while (true) {
-      LAFP_ASSIGN_OR_RETURN(auto part, stream->Next());
-      if (!part.has_value()) break;
-      out->Add(std::move(*part));
-    }
-    return out;
-  }
-
   /// Collect a node fully into an eager frame (an internal
   /// materialization point: merge broadcast sides, fallback inputs).
   Result<df::DataFrame> CollectEager(const DaskNodePtr& node) {
@@ -399,6 +298,8 @@ class ZoneStream : public PartitionStream {
   std::unordered_map<DaskNode*, bool> zone_;  // nodes evaluated per partition
   std::vector<DaskNodePtr> sources_;
   std::vector<std::unique_ptr<PartitionStream>> source_streams_;
+  /// Per source, the rows of its last pull not yet evaluated.
+  std::vector<std::optional<df::DataFrame>> carry_;
   std::unordered_map<DaskNode*, df::Scalar> scalar_inputs_;
   bool exhausted_ = false;
 };
@@ -412,6 +313,7 @@ Result<std::unique_ptr<PartitionStream>> ZoneStream::Make(
     LAFP_ASSIGN_OR_RETURN(auto s, eval->Stream(src));
     stream->source_streams_.push_back(std::move(s));
   }
+  stream->carry_.resize(stream->sources_.size());
   return std::unique_ptr<PartitionStream>(std::move(stream));
 }
 
@@ -443,15 +345,11 @@ Status ZoneStream::Discover(const DaskNodePtr& node) {
 
 Result<std::optional<df::DataFrame>> ZoneStream::Next() {
   if (exhausted_) return std::optional<df::DataFrame>();
-  std::unordered_map<DaskNode*, df::DataFrame> memo;
   size_t ended = 0;
   for (size_t i = 0; i < sources_.size(); ++i) {
-    LAFP_ASSIGN_OR_RETURN(auto part, source_streams_[i]->Next());
-    if (!part.has_value()) {
-      ++ended;
-      continue;
-    }
-    memo[sources_[i].get()] = std::move(*part);
+    if (carry_[i].has_value()) continue;
+    LAFP_ASSIGN_OR_RETURN(carry_[i], source_streams_[i]->Next());
+    if (!carry_[i].has_value()) ++ended;
   }
   if (ended == sources_.size() || sources_.empty()) {
     exhausted_ = true;
@@ -460,6 +358,23 @@ Result<std::optional<df::DataFrame>> ZoneStream::Next() {
   if (ended > 0) {
     return Status::ExecutionError(
         "misaligned partitioning between fused inputs");
+  }
+  // Sources may partition differently (an LFC scan by its chunk_rows, an
+  // imported frame by partition_rows): evaluate the shortest pull and
+  // carry the other sources' remaining rows into the next one.
+  size_t rows = carry_[0]->num_rows();
+  for (const auto& part : carry_) rows = std::min(rows, part->num_rows());
+  std::unordered_map<DaskNode*, df::DataFrame> memo;
+  for (size_t i = 0; i < sources_.size(); ++i) {
+    df::DataFrame& part = *carry_[i];
+    const size_t have = part.num_rows();
+    if (have == rows) {
+      memo[sources_[i].get()] = std::move(part);
+      carry_[i].reset();
+      continue;
+    }
+    LAFP_ASSIGN_OR_RETURN(memo[sources_[i].get()], part.SliceRows(0, rows));
+    LAFP_ASSIGN_OR_RETURN(carry_[i], part.SliceRows(rows, have - rows));
   }
   LAFP_ASSIGN_OR_RETURN(df::DataFrame out, EvalRec(root_, &memo));
   return std::optional<df::DataFrame>(std::move(out));
@@ -546,21 +461,18 @@ Result<std::unique_ptr<PartitionStream>> DaskEvaluator::StreamInner(
     const DaskNodePtr& node) {
   const OpDesc& desc = node->desc;
   switch (desc.kind) {
-    case OpKind::kReadCsv: {
-      LAFP_ASSIGN_OR_RETURN(
-          auto reader,
-          io::CsvChunkReader::Open(desc.path, desc.csv_options, tracker_));
-      return std::unique_ptr<PartitionStream>(std::make_unique<CsvStream>(
-          std::move(reader), backend_->config().partition_rows,
-          backend_->config().task_overhead_us,
-          backend_->config().prefetch_partitions));
-    }
+    case OpKind::kReadCsv:
     case OpKind::kReadLfc: {
-      LAFP_ASSIGN_OR_RETURN(auto reader,
-                            io::LfcReader::Open(desc.path, tracker_));
-      return std::unique_ptr<PartitionStream>(std::make_unique<LfcStream>(
-          std::move(reader), desc.lfc_options,
-          backend_->config().task_overhead_us));
+      const BackendConfig& config = backend_->config();
+      LAFP_ASSIGN_OR_RETURN(
+          auto units, ScanUnits::Open(desc, config.partition_rows, tracker_));
+      // CSV ranges parse ahead within the prefetch window; LFC chunks
+      // decode from the mapping one at a time.
+      const size_t window = desc.kind == OpKind::kReadCsv
+                                ? config.prefetch_partitions
+                                : 1;
+      return std::unique_ptr<PartitionStream>(std::make_unique<ScanStream>(
+          std::move(units), window, config.task_overhead_us));
     }
     case OpKind::kGroupByAgg: {
       GroupByCombiner combiner(desc.columns, desc.aggs);

@@ -24,12 +24,6 @@ Result<df::DataFrame> Partition::Load(MemoryTracker* tracker) const {
   return ReadSpillFile(spill_path_, tracker);
 }
 
-size_t PartitionedFrame::num_rows() const {
-  size_t total = 0;
-  for (const auto& p : partitions_) total += p->num_rows();
-  return total;
-}
-
 Status PartitionedFrame::SpillAll(const std::string& dir,
                                   const std::string& name_prefix) {
   for (size_t i = 0; i < partitions_.size(); ++i) {

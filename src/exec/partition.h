@@ -48,7 +48,8 @@ class PartitionedFrame {
   }
 
   size_t num_partitions() const { return partitions_.size(); }
-  size_t num_rows() const;
+  /// Rows of partition `i`.
+  size_t num_rows(size_t i) const { return partitions_[i]->num_rows(); }
 
   Result<df::DataFrame> partition(size_t i, MemoryTracker* tracker) const {
     return partitions_[i]->Load(tracker);

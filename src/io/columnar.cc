@@ -916,40 +916,22 @@ Result<df::DataFrame> LfcReader::EmptyFrame(
   return df::DataFrame::Make(std::move(names), std::move(cols));
 }
 
-Result<df::DataFrame> ReadLfcFile(const std::string& path,
-                                  const LfcReadOptions& options,
-                                  MemoryTracker* tracker,
-                                  LfcReadStats* stats) {
-  trace::Span span("lfc:read", "io");
-  static auto* lfc_reads =
-      metrics::Registry::Global()->GetCounter("lfc.reads");
+std::vector<LfcSlice> LfcReader::Slices(const LfcReadOptions& options,
+                                        LfcReadStats* stats) const {
+  trace::Span span("lfc:slices", "io");
   static auto* lfc_skipped =
       metrics::Registry::Global()->GetCounter("lfc.chunks_skipped");
-  lfc_reads->Increment();
-  LAFP_ASSIGN_OR_RETURN(auto reader, LfcReader::Open(path, tracker));
-  LAFP_ASSIGN_OR_RETURN(std::vector<size_t> sel,
-                        reader->SelectColumns(options.usecols));
-
-  // Pick the surviving (chunk, take) slices. A pruned chunk still
-  // consumes its share of the nrows quota so that the pruned scan is
-  // exactly Filter-equivalent to the unpruned scan's first-nrows rows.
   const bool pruning = options.prune_enabled && !options.prune.empty();
-  struct Slice {
-    size_t chunk;
-    uint64_t take;
-  };
-  std::vector<Slice> slices;
+  std::vector<LfcSlice> slices;
   uint64_t remaining = options.nrows == 0
                            ? std::numeric_limits<uint64_t>::max()
                            : options.nrows;
   size_t total = 0, skipped = 0;
-  for (size_t chunk = 0; chunk < reader->num_chunks(); ++chunk) {
-    if (remaining == 0) break;
-    const uint64_t take =
-        std::min<uint64_t>(reader->chunk_rows(chunk), remaining);
+  for (size_t chunk = 0; chunk < num_chunks() && remaining > 0; ++chunk) {
+    const uint64_t take = std::min<uint64_t>(chunk_rows_[chunk], remaining);
     remaining -= take;
     ++total;
-    if (pruning && !reader->ChunkMayMatch(chunk, options.prune)) {
+    if (pruning && !ChunkMayMatch(chunk, options.prune)) {
       ++skipped;
       continue;
     }
@@ -964,11 +946,26 @@ Result<df::DataFrame> ReadLfcFile(const std::string& path,
     span.AddArg("chunks", static_cast<int64_t>(total));
     span.AddArg("skipped", static_cast<int64_t>(skipped));
   }
+  return slices;
+}
+
+Result<df::DataFrame> ReadLfcFile(const std::string& path,
+                                  const LfcReadOptions& options,
+                                  MemoryTracker* tracker,
+                                  LfcReadStats* stats) {
+  trace::Span span("lfc:read", "io");
+  static auto* lfc_reads =
+      metrics::Registry::Global()->GetCounter("lfc.reads");
+  lfc_reads->Increment();
+  LAFP_ASSIGN_OR_RETURN(auto reader, LfcReader::Open(path, tracker));
+  LAFP_ASSIGN_OR_RETURN(std::vector<size_t> sel,
+                        reader->SelectColumns(options.usecols));
+  const std::vector<LfcSlice> slices = reader->Slices(options, stats);
 
   if (slices.empty()) return reader->EmptyFrame(sel);
   if (slices.size() == 1) {
     return reader->ReadChunk(slices[0].chunk, sel,
-                             static_cast<size_t>(slices[0].take));
+                             static_cast<size_t>(slices[0].rows));
   }
   // Multi-chunk assembly: one pass per column over the surviving
   // slices, one allocation per column.
@@ -980,10 +977,10 @@ Result<df::DataFrame> ReadLfcFile(const std::string& path,
         built, [&]() -> Result<df::ColumnPtr> {
           ColumnAssembly a;
           const ColumnEntry& col = reader->impl_->cols[idx];
-          for (const Slice& s : slices) {
+          for (const LfcSlice& s : slices) {
             LAFP_RETURN_NOT_OK(DecodeChunkInto(path, col,
                                                col.chunks[s.chunk],
-                                               reader->impl_->base(), s.take,
+                                               reader->impl_->base(), s.rows,
                                                &a));
           }
           return FinishAssembly(col, std::move(a), tracker);

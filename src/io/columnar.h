@@ -67,6 +67,12 @@ struct LfcReadStats {
   size_t chunks_skipped = 0;  // zone-map pruned
 };
 
+/// One chunk a scan decodes: its first `rows` rows.
+struct LfcSlice {
+  size_t chunk = 0;
+  uint64_t rows = 0;
+};
+
 /// Per-chunk zone map. `has_bounds` is false when the chunk holds no
 /// valid, non-NaN value (then no comparison against a non-null scalar
 /// can match) and always for dictionary-encoded columns (their pruning
@@ -148,6 +154,16 @@ class LfcReader {
   /// the compare kernel would reject) conservatively return true.
   bool ChunkMayMatch(size_t chunk,
                      const std::vector<LfcPredicate>& prune) const;
+
+  /// The slice rule of every LFC scan, eager or partitioned: the chunks
+  /// inside the `nrows` window that may match `options.prune`, in file
+  /// order, each cut to its share of the quota. A pruned chunk still
+  /// consumes its share, so a pruned scan is exactly Filter of the
+  /// unpruned scan's first `nrows` rows. Adds the pruned chunks to the
+  /// `lfc.chunks_skipped` counter and records the counts on an
+  /// `lfc:slices` span; `stats`, when non-null, receives them too.
+  std::vector<LfcSlice> Slices(const LfcReadOptions& options,
+                               LfcReadStats* stats = nullptr) const;
 
   /// Decode the first `limit` rows (0 = all) of `chunk`, projected to
   /// `col_idxs` (file-order indexes from SelectColumns).

@@ -15,8 +15,6 @@
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "dataframe/ops.h"
-#include "exec/agg_twophase.h"
 #include "exec/partition.h"
 #include "exec/spill.h"
 #include "shard/worker.h"
@@ -28,7 +26,6 @@ namespace {
 using exec::BackendValue;
 using exec::EagerValue;
 using exec::OpDesc;
-using exec::OpKind;
 
 /// Upper bound on worker processes; LAFP_SHARDS beyond this clamps.
 constexpr int kMaxShards = 64;
@@ -40,9 +37,7 @@ class ShardFrame : public exec::BackendFrame {
  public:
   ShardFrame(std::shared_ptr<Cluster> cluster,
              std::vector<ShardPartition> parts)
-      : cluster_(std::move(cluster)), parts_(std::move(parts)) {
-    for (const auto& p : parts_) rows_ += p.rows;
-  }
+      : cluster_(std::move(cluster)), parts_(std::move(parts)) {}
   ~ShardFrame() override {
     for (const auto& p : parts_) {
       cluster_->QueueFree(p.worker, p.generation, p.handle);
@@ -50,16 +45,28 @@ class ShardFrame : public exec::BackendFrame {
   }
 
   const std::vector<ShardPartition>& parts() const { return parts_; }
-  uint64_t num_rows() const { return rows_; }
 
  private:
   std::shared_ptr<Cluster> cluster_;
   std::vector<ShardPartition> parts_;
-  uint64_t rows_ = 0;
 };
 
-Result<const ShardFrame*> PartsOf(const BackendValue& value) {
-  auto* wrapped = dynamic_cast<ShardFrame*>(value.frame.get());
+/// A broadcast input: one copy of a frame on each worker it runs beside,
+/// one entry per worker in parts().
+class ShardBroadcast : public ShardFrame {
+ public:
+  using ShardFrame::ShardFrame;
+
+  uint64_t HandleOn(int worker) const {
+    for (const auto& c : parts()) {
+      if (c.worker == worker) return c.handle;
+    }
+    return 0;
+  }
+};
+
+Result<const ShardFrame*> PartsOf(const exec::BackendFrame& frame) {
+  auto* wrapped = dynamic_cast<const ShardFrame*>(&frame);
   if (wrapped == nullptr) {
     return Status::Invalid("foreign frame handle passed to shard backend");
   }
@@ -77,12 +84,22 @@ Result<uint64_t> RowsOfOkReply(const Message& reply) {
   return rows;
 }
 
-Result<std::string_view> FrameBytesOfReply(const Message& reply) {
-  if (reply.type != MsgType::kFrameData) {
-    return Status::IOError("shard: expected frame data, got reply type " +
-                           std::to_string(static_cast<uint32_t>(reply.type)));
+/// Decodes kFrameData replies, in order.
+Result<std::vector<df::DataFrame>> FramesOfReplies(
+    const std::vector<Message>& replies, MemoryTracker* tracker) {
+  std::vector<df::DataFrame> frames;
+  frames.reserve(replies.size());
+  for (const auto& reply : replies) {
+    if (reply.type != MsgType::kFrameData) {
+      return Status::IOError(
+          "shard: expected frame data, got reply type " +
+          std::to_string(static_cast<uint32_t>(reply.type)));
+    }
+    LAFP_ASSIGN_OR_RETURN(df::DataFrame frame,
+                          exec::DeserializeFrame(reply.payload, tracker));
+    frames.push_back(std::move(frame));
   }
-  return std::string_view(reply.payload);
+  return frames;
 }
 
 metrics::Counter* CallCounter() {
@@ -273,13 +290,15 @@ void Cluster::FlushFrees() {
 
 ShardBackend::ShardBackend(MemoryTracker* tracker,
                            const exec::BackendConfig& config)
-    : Backend(tracker, config) {}
+    : PartitionedBackend(tracker, config) {
+  // Fork the workers before the session starts threads of its own: a
+  // child forked while another thread holds an allocator lock inherits it
+  // locked. glibc's malloc guards against that; ASan's allocator does
+  // not. A failed spawn is retried, and reported, by the first Execute.
+  (void)EnsureCluster();
+}
 
 ShardBackend::~ShardBackend() = default;
-
-bool ShardBackend::SupportsOp(const OpDesc& desc) const {
-  return desc.kind != OpKind::kPrint;
-}
 
 Status ShardBackend::EnsureCluster() {
   if (cluster_ != nullptr) return Status::OK();
@@ -364,6 +383,17 @@ Status ShardBackend::RunCalls(const std::vector<WorkerCall>& calls,
   return Status::OK();
 }
 
+Result<std::vector<Message>> ShardBackend::RunAll(
+    const std::vector<WorkerCall>& calls) {
+  std::vector<Message> replies;
+  std::vector<Status> statuses;
+  LAFP_RETURN_NOT_OK(RunCalls(calls, &replies, &statuses));
+  for (const Status& s : statuses) {
+    if (!s.ok()) return s;
+  }
+  return replies;
+}
+
 Status ShardBackend::ValidateLive(
     const std::vector<ShardPartition>& parts) const {
   for (const auto& p : parts) {
@@ -384,26 +414,24 @@ Result<BackendValue> ShardBackend::Execute(
   if (span.active()) span.AddArg("op", desc.ToString());
   LAFP_RETURN_NOT_OK(EnsureCluster());
   cluster_->FlushFrees();
-  switch (desc.kind) {
-    case OpKind::kReadCsv:
-    case OpKind::kReadLfc:
-      return ExecuteScan(desc);
-    case OpKind::kGroupByAgg:
-      return ExecuteGroupBy(desc, inputs[0]);
-    case OpKind::kReduce:
-    case OpKind::kLen:
-      return ExecuteReduce(desc, inputs[0]);
-    case OpKind::kMerge:
-      return ExecuteMerge(desc, inputs[0], inputs[1]);
-    default:
-      if (exec::Traits(desc.kind).Is(exec::OpTraits::kMap)) {
-        return ExecuteMapOp(desc, inputs);
-      }
-      return ExecuteViaGather(desc, inputs);
-  }
+  return ExecutePartitioned(desc, inputs);
 }
 
-Result<BackendValue> ShardBackend::ExecuteScan(const OpDesc& desc) {
+Result<EagerValue> ShardBackend::Materialize(const BackendValue& value) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (cluster_ == nullptr) {
+    return Status::Invalid("shard: materialize without a worker cluster");
+  }
+  return MaterializePartitioned(value);
+}
+
+Result<BackendValue> ShardBackend::FromEager(const EagerValue& value) {
+  std::lock_guard<std::mutex> lock(mu_);
+  LAFP_RETURN_NOT_OK(EnsureCluster());
+  return FromEagerPartitioned(value);
+}
+
+Result<exec::BackendFramePtr> ShardBackend::Scan(const OpDesc& desc) {
   const int nw = cluster_->num_workers();
   for (int w = 0; w < nw; ++w) {
     LAFP_RETURN_NOT_OK(cluster_->EnsureAlive(w));
@@ -431,12 +459,8 @@ Result<BackendValue> ShardBackend::ExecuteScan(const OpDesc& desc) {
     RetryCounter()->Increment();
     Status respawn = cluster_->EnsureAlive(w);
     if (!respawn.ok()) return statuses[i];
-    std::vector<Message> retry_replies;
-    std::vector<Status> retry_statuses;
-    LAFP_RETURN_NOT_OK(
-        RunCalls({make_call(w)}, &retry_replies, &retry_statuses));
-    if (!retry_statuses[0].ok()) return retry_statuses[0];
-    replies[i] = std::move(retry_replies[0]);
+    LAFP_ASSIGN_OR_RETURN(std::vector<Message> retry, RunAll({make_call(w)}));
+    replies[i] = std::move(retry[0]);
     statuses[i] = Status::OK();
   }
   uint64_t total = 0;
@@ -484,302 +508,111 @@ Result<BackendValue> ShardBackend::ExecuteScan(const OpDesc& desc) {
                                     std::to_string(g) + " was never claimed");
     }
   }
-  return BackendValue::Frame(
+  return exec::BackendFramePtr(
       std::make_shared<ShardFrame>(cluster_, std::move(parts)));
 }
 
-Result<BackendValue> ShardBackend::ExecuteMapOp(
-    const OpDesc& desc, const std::vector<BackendValue>& inputs) {
-  LAFP_ASSIGN_OR_RETURN(const ShardFrame* primary, PartsOf(inputs[0]));
-  LAFP_RETURN_NOT_OK(ValidateLive(primary->parts()));
-  const ShardFrame* secondary = nullptr;
-  df::Scalar runtime_scalar;
-  bool second_is_scalar = false;
-  if (inputs.size() > 1) {
-    if (inputs[1].is_scalar) {
-      second_is_scalar = true;
-      runtime_scalar = inputs[1].scalar;
-    } else {
-      LAFP_ASSIGN_OR_RETURN(secondary, PartsOf(inputs[1]));
-      const auto& pp = primary->parts();
-      const auto& sp = secondary->parts();
-      bool aligned = pp.size() == sp.size();
-      for (size_t i = 0; aligned && i < pp.size(); ++i) {
-        aligned = pp[i].worker == sp[i].worker &&
-                  pp[i].generation == sp[i].generation;
-      }
-      if (!aligned) {
-        // Misaligned partitioning (e.g. one side re-scattered after a
-        // fallback): gather-and-run is the correctness path.
-        return ExecuteViaGather(desc, inputs);
-      }
-      LAFP_RETURN_NOT_OK(ValidateLive(sp));
-    }
+Result<std::vector<Message>> ShardBackend::ExecOnPartitions(
+    const OpDesc& desc, const std::vector<BackendValue>& inputs,
+    std::vector<uint64_t>* out_handles) {
+  LAFP_ASSIGN_OR_RETURN(const ShardFrame* primary, PartsOf(*inputs[0].frame));
+  // Resolve every frame input once: an aligned frame feeds partition i to
+  // partition i, a broadcast feeds the copy on the partition's worker.
+  std::vector<const ShardFrame*> frames(inputs.size(), nullptr);
+  std::vector<const ShardBroadcast*> copies(inputs.size(), nullptr);
+  for (size_t j = 0; j < inputs.size(); ++j) {
+    if (inputs[j].is_scalar) continue;
+    LAFP_ASSIGN_OR_RETURN(frames[j], PartsOf(*inputs[j].frame));
+    LAFP_RETURN_NOT_OK(ValidateLive(frames[j]->parts()));
+    copies[j] = dynamic_cast<const ShardBroadcast*>(frames[j]);
   }
+  WireWriter op;
+  EncodeOpDesc(desc, &op);
+  const std::string op_bytes(op.Take());
   const auto& pp = primary->parts();
   std::vector<WorkerCall> calls;
-  std::vector<uint64_t> out_handles;
   calls.reserve(pp.size());
   for (size_t i = 0; i < pp.size(); ++i) {
-    const uint64_t out = cluster_->NextHandle();
-    out_handles.push_back(out);
+    const uint64_t out = out_handles != nullptr ? cluster_->NextHandle() : 0;
+    if (out_handles != nullptr) out_handles->push_back(out);
     WireWriter payload;
-    EncodeOpDesc(desc, &payload);
+    payload.Raw(op_bytes);
     payload.U64(out);
-    uint32_t ninputs = 1;
-    if (secondary != nullptr || second_is_scalar) ninputs = 2;
-    payload.U32(ninputs);
-    payload.U8(0);
-    payload.U64(pp[i].handle);
-    if (secondary != nullptr) {
+    payload.U32(static_cast<uint32_t>(inputs.size()));
+    for (size_t j = 0; j < inputs.size(); ++j) {
+      if (inputs[j].is_scalar) {
+        payload.U8(1);
+        EncodeScalar(inputs[j].scalar, &payload);
+        continue;
+      }
       payload.U8(0);
-      payload.U64(secondary->parts()[i].handle);
-    } else if (second_is_scalar) {
-      payload.U8(1);
-      EncodeScalar(runtime_scalar, &payload);
+      payload.U64(copies[j] != nullptr ? copies[j]->HandleOn(pp[i].worker)
+                                       : frames[j]->parts()[i].handle);
     }
     calls.push_back({pp[i].worker, MsgType::kExecOp, payload.Take()});
   }
-  std::vector<Message> replies;
-  std::vector<Status> statuses;
-  Status run = RunCalls(calls, &replies, &statuses);
-  auto free_outputs = [&] {
-    for (size_t i = 0; i < out_handles.size(); ++i) {
-      cluster_->QueueFree(pp[i].worker, pp[i].generation, out_handles[i]);
-    }
-  };
-  if (!run.ok()) {
-    free_outputs();
-    return run;
-  }
-  for (const Status& s : statuses) {
-    if (!s.ok()) {
-      free_outputs();
-      return s;
+  Result<std::vector<Message>> replies = RunAll(calls);
+  if (!replies.ok() && out_handles != nullptr) {
+    for (size_t i = 0; i < pp.size(); ++i) {
+      cluster_->QueueFree(pp[i].worker, pp[i].generation, (*out_handles)[i]);
     }
   }
+  return replies;
+}
+
+Result<exec::BackendFramePtr> ShardBackend::RunKeep(
+    const OpDesc& desc, const std::vector<BackendValue>& inputs) {
+  std::vector<uint64_t> handles;
+  LAFP_ASSIGN_OR_RETURN(std::vector<Message> replies,
+                        ExecOnPartitions(desc, inputs, &handles));
+  LAFP_ASSIGN_OR_RETURN(const ShardFrame* primary, PartsOf(*inputs[0].frame));
+  const auto& pp = primary->parts();
   std::vector<ShardPartition> out_parts;
   out_parts.reserve(pp.size());
+  Status parsed;
   for (size_t i = 0; i < pp.size(); ++i) {
-    LAFP_ASSIGN_OR_RETURN(uint64_t rows, RowsOfOkReply(replies[i]));
-    out_parts.push_back(
-        {rows, pp[i].worker, pp[i].generation, out_handles[i]});
+    Result<uint64_t> rows = RowsOfOkReply(replies[i]);
+    if (!rows.ok() && parsed.ok()) parsed = rows.status();
+    out_parts.push_back({rows.ok() ? *rows : 0, pp[i].worker,
+                         pp[i].generation, handles[i]});
   }
-  return BackendValue::Frame(
-      std::make_shared<ShardFrame>(cluster_, std::move(out_parts)));
+  // Built before the check, so a bad reply still frees every output.
+  auto out = std::make_shared<ShardFrame>(cluster_, std::move(out_parts));
+  LAFP_RETURN_NOT_OK(parsed);
+  return exec::BackendFramePtr(std::move(out));
 }
 
-Result<BackendValue> ShardBackend::ExecuteGroupBy(const OpDesc& desc,
-                                                  const BackendValue& input) {
-  LAFP_ASSIGN_OR_RETURN(const ShardFrame* frame, PartsOf(input));
-  exec::GroupByCombiner combiner(desc.columns, desc.aggs);
-  if (!combiner.supported()) {
-    // nunique does not decompose into partials; gather and run whole.
-    return ExecuteViaGather(desc, {input});
-  }
-  LAFP_RETURN_NOT_OK(ValidateLive(frame->parts()));
-  std::vector<WorkerCall> calls;
-  for (const auto& p : frame->parts()) {
-    WireWriter payload;
-    payload.U64(p.handle);
-    payload.U32(static_cast<uint32_t>(desc.columns.size()));
-    for (const auto& k : desc.columns) payload.Str(k);
-    payload.U32(static_cast<uint32_t>(desc.aggs.size()));
-    for (const auto& a : desc.aggs) {
-      payload.Str(a.column);
-      payload.U8(static_cast<uint8_t>(a.func));
-      payload.Str(a.out_name);
-    }
-    calls.push_back({p.worker, MsgType::kGroupByPartial, payload.Take()});
-  }
-  std::vector<Message> replies;
-  std::vector<Status> statuses;
-  LAFP_RETURN_NOT_OK(RunCalls(calls, &replies, &statuses));
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  // Fold partials in global partition order: first-appearance group order
-  // (and therefore bytes) matches the single-process two-phase path.
-  for (const auto& reply : replies) {
-    LAFP_ASSIGN_OR_RETURN(std::string_view bytes, FrameBytesOfReply(reply));
-    LAFP_ASSIGN_OR_RETURN(df::DataFrame partial,
-                          exec::DeserializeFrame(bytes, tracker_));
-    LAFP_RETURN_NOT_OK(combiner.AddPartial(std::move(partial)));
-  }
-  LAFP_ASSIGN_OR_RETURN(df::DataFrame result, combiner.Finish());
-  return ScatterFrame(result);
-}
-
-Result<BackendValue> ShardBackend::ExecuteReduce(const OpDesc& desc,
-                                                 const BackendValue& input) {
-  LAFP_ASSIGN_OR_RETURN(const ShardFrame* frame, PartsOf(input));
-  if (desc.kind == OpKind::kLen) {
-    return BackendValue::FromScalar(
-        df::Scalar::Int(static_cast<int64_t>(frame->num_rows())));
-  }
-  LAFP_RETURN_NOT_OK(ValidateLive(frame->parts()));
-  LAFP_ASSIGN_OR_RETURN(std::vector<df::DataFrame> parts,
-                        GatherParts(frame->parts()));
-  exec::ReduceCombiner combiner(desc.agg_func);
-  for (const auto& part : parts) {
-    LAFP_RETURN_NOT_OK(combiner.AddPartition(part));
-  }
-  LAFP_ASSIGN_OR_RETURN(df::Scalar out, combiner.Finish());
-  return BackendValue::FromScalar(std::move(out));
-}
-
-Result<BackendValue> ShardBackend::ExecuteMerge(const OpDesc& desc,
-                                                const BackendValue& left,
-                                                const BackendValue& right) {
-  LAFP_ASSIGN_OR_RETURN(const ShardFrame* lframe, PartsOf(left));
-  LAFP_RETURN_NOT_OK(ValidateLive(lframe->parts()));
-  // Broadcast join: the right side is gathered whole and shipped once to
-  // every worker holding a left partition.
-  LAFP_ASSIGN_OR_RETURN(EagerValue right_full, MaterializeLocked(right));
-  if (right_full.is_scalar) {
-    return Status::Invalid("shard: merge right side must be a frame");
-  }
-  LAFP_ASSIGN_OR_RETURN(std::string right_bytes,
-                        exec::SerializeFrame(right_full.frame));
-  const auto& pp = lframe->parts();
-  std::vector<int> bcast_workers;
-  std::vector<uint64_t> bcast_handles(static_cast<size_t>(kMaxShards), 0);
-  std::vector<WorkerCall> puts;
-  for (const auto& p : pp) {
-    if (bcast_handles[static_cast<size_t>(p.worker)] != 0) continue;
-    const uint64_t handle = cluster_->NextHandle();
-    bcast_handles[static_cast<size_t>(p.worker)] = handle;
-    bcast_workers.push_back(p.worker);
-    WireWriter payload;
-    payload.U64(handle);
-    payload.Raw(right_bytes);
-    puts.push_back({p.worker, MsgType::kPutFrame, payload.Take()});
-  }
-  std::vector<Message> replies;
-  std::vector<Status> statuses;
-  auto free_broadcasts = [&] {
-    for (int w : bcast_workers) {
-      cluster_->QueueFree(w, cluster_->generation(w),
-                          bcast_handles[static_cast<size_t>(w)]);
-    }
-  };
-  Status run = RunCalls(puts, &replies, &statuses);
-  if (!run.ok()) {
-    free_broadcasts();
-    return run;
-  }
-  for (const Status& s : statuses) {
-    if (!s.ok()) {
-      free_broadcasts();
-      return s;
-    }
-  }
-  std::vector<WorkerCall> joins;
-  std::vector<uint64_t> out_handles;
-  for (const auto& p : pp) {
-    const uint64_t out = cluster_->NextHandle();
-    out_handles.push_back(out);
-    WireWriter payload;
-    EncodeOpDesc(desc, &payload);
-    payload.U64(out);
-    payload.U32(2);
-    payload.U8(0);
-    payload.U64(p.handle);
-    payload.U8(0);
-    payload.U64(bcast_handles[static_cast<size_t>(p.worker)]);
-    joins.push_back({p.worker, MsgType::kExecOp, payload.Take()});
-  }
-  run = RunCalls(joins, &replies, &statuses);
-  free_broadcasts();  // the broadcast copies are dead weight either way
-  auto free_outputs = [&] {
-    for (size_t i = 0; i < out_handles.size(); ++i) {
-      cluster_->QueueFree(pp[i].worker, pp[i].generation, out_handles[i]);
-    }
-  };
-  if (!run.ok()) {
-    free_outputs();
-    return run;
-  }
-  for (const Status& s : statuses) {
-    if (!s.ok()) {
-      free_outputs();
-      return s;
-    }
-  }
-  std::vector<ShardPartition> out_parts;
-  for (size_t i = 0; i < pp.size(); ++i) {
-    LAFP_ASSIGN_OR_RETURN(uint64_t rows, RowsOfOkReply(replies[i]));
-    out_parts.push_back(
-        {rows, pp[i].worker, pp[i].generation, out_handles[i]});
-  }
-  return BackendValue::Frame(
-      std::make_shared<ShardFrame>(cluster_, std::move(out_parts)));
-}
-
-Result<BackendValue> ShardBackend::ExecuteViaGather(
+Result<std::vector<df::DataFrame>> ShardBackend::RunReturn(
     const OpDesc& desc, const std::vector<BackendValue>& inputs) {
-  // Ops outside the distributed vocabulary (sorts, dedup, concat, head,
-  // describe, ...) gather to the coordinator and run the eager kernel,
-  // preserving the engine's fallback semantics bit for bit.
-  std::vector<EagerValue> eager_inputs;
-  for (const auto& in : inputs) {
-    LAFP_ASSIGN_OR_RETURN(EagerValue v, MaterializeLocked(in));
-    eager_inputs.push_back(std::move(v));
-  }
-  LAFP_ASSIGN_OR_RETURN(EagerValue out,
-                        exec::ExecuteEagerOp(desc, eager_inputs, tracker_));
-  return FromEagerLocked(out);
+  LAFP_ASSIGN_OR_RETURN(std::vector<Message> replies,
+                        ExecOnPartitions(desc, inputs, nullptr));
+  return FramesOfReplies(replies, tracker_);
 }
 
-Result<std::vector<df::DataFrame>> ShardBackend::GatherParts(
-    const std::vector<ShardPartition>& parts) {
+Result<std::vector<df::DataFrame>> ShardBackend::Fetch(
+    const exec::BackendFrame& frame) {
+  LAFP_ASSIGN_OR_RETURN(const ShardFrame* sharded, PartsOf(frame));
+  LAFP_RETURN_NOT_OK(ValidateLive(sharded->parts()));
   std::vector<WorkerCall> calls;
-  for (const auto& p : parts) {
+  for (const auto& p : sharded->parts()) {
     WireWriter payload;
     payload.U64(p.handle);
     calls.push_back({p.worker, MsgType::kGetFrame, payload.Take()});
   }
-  std::vector<Message> replies;
-  std::vector<Status> statuses;
-  LAFP_RETURN_NOT_OK(RunCalls(calls, &replies, &statuses));
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  std::vector<df::DataFrame> frames;
-  frames.reserve(parts.size());
-  for (const auto& reply : replies) {
-    LAFP_ASSIGN_OR_RETURN(std::string_view bytes, FrameBytesOfReply(reply));
-    LAFP_ASSIGN_OR_RETURN(df::DataFrame frame,
-                          exec::DeserializeFrame(bytes, tracker_));
-    frames.push_back(std::move(frame));
-  }
-  return frames;
+  LAFP_ASSIGN_OR_RETURN(std::vector<Message> replies, RunAll(calls));
+  return FramesOfReplies(replies, tracker_);
 }
 
-Result<EagerValue> ShardBackend::MaterializeLocked(const BackendValue& value) {
-  if (value.is_scalar) return EagerValue::FromScalar(value.scalar);
-  LAFP_ASSIGN_OR_RETURN(const ShardFrame* frame, PartsOf(value));
-  LAFP_RETURN_NOT_OK(ValidateLive(frame->parts()));
-  LAFP_ASSIGN_OR_RETURN(std::vector<df::DataFrame> frames,
-                        GatherParts(frame->parts()));
-  // Mirror PartitionedFrame::ToEager: a single partition passes through,
-  // several concatenate — byte-identical to the other backends.
-  if (frames.size() == 1) return EagerValue::Frame(std::move(frames[0]));
-  LAFP_ASSIGN_OR_RETURN(df::DataFrame whole, df::Concat(frames));
-  return EagerValue::Frame(std::move(whole));
-}
-
-Result<BackendValue> ShardBackend::ScatterFrame(const df::DataFrame& frame) {
+Result<exec::BackendFramePtr> ShardBackend::Place(const df::DataFrame& frame) {
   LAFP_ASSIGN_OR_RETURN(
       exec::PartitionedFrame chunks,
       exec::PartitionedFrame::FromEager(frame, config_.partition_rows));
   const int nw = cluster_->num_workers();
-  const size_t np = chunks.num_partitions();
   std::vector<WorkerCall> calls;
   std::vector<ShardPartition> parts;
-  for (size_t i = 0; i < np; ++i) {
-    // Same placement rule as scans (global index mod N), so re-scattered
-    // frames stay aligned with scanned frames of equal geometry.
+  for (size_t i = 0; i < chunks.num_partitions(); ++i) {
+    // Same placement rule as scans (global index mod N), so placed frames
+    // stay colocated with scanned frames of equal geometry.
     const int w = static_cast<int>(i % static_cast<size_t>(nw));
     LAFP_RETURN_NOT_OK(cluster_->EnsureAlive(w));
     LAFP_ASSIGN_OR_RETURN(df::DataFrame chunk, chunks.partition(i, tracker_));
@@ -791,12 +624,8 @@ Result<BackendValue> ShardBackend::ScatterFrame(const df::DataFrame& frame) {
     calls.push_back({w, MsgType::kPutFrame, payload.Take()});
     parts.push_back({chunk.num_rows(), w, cluster_->generation(w), handle});
   }
-  std::vector<Message> replies;
-  std::vector<Status> statuses;
-  LAFP_RETURN_NOT_OK(RunCalls(calls, &replies, &statuses));
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
+  auto out = std::make_shared<ShardFrame>(cluster_, parts);
+  LAFP_ASSIGN_OR_RETURN(std::vector<Message> replies, RunAll(calls));
   for (size_t i = 0; i < parts.size(); ++i) {
     LAFP_ASSIGN_OR_RETURN(uint64_t rows, RowsOfOkReply(replies[i]));
     if (rows != parts[i].rows) {
@@ -804,34 +633,56 @@ Result<BackendValue> ShardBackend::ScatterFrame(const df::DataFrame& frame) {
           "shard: scatter round-trip changed a partition's row count");
     }
   }
-  return BackendValue::Frame(
-      std::make_shared<ShardFrame>(cluster_, std::move(parts)));
+  return exec::BackendFramePtr(std::move(out));
 }
 
-Result<EagerValue> ShardBackend::Materialize(const BackendValue& value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (cluster_ == nullptr) {
-    return Status::Invalid("shard: materialize before any execution");
+Result<exec::BackendFramePtr> ShardBackend::Broadcast(
+    const df::DataFrame& frame, const exec::BackendFrame& alongside) {
+  LAFP_ASSIGN_OR_RETURN(const ShardFrame* sharded, PartsOf(alongside));
+  LAFP_RETURN_NOT_OK(ValidateLive(sharded->parts()));
+  // Serialized once, shipped once to each distinct worker.
+  LAFP_ASSIGN_OR_RETURN(std::string bytes, exec::SerializeFrame(frame));
+  std::vector<ShardPartition> copies;
+  std::vector<WorkerCall> puts;
+  std::vector<bool> has_copy(static_cast<size_t>(kMaxShards), false);
+  for (const auto& p : sharded->parts()) {
+    if (has_copy[static_cast<size_t>(p.worker)]) continue;
+    has_copy[static_cast<size_t>(p.worker)] = true;
+    const uint64_t handle = cluster_->NextHandle();
+    copies.push_back({0, p.worker, p.generation, handle});
+    WireWriter payload;
+    payload.U64(handle);
+    payload.Raw(bytes);
+    puts.push_back({p.worker, MsgType::kPutFrame, payload.Take()});
   }
-  return MaterializeLocked(value);
+  auto out = std::make_shared<ShardBroadcast>(cluster_, std::move(copies));
+  LAFP_RETURN_NOT_OK(RunAll(puts).status());
+  return exec::BackendFramePtr(std::move(out));
 }
 
-Result<BackendValue> ShardBackend::FromEager(const EagerValue& value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  LAFP_RETURN_NOT_OK(EnsureCluster());
-  return FromEagerLocked(value);
+bool ShardBackend::Colocated(const exec::BackendFrame& a,
+                             const exec::BackendFrame& b) const {
+  auto pa = PartsOf(a);
+  auto pb = PartsOf(b);
+  if (!pa.ok() || !pb.ok()) return false;
+  const auto& x = (*pa)->parts();
+  const auto& y = (*pb)->parts();
+  if (x.size() != y.size()) return false;
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (x[i].worker != y[i].worker || x[i].generation != y[i].generation) {
+      return false;
+    }
+  }
+  return true;
 }
 
-Result<BackendValue> ShardBackend::FromEagerLocked(const EagerValue& value) {
-  if (value.is_scalar) return BackendValue::FromScalar(value.scalar);
-  return ScatterFrame(value.frame);
-}
-
-int64_t ShardBackend::RowCount(const BackendValue& value) const {
-  if (value.is_scalar) return 1;
-  auto* wrapped = dynamic_cast<ShardFrame*>(value.frame.get());
-  if (wrapped == nullptr) return -1;
-  return static_cast<int64_t>(wrapped->num_rows());
+Result<std::vector<uint64_t>> ShardBackend::Rows(
+    const exec::BackendFrame& frame) const {
+  LAFP_ASSIGN_OR_RETURN(const ShardFrame* sharded, PartsOf(frame));
+  std::vector<uint64_t> rows;
+  rows.reserve(sharded->parts().size());
+  for (const auto& p : sharded->parts()) rows.push_back(p.rows);
+  return rows;
 }
 
 }  // namespace lafp::shard

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/backend.h"
+#include "exec/partitioned.h"
 #include "shard/wire.h"
 
 namespace lafp::shard {
@@ -98,24 +98,23 @@ struct ShardPartition {
 };
 
 /// Shared-nothing multi-process backend (paper §2.6 taken across process
-/// boundaries): a coordinator forks N single-threaded workers, scans
-/// partition across them (global chunk index mod N), map ops run where
-/// their partition lives, group-bys run as distributed two-phase
-/// aggregation (exec/agg_twophase.h) with partials shipped back and
-/// folded in global partition order, and merges broadcast the right side.
+/// boundaries): the partitioned planner (exec/partitioned.h) over a store
+/// of generation-stamped partition handles on N forked single-threaded
+/// workers. Scans partition across the workers (global unit index mod N),
+/// per-partition ops run where their partition lives (kExecOp; group-by
+/// phase one replies with its partial, which the coordinator folds in
+/// global partition order), and broadcasts ship one copy per worker.
 /// Frames cross the socket in the hardened spill stream format
-/// (exec/spill.h). Ops outside the distributed vocabulary gather to the
-/// coordinator, run the eager kernel, and re-scatter — the same
-/// transparent-fallback contract as the other backends, so results are
-/// byte-identical to the single-process engines for any shard count.
-class ShardBackend : public exec::Backend {
+/// (exec/spill.h). Gathered ops run at the coordinator and re-scatter, so
+/// results are byte-identical to the single-process engines for any
+/// shard count.
+class ShardBackend : public exec::PartitionedBackend {
  public:
   ShardBackend(MemoryTracker* tracker, const exec::BackendConfig& config);
   ~ShardBackend() override;
 
   const char* name() const override { return "shard"; }
   bool preserves_row_order() const override { return true; }
-  bool SupportsOp(const exec::OpDesc& desc) const override;
 
   Result<exec::BackendValue> Execute(
       const exec::OpDesc& desc,
@@ -124,7 +123,6 @@ class ShardBackend : public exec::Backend {
       const exec::BackendValue& value) override;
   Result<exec::BackendValue> FromEager(
       const exec::EagerValue& value) override;
-  int64_t RowCount(const exec::BackendValue& value) const override;
 
  private:
   struct WorkerCall {
@@ -146,33 +144,40 @@ class ShardBackend : public exec::Backend {
                   std::vector<Message>* replies,
                   std::vector<Status>* statuses);
 
-  Result<exec::BackendValue> ExecuteScan(const exec::OpDesc& desc);
-  Result<exec::BackendValue> ExecuteMapOp(
-      const exec::OpDesc& desc,
-      const std::vector<exec::BackendValue>& inputs);
-  Result<exec::BackendValue> ExecuteGroupBy(const exec::OpDesc& desc,
-                                            const exec::BackendValue& input);
-  Result<exec::BackendValue> ExecuteReduce(const exec::OpDesc& desc,
-                                           const exec::BackendValue& input);
-  Result<exec::BackendValue> ExecuteMerge(const exec::OpDesc& desc,
-                                          const exec::BackendValue& left,
-                                          const exec::BackendValue& right);
-  Result<exec::BackendValue> ExecuteViaGather(
-      const exec::OpDesc& desc,
-      const std::vector<exec::BackendValue>& inputs);
+  /// RunCalls, failing with the first failed call's Status.
+  Result<std::vector<Message>> RunAll(const std::vector<WorkerCall>& calls);
 
-  Result<exec::EagerValue> MaterializeLocked(const exec::BackendValue& value);
-  Result<exec::BackendValue> FromEagerLocked(const exec::EagerValue& value);
-  Result<exec::BackendValue> ScatterFrame(const df::DataFrame& frame);
+  /// One kExecOp per partition of inputs[0], on the worker holding it.
+  /// With `out_handles`, each worker keeps its output under a fresh handle
+  /// (appended there; freed again on failure) and replies kOk with its row
+  /// count; without, the out handle is 0 and the worker replies with the
+  /// frame.
+  Result<std::vector<Message>> ExecOnPartitions(
+      const exec::OpDesc& desc, const std::vector<exec::BackendValue>& inputs,
+      std::vector<uint64_t>* out_handles);
+
+  // The store (exec::PartitionedBackend).
+  Result<exec::BackendFramePtr> Scan(const exec::OpDesc& desc) override;
+  Result<exec::BackendFramePtr> RunKeep(
+      const exec::OpDesc& desc,
+      const std::vector<exec::BackendValue>& inputs) override;
+  Result<std::vector<df::DataFrame>> RunReturn(
+      const exec::OpDesc& desc,
+      const std::vector<exec::BackendValue>& inputs) override;
+  Result<std::vector<df::DataFrame>> Fetch(
+      const exec::BackendFrame& frame) override;
+  Result<exec::BackendFramePtr> Place(const df::DataFrame& frame) override;
+  Result<exec::BackendFramePtr> Broadcast(
+      const df::DataFrame& frame,
+      const exec::BackendFrame& alongside) override;
+  bool Colocated(const exec::BackendFrame& a,
+                 const exec::BackendFrame& b) const override;
+  Result<std::vector<uint64_t>> Rows(
+      const exec::BackendFrame& frame) const override;
 
   /// All partitions must be on live workers of the current generation;
   /// otherwise the data died with a worker and the op fails cleanly.
   Status ValidateLive(const std::vector<ShardPartition>& parts) const;
-
-  /// Gather a sharded frame's partitions to the coordinator, in global
-  /// partition order.
-  Result<std::vector<df::DataFrame>> GatherParts(
-      const std::vector<ShardPartition>& parts);
 
   /// Serializes coordinator-side protocol state: Execute, Materialize and
   /// FromEager may race from scheduler workers, but the mailbox admits

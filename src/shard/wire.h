@@ -27,8 +27,9 @@
 ///   kExecOp:         OpDesc | u64 out_handle | u32 ninputs
 ///                    | per input: u8 tag (0 = u64 handle, 1 = Scalar,
 ///                      2 = u64 len + frame bytes)
-///   kGroupByPartial: u64 handle | u32 nkeys x str
-///                    | u32 naggs x (str column, u8 func, str out_name)
+///                    out_handle != 0: the worker keeps the output under
+///                    it and replies kOk; 0: it replies kFrameData with
+///                    the output (group-by phase one, exec/partitioned.h)
 ///   kPutFrame:       u64 handle | frame bytes (rest of payload)
 ///   kGetFrame:       u64 handle
 ///   kFreeFrames:     u32 n x u64 handle
@@ -37,7 +38,7 @@
 /// Reply payloads (worker -> coordinator); every request except
 /// kShutdown gets exactly one reply:
 ///   kOk:         u64 rows (of the stored/affected frame; 0 for frees)
-///   kFrameData:  frame bytes
+///   kFrameData:  frame bytes (kGetFrame, returning kExecOp)
 ///   kScanResult: u64 total_partitions | u32 nlocal
 ///                | nlocal x (u64 global_index, u64 handle, u64 rows)
 ///   kError:      u32 status code | str message
@@ -59,7 +60,6 @@ enum class MsgType : uint32_t {
   // Requests.
   kScan = 1,
   kExecOp = 2,
-  kGroupByPartial = 3,
   kPutFrame = 4,
   kGetFrame = 5,
   kFreeFrames = 6,

@@ -3,7 +3,7 @@
 #include <unistd.h>
 
 #include <cstdint>
-#include <limits>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -12,11 +12,9 @@
 #include "common/fault.h"
 #include "common/macros.h"
 #include "common/memory_tracker.h"
-#include "exec/agg_twophase.h"
 #include "exec/eager_ops.h"
+#include "exec/partitioned.h"
 #include "exec/spill.h"
-#include "io/columnar.h"
-#include "io/csv.h"
 #include "shard/wire.h"
 
 namespace lafp::shard {
@@ -42,19 +40,12 @@ Result<df::DataFrame> LookupFrame(WorkerState* st, uint64_t handle) {
   return it->second;
 }
 
-struct LocalPartition {
-  uint64_t global_index = 0;
-  uint64_t handle = 0;
-  uint64_t rows = 0;
-};
-
-/// Scan request: every worker walks the same chunk sequence (the same
-/// geometry the Modin backend produces) and keeps the chunks whose global
-/// index hashes to it (idx % num_workers == worker_index), so the union
-/// across workers is exactly the single-process partitioning. Every
-/// worker row-scans the whole CSV (the text format has no random access)
-/// but parses only the ranges it owns; LFC chunks are only decoded by
-/// their owner.
+/// Scan request: every worker walks the same scan units (exec::ScanUnits,
+/// the Modin geometry) and keeps the units whose global index hashes to
+/// it (idx % num_workers == worker_index), so the union across workers is
+/// exactly the single-process partitioning. Every worker row-scans the
+/// whole CSV (the text format has no random access) but parses only the
+/// ranges it owns; LFC chunks are only decoded by their owner.
 Result<Message> HandleScan(WorkerState* st, const Message& req) {
   WireReader r(req.payload);
   exec::OpDesc desc;
@@ -69,83 +60,30 @@ Result<Message> HandleScan(WorkerState* st, const Message& req) {
       partition_rows == 0) {
     return Status::Invalid("shard worker: malformed scan geometry");
   }
-  const bool mine_first = worker_index == 0;
-  std::vector<LocalPartition> locals;
+  LAFP_ASSIGN_OR_RETURN(
+      auto units, exec::ScanUnits::Open(desc, static_cast<size_t>(partition_rows),
+                                        &st->tracker));
+  WireWriter owned;
+  uint32_t nlocal = 0;
   uint64_t total = 0;
-  auto keep = [&](df::DataFrame frame) {
-    LocalPartition p;
-    p.global_index = total;
-    p.handle = st->next_scan_handle++;
-    p.rows = frame.num_rows();
-    st->frames[p.handle] = std::move(frame);
-    locals.push_back(p);
-  };
-  if (desc.kind == exec::OpKind::kReadCsv) {
-    LAFP_ASSIGN_OR_RETURN(
-        auto reader,
-        io::CsvChunkReader::Open(desc.path, desc.csv_options, &st->tracker));
-    while (true) {
-      LAFP_ASSIGN_OR_RETURN(
-          auto range, reader->NextRange(static_cast<size_t>(partition_rows)));
-      if (!range.has_value()) break;
-      if (total % num_workers == worker_index) {
-        LAFP_ASSIGN_OR_RETURN(df::DataFrame part, reader->ParseRange(*range));
-        keep(std::move(part));
-      }
-      ++total;
+  while (true) {
+    LAFP_ASSIGN_OR_RETURN(std::optional<exec::ScanUnit> unit, units->Next());
+    if (!unit.has_value()) break;
+    if (total % num_workers == worker_index) {
+      LAFP_ASSIGN_OR_RETURN(df::DataFrame part, units->Read(*unit));
+      const uint64_t handle = st->next_scan_handle++;
+      owned.U64(total);
+      owned.U64(handle);
+      owned.U64(part.num_rows());
+      st->frames[handle] = std::move(part);
+      ++nlocal;
     }
-    if (total == 0) {
-      // Empty source: mirror Modin's single empty partition, owned by
-      // worker 0; every worker still reports total == 1.
-      total = 1;
-      if (mine_first) {
-        LAFP_ASSIGN_OR_RETURN(df::DataFrame empty, reader->EmptyFrame());
-        keep(std::move(empty));
-        locals.back().global_index = 0;
-      }
-    }
-  } else if (desc.kind == exec::OpKind::kReadLfc) {
-    LAFP_ASSIGN_OR_RETURN(auto reader,
-                          io::LfcReader::Open(desc.path, &st->tracker));
-    const auto& o = desc.lfc_options;
-    LAFP_ASSIGN_OR_RETURN(std::vector<size_t> sel,
-                          reader->SelectColumns(o.usecols));
-    const bool pruning = o.prune_enabled && !o.prune.empty();
-    uint64_t remaining =
-        o.nrows == 0 ? std::numeric_limits<uint64_t>::max() : o.nrows;
-    for (size_t chunk = 0; chunk < reader->num_chunks(); ++chunk) {
-      if (remaining == 0) break;
-      const uint64_t take =
-          std::min<uint64_t>(reader->chunk_rows(chunk), remaining);
-      remaining -= take;
-      if (pruning && !reader->ChunkMayMatch(chunk, o.prune)) continue;
-      if (total % num_workers == worker_index) {
-        LAFP_ASSIGN_OR_RETURN(
-            df::DataFrame part,
-            reader->ReadChunk(chunk, sel, static_cast<size_t>(take)));
-        keep(std::move(part));
-      }
-      ++total;
-    }
-    if (total == 0) {
-      total = 1;
-      if (mine_first) {
-        LAFP_ASSIGN_OR_RETURN(df::DataFrame empty, reader->EmptyFrame(sel));
-        keep(std::move(empty));
-        locals.back().global_index = 0;
-      }
-    }
-  } else {
-    return Status::Invalid("shard worker: scan request for non-scan op");
+    ++total;
   }
   WireWriter w;
   w.U64(total);
-  w.U32(static_cast<uint32_t>(locals.size()));
-  for (const auto& p : locals) {
-    w.U64(p.global_index);
-    w.U64(p.handle);
-    w.U64(p.rows);
-  }
+  w.U32(nlocal);
+  w.Raw(owned.Take());
   return Message{MsgType::kScanResult, w.Take()};
 }
 
@@ -189,55 +127,15 @@ Result<Message> HandleExecOp(WorkerState* st, const Message& req) {
     // plan fragment was mis-routed.
     return Status::Invalid("shard worker: op produced a scalar");
   }
+  if (out_handle == 0) {
+    LAFP_ASSIGN_OR_RETURN(std::string bytes, exec::SerializeFrame(out.frame));
+    return Message{MsgType::kFrameData, std::move(bytes)};
+  }
   const uint64_t rows = out.frame.num_rows();
   st->frames[out_handle] = std::move(out.frame);
   WireWriter w;
   w.U64(rows);
   return Message{MsgType::kOk, w.Take()};
-}
-
-Result<Message> HandleGroupByPartial(WorkerState* st, const Message& req) {
-  WireReader r(req.payload);
-  uint64_t handle = 0;
-  if (!r.U64(&handle)) return r.Error("groupby handle");
-  std::vector<std::string> keys;
-  uint32_t nkeys = 0;
-  if (!r.U32(&nkeys)) return r.Error("groupby keys");
-  if (static_cast<uint64_t>(nkeys) * 4 > r.remaining()) {
-    return r.Error("groupby keys");
-  }
-  for (uint32_t i = 0; i < nkeys; ++i) {
-    std::string k;
-    if (!r.Str(&k)) return r.Error("groupby key");
-    keys.push_back(std::move(k));
-  }
-  std::vector<df::AggSpec> aggs;
-  uint32_t naggs = 0;
-  if (!r.U32(&naggs)) return r.Error("groupby aggs");
-  if (static_cast<uint64_t>(naggs) * 9 > r.remaining()) {
-    return r.Error("groupby aggs");
-  }
-  for (uint32_t i = 0; i < naggs; ++i) {
-    df::AggSpec a;
-    uint8_t func = 0;
-    if (!r.Str(&a.column) || !r.U8(&func) || !r.Str(&a.out_name)) {
-      return r.Error("agg spec");
-    }
-    if (func > static_cast<uint8_t>(df::AggFunc::kNunique)) {
-      return Status::Invalid("shard worker: bad agg func");
-    }
-    a.func = static_cast<df::AggFunc>(func);
-    aggs.push_back(std::move(a));
-  }
-  LAFP_ASSIGN_OR_RETURN(df::DataFrame frame, LookupFrame(st, handle));
-  exec::GroupByCombiner combiner(std::move(keys), std::move(aggs));
-  if (!combiner.supported()) {
-    return Status::Invalid("shard worker: aggregate is not two-phase");
-  }
-  LAFP_ASSIGN_OR_RETURN(df::DataFrame partial,
-                        combiner.PartialAggregate(frame));
-  LAFP_ASSIGN_OR_RETURN(std::string bytes, exec::SerializeFrame(partial));
-  return Message{MsgType::kFrameData, std::move(bytes)};
 }
 
 Result<Message> HandlePutFrame(WorkerState* st, const Message& req) {
@@ -283,8 +181,6 @@ Result<Message> Dispatch(WorkerState* st, const Message& req) {
       return HandleScan(st, req);
     case MsgType::kExecOp:
       return HandleExecOp(st, req);
-    case MsgType::kGroupByPartial:
-      return HandleGroupByPartial(st, req);
     case MsgType::kPutFrame:
       return HandlePutFrame(st, req);
     case MsgType::kGetFrame:

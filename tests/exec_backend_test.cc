@@ -4,8 +4,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
+#include "common/macros.h"
 #include "exec/agg_twophase.h"
+#include "lazy/fat_dataframe.h"
 
 namespace lafp::exec {
 namespace {
@@ -15,7 +18,7 @@ using df::DataFrame;
 using df::DataType;
 using df::Scalar;
 
-/// Parameterized over the three backends: the same op sequence must give
+/// Parameterized over the four backends: the same op sequence must give
 /// the same results (up to row order on Dask).
 class BackendParamTest : public ::testing::TestWithParam<BackendKind> {
  protected:
@@ -339,7 +342,76 @@ TEST_P(BackendParamTest, UsecolsPropagatesToRead) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendParamTest,
                          ::testing::Values(BackendKind::kPandas,
                                            BackendKind::kModin,
-                                           BackendKind::kDask),
+                                           BackendKind::kDask,
+                                           BackendKind::kShard),
+                         [](const auto& info) {
+                           return BackendKindName(info.param);
+                         });
+
+/// Binary map ops over inputs partitioned differently. An LFC scan splits
+/// by the file's chunk_rows; a placed frame (a gathered op's result,
+/// imported through FromEager) splits by partition_rows. Here both have
+/// two partitions, so a partition count is no test of alignment: the
+/// per-partition row counts differ (100/100 against 128/72).
+class PartitionAlignmentTest : public ::testing::TestWithParam<BackendKind> {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "align_test_" +
+           std::to_string(reinterpret_cast<uintptr_t>(this));
+    std::filesystem::create_directories(dir_);
+    const std::string csv = dir_ + "/t.csv";
+    std::ofstream out(csv);
+    out << "id,v\n";
+    for (int i = 0; i < 200; ++i) out << i << "," << (i * 37) % 200 << "\n";
+    out.close();
+    lfc_path_ = dir_ + "/t.lfc";
+    io::LfcWriteOptions chunks;
+    chunks.chunk_rows = 100;
+    MemoryTracker tracker(0);
+    ASSERT_TRUE(
+        io::ConvertCsvToLfc(csv, lfc_path_, {}, chunks, &tracker).ok());
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  /// df[df.sort_values(["v"]).v > 50], materialized.
+  Result<DataFrame> Run(BackendKind backend) {
+    std::stringstream output;
+    lazy::Session session(lazy::SessionOptions::Builder()
+                              .backend(backend)
+                              .partition_rows(128)
+                              .tracker(&tracker_)
+                              .output(&output)
+                              .Build());
+    LAFP_ASSIGN_OR_RETURN(auto frame,
+                          lazy::FatDataFrame::ReadLfc(&session, lfc_path_));
+    LAFP_ASSIGN_OR_RETURN(auto sorted, frame.SortValues({"v"}, {true}));
+    LAFP_ASSIGN_OR_RETURN(auto v, sorted.Col("v"));
+    LAFP_ASSIGN_OR_RETURN(auto mask,
+                          v.CompareTo(df::CompareOp::kGt, Scalar::Int(50)));
+    LAFP_ASSIGN_OR_RETURN(auto filtered, frame.FilterBy(mask));
+    return filtered.ToEager();
+  }
+
+  std::string dir_, lfc_path_;
+  MemoryTracker tracker_{0};
+};
+
+TEST_P(PartitionAlignmentTest, MaskOverDifferentlyChunkedInput) {
+  auto reference = Run(BackendKind::kPandas);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(reference->num_rows(), 149u);
+  auto out = Run(GetParam());
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  const bool sort_rows = GetParam() == BackendKind::kDask;
+  EXPECT_EQ(out->CanonicalString(sort_rows),
+            reference->CanonicalString(sort_rows));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, PartitionAlignmentTest,
+                         ::testing::Values(BackendKind::kPandas,
+                                           BackendKind::kModin,
+                                           BackendKind::kDask,
+                                           BackendKind::kShard),
                          [](const auto& info) {
                            return BackendKindName(info.param);
                          });

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/metrics.h"
 #include "dataframe/ops.h"
 #include "lazy/fat_dataframe.h"
 #include "optimizer/passes.h"
@@ -566,6 +567,34 @@ TEST_F(LfcOptimizerTest, InstallGateDisablesZonePrune) {
     ASSERT_TRUE(eager.ok()) << eager.status().ToString();
     EXPECT_EQ(eager->num_rows(), 4u);
     EXPECT_EQ(stats.zone_prunes_attached, enabled ? 1 : 0);
+  }
+}
+
+// Every LFC scan, eager or partitioned, slices through one rule, so a
+// zone-pruned read counts its skipped chunks on every backend.
+TEST_F(LfcOptimizerTest, PrunedScanCountsSkippedChunksOnEveryBackend) {
+  const std::string path = WriteIntLadder(20, 4);  // 5 chunks of 4 rows
+  LfcReadOptions pruned;
+  pruned.prune = {{"a", CompareOp::kGt, Scalar::Int(15)}};
+  auto skipped = [] {
+    return metrics::Registry::Global()->Scrape()["lfc.chunks_skipped"];
+  };
+  for (exec::BackendKind backend :
+       {exec::BackendKind::kPandas, exec::BackendKind::kModin,
+        exec::BackendKind::kDask}) {
+    lazy::Session session(lazy::SessionOptions::Builder()
+                              .backend(backend)
+                              .tracker(&tracker_)
+                              .output(&output_)
+                              .Build());
+    const int64_t before = skipped();
+    auto frame = lazy::FatDataFrame::ReadLfc(&session, path, pruned);
+    ASSERT_TRUE(frame.ok());
+    auto mask = frame->Col("a")->CompareTo(CompareOp::kGt, Scalar::Int(15));
+    auto eager = frame->FilterBy(*mask)->ToEager();
+    ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+    EXPECT_EQ(eager->num_rows(), 4u);
+    EXPECT_EQ(skipped() - before, 4) << exec::BackendKindName(backend);
   }
 }
 

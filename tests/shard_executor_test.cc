@@ -13,6 +13,9 @@
 
 #include "common/cancellation.h"
 #include "common/macros.h"
+#include "common/metrics.h"
+#include "exec/spill.h"
+#include "io/csv.h"
 #include "lazy/fat_dataframe.h"
 
 namespace lafp::lazy {
@@ -62,7 +65,7 @@ class ShardExecutorTest : public ::testing::Test {
 
   /// The pipeline under test: scan -> filter -> derived column ->
   /// group-by (multi-agg) -> broadcast merge -> sort. Exercises every
-  /// distributed path (kScan, kExecOp, kGroupByPartial, kPutFrame) plus
+  /// distributed path (kScan, kExecOp kept and returned, kPutFrame) plus
   /// the gather fallback (sort).
   Result<std::string> RunPipeline(Session* session) {
     LAFP_ASSIGN_OR_RETURN(auto frame,
@@ -127,6 +130,47 @@ TEST_F(ShardExecutorTest, ReduceMatchesReference) {
   auto len = (*frame.Len()).Value();
   ASSERT_TRUE(len.ok());
   EXPECT_EQ(len->int_value(), 700);
+}
+
+// Filter -> group-by -> merge runs where the partitions live: each op
+// keeps its exchange waves (the call count is pinned), and the whole
+// query ships less than one gather of the scanned frame would. An op
+// silently routed to the gather fallback fails here.
+TEST_F(ShardExecutorTest, PipelineStaysPartitionLocal) {
+  MemoryTracker scan_tracker(0);
+  auto scanned = io::ReadCsv(csv_path_, {}, &scan_tracker);
+  ASSERT_TRUE(scanned.ok());
+  auto gather_bytes = exec::SerializeFrame(*scanned);
+  ASSERT_TRUE(gather_bytes.ok());
+  auto run = [&](Session* session) -> Result<std::string> {
+    LAFP_ASSIGN_OR_RETURN(auto frame, FatDataFrame::ReadCsv(session, csv_path_));
+    LAFP_ASSIGN_OR_RETURN(auto v, frame.Col("v"));
+    LAFP_ASSIGN_OR_RETURN(auto mask,
+                          v.CompareTo(CompareOp::kLt, Scalar::Int(90)));
+    LAFP_ASSIGN_OR_RETURN(auto filtered, frame.FilterBy(mask));
+    LAFP_ASSIGN_OR_RETURN(
+        auto grouped,
+        filtered.GroupByAgg({"grp"}, {{"v", AggFunc::kSum, "vs"},
+                                      {"id", AggFunc::kCount, "n"}}));
+    LAFP_ASSIGN_OR_RETURN(auto dim, FatDataFrame::ReadCsv(session, dim_path_));
+    LAFP_ASSIGN_OR_RETURN(auto merged,
+                          grouped.Merge(dim, {"grp"}, df::JoinType::kInner));
+    LAFP_ASSIGN_OR_RETURN(auto eager, merged.ToEager());
+    return eager.ToString(eager.num_rows() + 1);
+  };
+  auto reference = run(MakeSession(BackendKind::kPandas).get());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  metrics::Registry* registry = metrics::Registry::Global();
+  auto before = registry->Scrape();
+  auto session = MakeSession(BackendKind::kShard, 4);
+  auto out = run(session.get());
+  auto after = registry->Scrape();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(*out, *reference);
+  EXPECT_EQ(after["shard.calls"] - before["shard.calls"], 57);
+  EXPECT_LT(after["shard.bytes_shipped"] - before["shard.bytes_shipped"],
+            static_cast<int64_t>(gather_bytes->size()));
 }
 
 // A worker SIGKILLed while the scan request is in flight is respawned and
