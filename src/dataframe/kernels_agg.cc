@@ -544,84 +544,102 @@ Result<ColumnPtr> Unique(const Column& col) {
   return col.Take(groups.first_rows());
 }
 
-Result<DataFrame> ValueCounts(const Column& col,
-                              const std::string& value_name) {
+Result<DataFrame> CountValues(const Column& col) {
   LAFP_ASSIGN_OR_RETURN(MorselGroups groups, GroupMorsels({&col}, col.size()));
   std::vector<int64_t> counts(groups.num_groups(), 0);
   groups.ForEachRow([&](size_t, uint32_t g) { ++counts[g]; });
-  std::vector<std::pair<int64_t, int64_t>> rows;  // (first row, count)
-  rows.reserve(counts.size());
+  std::vector<int64_t> take, cnts;
   for (size_t g = 0; g < counts.size(); ++g) {
     const int64_t first = groups.first_rows()[g];
     // pandas value_counts drops NaN (here: null).
-    if (col.IsValid(static_cast<size_t>(first))) {
-      rows.emplace_back(first, counts[g]);
-    }
-  }
-  // Descending count; ties by first appearance for determinism.
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  std::vector<int64_t> take(rows.size());
-  std::vector<int64_t> cnts(rows.size());
-  for (size_t k = 0; k < rows.size(); ++k) {
-    take[k] = rows[k].first;
-    cnts[k] = rows[k].second;
+    if (!col.IsValid(static_cast<size_t>(first))) continue;
+    take.push_back(first);
+    cnts.push_back(counts[g]);
   }
   LAFP_ASSIGN_OR_RETURN(ColumnPtr values, col.Take(take));
-  LAFP_ASSIGN_OR_RETURN(
-      ColumnPtr count_col,
-      Column::MakeInt(std::move(cnts), {}, col.tracker()));
-  return DataFrame::Make({value_name, "count"},
+  LAFP_ASSIGN_OR_RETURN(ColumnPtr count_col,
+                        Column::MakeInt(std::move(cnts), {}, col.tracker()));
+  return DataFrame::Make({"value", "count"},
                          {std::move(values), std::move(count_col)});
 }
 
-Result<DataFrame> Describe(const DataFrame& df) {
+Result<DataFrame> SortValueCounts(const DataFrame& counts,
+                                  const std::string& value_name) {
+  // A stable sort: ties keep first-appearance order.
+  LAFP_ASSIGN_OR_RETURN(DataFrame sorted,
+                        SortValues(counts, {"count"}, {false}));
+  return DataFrame::Make({value_name, "count"}, {sorted.column(size_t{0}),
+                                                 sorted.column(size_t{1})});
+}
+
+Result<DataFrame> ValueCounts(const Column& col,
+                              const std::string& value_name) {
+  LAFP_ASSIGN_OR_RETURN(DataFrame counts, CountValues(col));
+  return SortValueCounts(counts, value_name);
+}
+
+Status DescribeFold::Add(const DataFrame& df) {
+  if (tracker_ == nullptr) {
+    tracker_ = df.tracker();
+    for (size_t i = 0; i < df.num_columns(); ++i) {
+      if (IsNumeric(df.column(i)->type())) names_.push_back(df.names()[i]);
+    }
+    moments_.resize(names_.size());
+  }
+  for (size_t k = 0; k < names_.size(); ++k) {
+    LAFP_ASSIGN_OR_RETURN(ColumnPtr col, df.column(names_[k]));
+    Moments& m = moments_[k];
+    for (size_t r = 0; r < col->size(); ++r) {
+      if (!col->IsValid(r)) continue;
+      LAFP_ASSIGN_OR_RETURN(double v, col->NumericAt(r));
+      if (std::isnan(v)) continue;
+      m.sum.Add(v);
+      m.sumsq.Add(v * v);
+      ++m.count;
+      m.min = std::min(m.min, v);
+      m.max = std::max(m.max, v);
+    }
+  }
+  return Status::OK();
+}
+
+Result<DataFrame> DescribeFold::Finish() const {
   std::vector<std::string> out_names{"stat"};
   std::vector<ColumnPtr> out_cols;
   std::vector<std::string> stats{"count", "mean", "std", "min", "max"};
   {
-    ColumnBuilder stat_col(DataType::kString, df.tracker());
+    ColumnBuilder stat_col(DataType::kString, tracker_);
     for (const auto& s : stats) stat_col.AppendString(s);
     LAFP_ASSIGN_OR_RETURN(ColumnPtr c, stat_col.Finish());
     out_cols.push_back(std::move(c));
   }
-  for (size_t i = 0; i < df.num_columns(); ++i) {
-    const Column& col = *df.column(i);
-    if (!IsNumeric(col.type())) continue;
-    KahanSum sum, sumsq;
-    int64_t count = 0;
-    double mn = std::numeric_limits<double>::infinity();
-    double mx = -std::numeric_limits<double>::infinity();
-    for (size_t r = 0; r < col.size(); ++r) {
-      if (!col.IsValid(r)) continue;
-      LAFP_ASSIGN_OR_RETURN(double v, col.NumericAt(r));
-      if (std::isnan(v)) continue;
-      sum.Add(v);
-      sumsq.Add(v * v);
-      ++count;
-      mn = std::min(mn, v);
-      mx = std::max(mx, v);
-    }
-    double total = sum.Total();
-    double total_sq = sumsq.Total();
+  for (size_t k = 0; k < names_.size(); ++k) {
+    const Moments& m = moments_[k];
+    const int64_t count = m.count;
+    double total = m.sum.Total();
+    double total_sq = m.sumsq.Total();
     double mean = count > 0 ? total / count : std::nan("");
     double var =
         count > 1
             ? std::max(0.0, (total_sq - total * total / count) / (count - 1))
             : std::nan("");
-    ColumnBuilder b(DataType::kDouble, df.tracker());
+    ColumnBuilder b(DataType::kDouble, tracker_);
     b.AppendDouble(static_cast<double>(count));
     b.AppendDouble(mean);
     b.AppendDouble(count > 1 ? std::sqrt(var) : std::nan(""));
-    b.AppendDouble(count > 0 ? mn : std::nan(""));
-    b.AppendDouble(count > 0 ? mx : std::nan(""));
+    b.AppendDouble(count > 0 ? m.min : std::nan(""));
+    b.AppendDouble(count > 0 ? m.max : std::nan(""));
     LAFP_ASSIGN_OR_RETURN(ColumnPtr c, b.Finish());
-    out_names.push_back(df.names()[i]);
+    out_names.push_back(names_[k]);
     out_cols.push_back(std::move(c));
   }
   return DataFrame::Make(std::move(out_names), std::move(out_cols));
+}
+
+Result<DataFrame> Describe(const DataFrame& df) {
+  DescribeFold fold;
+  LAFP_RETURN_NOT_OK(fold.Add(df));
+  return fold.Finish();
 }
 
 }  // namespace lafp::df

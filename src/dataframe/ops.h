@@ -1,10 +1,12 @@
 #ifndef LAFP_DATAFRAME_OPS_H_
 #define LAFP_DATAFRAME_OPS_H_
 
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "dataframe/dataframe.h"
+#include "dataframe/kahan.h"
 
 namespace lafp::df {
 
@@ -114,8 +116,17 @@ Result<DataFrame> DropDuplicates(const DataFrame& df,
 
 Result<ColumnPtr> Unique(const Column& col);
 
-/// Distinct values with counts, descending by count then by value; columns
-/// named {value_name, "count"}.
+/// value_counts' first step: each distinct non-null value of `col` in
+/// first-appearance order, with its count; columns {"value", "count"}.
+/// Counts of row ranges fold in row order by summing "count" per "value".
+Result<DataFrame> CountValues(const Column& col);
+
+/// value_counts' last step: CountValues output by descending count, ties
+/// in first-appearance order; columns named {value_name, "count"}.
+Result<DataFrame> SortValueCounts(const DataFrame& counts,
+                                  const std::string& value_name);
+
+/// SortValueCounts(CountValues(col), value_name).
 Result<DataFrame> ValueCounts(const Column& col,
                               const std::string& value_name);
 
@@ -135,8 +146,33 @@ Result<DataFrame> Merge(const DataFrame& left, const DataFrame& right,
 /// Vertical concatenation; frames must have identical schemas.
 Result<DataFrame> Concat(const std::vector<DataFrame>& frames);
 
-/// Numeric summary (count/mean/std/min/max) — pandas describe(). First
-/// column "stat" holds row labels.
+/// describe's fold: per numeric column (the first frame added picks
+/// them), the count, Kahan sums of the values and their squares, and the
+/// min and max, skipping nulls and NaN. Adding a frame's row ranges in
+/// order gives the bits of one pass over the whole frame.
+class DescribeFold {
+ public:
+  Status Add(const DataFrame& df);
+
+  /// First column "stat" holds the row labels count/mean/std/min/max,
+  /// then one double column per numeric column.
+  Result<DataFrame> Finish() const;
+
+ private:
+  struct Moments {
+    int64_t count = 0;
+    KahanSum sum, sumsq;
+    double min = std::numeric_limits<double>::infinity();
+    double max = -std::numeric_limits<double>::infinity();
+  };
+
+  MemoryTracker* tracker_ = nullptr;  // set by the first Add
+  std::vector<std::string> names_;
+  std::vector<Moments> moments_;
+};
+
+/// Numeric summary (count/mean/std/min/max) — pandas describe(): one
+/// DescribeFold over `df`.
 Result<DataFrame> Describe(const DataFrame& df);
 
 }  // namespace lafp::df

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/macros.h"
-#include "dataframe/kahan.h"
+#include "exec/partition.h"
 
 namespace lafp::exec {
 
@@ -33,65 +33,62 @@ int CompareScalars(const Scalar& a, const Scalar& b) {
 
 }  // namespace
 
+Status Combiner::AddPartition(const DataFrame& partition) {
+  if (!phase_one_.has_value()) return AddPartial(partition);
+  LAFP_ASSIGN_OR_RETURN(EagerValue partial,
+                        ExecuteEagerOp(*phase_one_,
+                                       {EagerValue::Frame(partition)},
+                                       partition.tracker()));
+  return AddPartial(std::move(partial.frame));
+}
+
 GroupByCombiner::GroupByCombiner(std::vector<std::string> keys,
                                  std::vector<AggSpec> aggs)
     : keys_(std::move(keys)), aggs_(std::move(aggs)) {
+  OpDesc op;
+  op.kind = OpKind::kGroupByAgg;
+  op.columns = keys_;
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggSpec& a = aggs_[i];
     switch (a.func) {
       case AggFunc::kSum:
-        partial_specs_.push_back({a.column, AggFunc::kSum,
-                                  PartialName(i, "sum")});
+        op.aggs.push_back({a.column, AggFunc::kSum, PartialName(i, "sum")});
         break;
       case AggFunc::kCount:
-        partial_specs_.push_back({a.column, AggFunc::kCount,
-                                  PartialName(i, "cnt")});
+        op.aggs.push_back({a.column, AggFunc::kCount, PartialName(i, "cnt")});
         break;
       case AggFunc::kMin:
-        partial_specs_.push_back({a.column, AggFunc::kMin,
-                                  PartialName(i, "min")});
+        op.aggs.push_back({a.column, AggFunc::kMin, PartialName(i, "min")});
         break;
       case AggFunc::kMax:
-        partial_specs_.push_back({a.column, AggFunc::kMax,
-                                  PartialName(i, "max")});
+        op.aggs.push_back({a.column, AggFunc::kMax, PartialName(i, "max")});
         break;
       case AggFunc::kMean:
-        partial_specs_.push_back({a.column, AggFunc::kSum,
-                                  PartialName(i, "sum")});
-        partial_specs_.push_back({a.column, AggFunc::kCount,
-                                  PartialName(i, "cnt")});
+        op.aggs.push_back({a.column, AggFunc::kSum, PartialName(i, "sum")});
+        op.aggs.push_back({a.column, AggFunc::kCount, PartialName(i, "cnt")});
         break;
       case AggFunc::kNunique:
-        supported_ = false;
         break;
     }
   }
+  phase_one_ = std::move(op);
 }
 
-Status GroupByCombiner::AddPartition(const DataFrame& partition) {
-  if (!supported_) return Status::Invalid("nunique is not two-phase");
-  LAFP_ASSIGN_OR_RETURN(DataFrame partial,
-                        df::GroupByAgg(partition, keys_, partial_specs_));
-  partials_.push_back(std::move(partial));
-  return Status::OK();
-}
-
-OpDesc GroupByCombiner::PartialOp() const {
-  OpDesc op;
-  op.kind = OpKind::kGroupByAgg;
-  op.columns = keys_;
-  op.aggs = partial_specs_;
-  return op;
+bool GroupByCombiner::Decomposable(const std::vector<AggSpec>& aggs) {
+  for (const AggSpec& a : aggs) {
+    if (a.func == AggFunc::kNunique) return false;
+  }
+  return true;
 }
 
 Status GroupByCombiner::AddPartial(DataFrame partial) {
-  if (!supported_) return Status::Invalid("nunique is not two-phase");
+  if (!supported()) return Status::Invalid("nunique is not two-phase");
   partials_.push_back(std::move(partial));
   return Status::OK();
 }
 
-Result<DataFrame> GroupByCombiner::Finish() {
-  if (!supported_) return Status::Invalid("nunique is not two-phase");
+Result<EagerValue> GroupByCombiner::Finish() {
+  if (!supported()) return Status::Invalid("nunique is not two-phase");
   if (partials_.empty()) {
     return Status::Invalid("no partitions were aggregated");
   }
@@ -166,12 +163,13 @@ Result<DataFrame> GroupByCombiner::Finish() {
   }
   std::vector<std::string> out_names = keys_;
   for (const auto& a : aggs_) out_names.push_back(a.out_name);
-  return combined.Select(out_names);
+  LAFP_ASSIGN_OR_RETURN(DataFrame out, combined.Select(out_names));
+  return EagerValue::Frame(std::move(out));
 }
 
 ReduceCombiner::ReduceCombiner(AggFunc func) : func_(func) {}
 
-Status ReduceCombiner::AddPartition(const DataFrame& partition) {
+Status ReduceCombiner::AddPartial(DataFrame partition) {
   if (partition.num_columns() != 1) {
     return Status::TypeError("reduce expects a series partition");
   }
@@ -212,30 +210,160 @@ Status ReduceCombiner::AddPartition(const DataFrame& partition) {
   return Status::OK();
 }
 
-Result<Scalar> ReduceCombiner::Finish() {
-  switch (func_) {
-    case AggFunc::kNunique: {
-      if (distinct_.empty()) return Scalar::Int(0);
-      LAFP_ASSIGN_OR_RETURN(DataFrame all, df::Concat(distinct_));
-      return df::Reduce(*all.column(size_t{0}), AggFunc::kNunique);
-    }
-    case AggFunc::kCount:
-      return Scalar::Int(count_);
-    case AggFunc::kSum:
-      if (seen_type_ == df::DataType::kInt64 ||
-          seen_type_ == df::DataType::kBool) {
-        return Scalar::Int(isum_);
+Result<EagerValue> ReduceCombiner::Finish() {
+  LAFP_ASSIGN_OR_RETURN(Scalar out, [&]() -> Result<Scalar> {
+    switch (func_) {
+      case AggFunc::kNunique: {
+        if (distinct_.empty()) return Scalar::Int(0);
+        LAFP_ASSIGN_OR_RETURN(DataFrame all, df::Concat(distinct_));
+        return df::Reduce(*all.column(size_t{0}), AggFunc::kNunique);
       }
-      return Scalar::Double(sum_.Total());
-    case AggFunc::kMean:
-      if (count_ == 0) return Scalar::Null();
-      return Scalar::Double(sum_.Total() / static_cast<double>(count_));
-    case AggFunc::kMin:
-      return has_value_ ? min_ : Scalar::Null();
-    case AggFunc::kMax:
-      return has_value_ ? max_ : Scalar::Null();
+      case AggFunc::kCount:
+        return Scalar::Int(count_);
+      case AggFunc::kSum:
+        if (seen_type_ == df::DataType::kInt64 ||
+            seen_type_ == df::DataType::kBool) {
+          return Scalar::Int(isum_);
+        }
+        return Scalar::Double(sum_.Total());
+      case AggFunc::kMean:
+        if (count_ == 0) return Scalar::Null();
+        return Scalar::Double(sum_.Total() / static_cast<double>(count_));
+      case AggFunc::kMin:
+        return has_value_ ? min_ : Scalar::Null();
+      case AggFunc::kMax:
+        return has_value_ ? max_ : Scalar::Null();
+    }
+    return Status::Invalid("bad reduce function");
+  }());
+  return EagerValue::FromScalar(std::move(out));
+}
+
+namespace {
+
+/// head(n): the prefix of each partition until n rows are in hand. The
+/// first partition is always kept, so head(0) still carries its schema.
+class HeadCombiner : public Combiner {
+ public:
+  explicit HeadCombiner(size_t n) : n_(n) {}
+
+  Status AddPartial(DataFrame partition) override {
+    LAFP_ASSIGN_OR_RETURN(DataFrame prefix, df::Head(partition, n_ - rows_));
+    rows_ += prefix.num_rows();
+    pieces_.push_back(std::move(prefix));
+    return Status::OK();
   }
-  return Status::Invalid("bad reduce function");
+  bool Enough(size_t partitions, uint64_t rows) const override {
+    return partitions > 0 && rows >= n_;
+  }
+  Result<EagerValue> Finish() override {
+    LAFP_ASSIGN_OR_RETURN(DataFrame out, ConcatPartitions(std::move(pieces_)));
+    return EagerValue::Frame(std::move(out));
+  }
+
+ private:
+  size_t n_;
+  size_t rows_ = 0;
+  std::vector<DataFrame> pieces_;
+};
+
+/// One running frame: the first partial, then merge_ over the running
+/// frame concatenated with each later partial. Rows keep first-appearance
+/// order, and the state grows only with the distinct keys.
+class RunningCombiner : public Combiner {
+ public:
+  Status AddPartial(DataFrame partial) override {
+    if (!running_.has_value()) {
+      running_ = std::move(partial);
+      return Status::OK();
+    }
+    LAFP_ASSIGN_OR_RETURN(DataFrame both, df::Concat({*running_, partial}));
+    LAFP_ASSIGN_OR_RETURN(
+        EagerValue merged,
+        ExecuteEagerOp(merge_, {EagerValue::Frame(both)}, both.tracker()));
+    running_ = std::move(merged.frame);
+    return Status::OK();
+  }
+  Result<EagerValue> Finish() override {
+    return EagerValue::Frame(running_.has_value() ? std::move(*running_)
+                                                  : DataFrame());
+  }
+
+ protected:
+  OpDesc merge_;
+  std::optional<DataFrame> running_;
+};
+
+/// drop_duplicates and unique: phase one and merge are the op itself.
+class DedupCombiner : public RunningCombiner {
+ public:
+  explicit DedupCombiner(const OpDesc& desc) { phase_one_ = merge_ = desc; }
+};
+
+/// value_counts: each partition's first-appearance counts
+/// (df::CountValues), summed per value, so ties keep eager's order.
+class ValueCountsCombiner : public RunningCombiner {
+ public:
+  ValueCountsCombiner() {
+    merge_.kind = OpKind::kGroupByAgg;
+    merge_.columns = {"value"};
+    merge_.aggs = {{"count", AggFunc::kSum, "count"}};
+  }
+  Status AddPartial(DataFrame partition) override {
+    const EagerValue series = EagerValue::Frame(std::move(partition));
+    LAFP_ASSIGN_OR_RETURN(ColumnPtr col, series.AsColumn());
+    if (!running_.has_value()) value_name_ = series.frame.names()[0];
+    LAFP_ASSIGN_OR_RETURN(DataFrame counts, df::CountValues(*col));
+    return RunningCombiner::AddPartial(std::move(counts));
+  }
+  Result<EagerValue> Finish() override {
+    if (!running_.has_value()) return EagerValue::Frame(DataFrame());
+    LAFP_ASSIGN_OR_RETURN(DataFrame out,
+                          df::SortValueCounts(*running_, value_name_));
+    return EagerValue::Frame(std::move(out));
+  }
+
+ private:
+  std::string value_name_;
+};
+
+/// describe: df::DescribeFold over the partitions in row order, so the
+/// Kahan sums keep the bits of one pass.
+class DescribeCombiner : public Combiner {
+ public:
+  Status AddPartial(DataFrame partition) override {
+    return fold_.Add(partition);
+  }
+  Result<EagerValue> Finish() override {
+    LAFP_ASSIGN_OR_RETURN(DataFrame out, fold_.Finish());
+    return EagerValue::Frame(std::move(out));
+  }
+
+ private:
+  df::DescribeFold fold_;
+};
+
+}  // namespace
+
+std::unique_ptr<Combiner> CombinerFor(const OpDesc& desc) {
+  switch (desc.kind) {
+    case OpKind::kGroupByAgg:
+      if (!GroupByCombiner::Decomposable(desc.aggs)) return nullptr;
+      return std::make_unique<GroupByCombiner>(desc.columns, desc.aggs);
+    case OpKind::kReduce:
+      return std::make_unique<ReduceCombiner>(desc.agg_func);
+    case OpKind::kHead:
+      return std::make_unique<HeadCombiner>(desc.n);
+    case OpKind::kValueCounts:
+      return std::make_unique<ValueCountsCombiner>();
+    case OpKind::kDescribe:
+      return std::make_unique<DescribeCombiner>();
+    case OpKind::kDropDuplicates:
+    case OpKind::kUnique:
+      return std::make_unique<DedupCombiner>(desc);
+    default:
+      return nullptr;
+  }
 }
 
 }  // namespace lafp::exec

@@ -164,12 +164,6 @@ class Backend {
     return Status::OK();
   }
 
-  /// Release a persisted value's cache.
-  virtual Status Unpersist(const BackendValue& value) {
-    (void)value;
-    return Status::OK();
-  }
-
   /// Best-effort row count of a value for the execution-stats API: rows
   /// of a materialized frame, 1 for a scalar, -1 when unknown (an
   /// unevaluated lazy plan). Must be cheap (no materialization) and

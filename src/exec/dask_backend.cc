@@ -5,16 +5,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <deque>
 #include <filesystem>
-#include <limits>
 #include <thread>
 #include <unordered_map>
 
 #include "common/macros.h"
 #include "common/trace.h"
-#include "dataframe/kahan.h"
 #include "exec/agg_twophase.h"
 #include "exec/partitioned.h"
 
@@ -138,9 +135,8 @@ class DaskEvaluator {
       if (!part.has_value()) break;
       parts.push_back(std::move(*part));
     }
-    if (parts.empty()) return EagerValue::Frame(df::DataFrame());
-    if (parts.size() == 1) return EagerValue::Frame(std::move(parts[0]));
-    LAFP_ASSIGN_OR_RETURN(df::DataFrame all, df::Concat(parts));
+    LAFP_ASSIGN_OR_RETURN(df::DataFrame all,
+                          ConcatPartitions(std::move(parts)));
     return EagerValue::Frame(std::move(all));
   }
 
@@ -150,26 +146,25 @@ class DaskEvaluator {
     if (memo != scalar_memo_.end()) return memo->second;
 
     df::Scalar out;
-    if (node->desc.kind == OpKind::kReduce) {
-      LAFP_ASSIGN_OR_RETURN(auto stream, Stream(node->inputs[0]));
-      ReduceCombiner combiner(node->desc.agg_func);
-      while (true) {
-        LAFP_ASSIGN_OR_RETURN(auto part, stream->Next());
-        if (!part.has_value()) break;
-        LAFP_RETURN_NOT_OK(combiner.AddPartition(*part));
+    switch (StrategyOf(node->desc)) {
+      case Strategy::kLen: {
+        LAFP_ASSIGN_OR_RETURN(auto stream, Stream(node->inputs[0]));
+        int64_t rows = 0;
+        while (true) {
+          LAFP_ASSIGN_OR_RETURN(auto part, stream->Next());
+          if (!part.has_value()) break;
+          rows += static_cast<int64_t>(part->num_rows());
+        }
+        out = df::Scalar::Int(rows);
+        break;
       }
-      LAFP_ASSIGN_OR_RETURN(out, combiner.Finish());
-    } else if (node->desc.kind == OpKind::kLen) {
-      LAFP_ASSIGN_OR_RETURN(auto stream, Stream(node->inputs[0]));
-      int64_t rows = 0;
-      while (true) {
-        LAFP_ASSIGN_OR_RETURN(auto part, stream->Next());
-        if (!part.has_value()) break;
-        rows += static_cast<int64_t>(part->num_rows());
+      case Strategy::kCombine: {
+        LAFP_ASSIGN_OR_RETURN(EagerValue value, Combine(node));
+        out = std::move(value.scalar);
+        break;
       }
-      out = df::Scalar::Int(rows);
-    } else {
-      return Status::Invalid("node does not produce a scalar");
+      default:
+        return Status::Invalid("node does not produce a scalar");
     }
     scalar_memo_[node.get()] = out;
     if (node->persist_requested) {
@@ -250,6 +245,22 @@ class DaskEvaluator {
   Result<std::unique_ptr<PartitionStream>> StreamInner(
       const DaskNodePtr& node);
 
+  /// Pulls the input's partitions through the op's combiner until it has
+  /// enough: one simulated task per partition folded.
+  Result<EagerValue> Combine(const DaskNodePtr& node) {
+    std::unique_ptr<Combiner> combiner = CombinerFor(node->desc);
+    LAFP_ASSIGN_OR_RETURN(auto stream, Stream(node->inputs[0]));
+    size_t parts = 0;
+    for (uint64_t rows = 0; !combiner->Enough(parts, rows); ++parts) {
+      LAFP_ASSIGN_OR_RETURN(auto part, stream->Next());
+      if (!part.has_value()) break;
+      PayOverhead();
+      rows += part->num_rows();
+      LAFP_RETURN_NOT_OK(combiner->AddPartition(*part));
+    }
+    return combiner->Finish();
+  }
+
   /// Memoize a small, fully evaluated result for this Materialize call.
   std::unique_ptr<PartitionStream> MemoizeSingle(const DaskNodePtr& node,
                                                  df::DataFrame result) {
@@ -319,7 +330,7 @@ Result<std::unique_ptr<PartitionStream>> ZoneStream::Make(
 
 Status ZoneStream::Discover(const DaskNodePtr& node) {
   if (zone_.count(node.get()) > 0) return Status::OK();
-  bool fusable = Traits(node->desc.kind).Is(OpTraits::kMap) &&
+  bool fusable = StrategyOf(node->desc) == Strategy::kMap &&
                  (node == root_ || (!node->persist_requested &&
                                     node->persisted == nullptr));
   if (!fusable) {
@@ -460,9 +471,8 @@ class MergeStream : public PartitionStream {
 Result<std::unique_ptr<PartitionStream>> DaskEvaluator::StreamInner(
     const DaskNodePtr& node) {
   const OpDesc& desc = node->desc;
-  switch (desc.kind) {
-    case OpKind::kReadCsv:
-    case OpKind::kReadLfc: {
+  switch (StrategyOf(desc)) {
+    case Strategy::kScan: {
       const BackendConfig& config = backend_->config();
       LAFP_ASSIGN_OR_RETURN(
           auto units, ScanUnits::Open(desc, config.partition_rows, tracker_));
@@ -474,38 +484,9 @@ Result<std::unique_ptr<PartitionStream>> DaskEvaluator::StreamInner(
       return std::unique_ptr<PartitionStream>(std::make_unique<ScanStream>(
           std::move(units), window, config.task_overhead_us));
     }
-    case OpKind::kGroupByAgg: {
-      GroupByCombiner combiner(desc.columns, desc.aggs);
-      if (!combiner.supported()) {
-        // nunique: single-node aggregation over the collected input.
-        LAFP_ASSIGN_OR_RETURN(df::DataFrame input,
-                              CollectEager(node->inputs[0]));
-        PayOverhead();
-        LAFP_ASSIGN_OR_RETURN(
-            df::DataFrame out,
-            df::GroupByAgg(input, desc.columns, desc.aggs));
-        return MemoizeSingle(node, std::move(out));
-      }
-      LAFP_ASSIGN_OR_RETURN(auto stream, Stream(node->inputs[0]));
-      while (true) {
-        LAFP_ASSIGN_OR_RETURN(auto part, stream->Next());
-        if (!part.has_value()) break;
-        PayOverhead();
-        LAFP_RETURN_NOT_OK(combiner.AddPartition(*part));
-      }
-      LAFP_ASSIGN_OR_RETURN(df::DataFrame out, combiner.Finish());
-      return MemoizeSingle(node, std::move(out));
-    }
-    case OpKind::kConcat: {
-      std::vector<std::unique_ptr<PartitionStream>> streams;
-      for (const auto& in : node->inputs) {
-        LAFP_ASSIGN_OR_RETURN(auto s, Stream(in));
-        streams.push_back(std::move(s));
-      }
-      return std::unique_ptr<PartitionStream>(
-          std::make_unique<ChainStream>(std::move(streams)));
-    }
-    case OpKind::kMerge: {
+    case Strategy::kMap:
+      return ZoneStream::Make(this, node);
+    case Strategy::kMerge: {
       LAFP_ASSIGN_OR_RETURN(auto left, Stream(node->inputs[0]));
       // Broadcast: the right side is materialized (tracked; a deliberate
       // potential OOM point, mirroring real Dask broadcast joins).
@@ -514,202 +495,43 @@ Result<std::unique_ptr<PartitionStream>> DaskEvaluator::StreamInner(
       return std::unique_ptr<PartitionStream>(std::make_unique<MergeStream>(
           this, desc, std::move(left), std::move(right)));
     }
-    case OpKind::kHead: {
-      LAFP_ASSIGN_OR_RETURN(auto stream, Stream(node->inputs[0]));
-      std::vector<df::DataFrame> got;
-      size_t rows = 0;
-      while (rows < desc.n) {
-        LAFP_ASSIGN_OR_RETURN(auto part, stream->Next());
-        if (!part.has_value()) break;
-        size_t want = desc.n - rows;
-        if (part->num_rows() > want) {
-          LAFP_ASSIGN_OR_RETURN(df::DataFrame cut, part->SliceRows(0, want));
-          got.push_back(std::move(cut));
-          rows += want;
-        } else {
-          rows += part->num_rows();
-          got.push_back(std::move(*part));
-        }
-      }
-      df::DataFrame out;
-      if (got.size() == 1) {
-        out = std::move(got[0]);
-      } else if (!got.empty()) {
-        LAFP_ASSIGN_OR_RETURN(out, df::Concat(got));
-      }
-      return MemoizeSingle(node, std::move(out));
-    }
-    case OpKind::kValueCounts: {
-      LAFP_ASSIGN_OR_RETURN(auto stream, Stream(node->inputs[0]));
-      std::vector<df::DataFrame> partials;
-      std::string value_name = "value";
-      while (true) {
-        LAFP_ASSIGN_OR_RETURN(auto part, stream->Next());
-        if (!part.has_value()) break;
-        PayOverhead();
-        if (part->num_columns() != 1) {
-          return Status::TypeError("value_counts expects a series");
-        }
-        value_name = part->names()[0];
-        LAFP_ASSIGN_OR_RETURN(
-            df::DataFrame vc,
-            df::ValueCounts(*part->column(size_t{0}), value_name));
-        partials.push_back(std::move(vc));
-      }
-      if (partials.empty()) return MemoizeSingle(node, df::DataFrame());
-      LAFP_ASSIGN_OR_RETURN(df::DataFrame all, df::Concat(partials));
-      LAFP_ASSIGN_OR_RETURN(
-          df::DataFrame combined,
-          df::GroupByAgg(all, {value_name},
-                         {{"count", df::AggFunc::kSum, "count"}}));
-      LAFP_ASSIGN_OR_RETURN(
-          df::DataFrame sorted,
-          df::SortValues(combined, {"count", value_name}, {false, true}));
-      return MemoizeSingle(node, std::move(sorted));
-    }
-    case OpKind::kDescribe: {
-      // Single-pass distributed describe: fold count/sum/sumsq/min/max.
-      LAFP_ASSIGN_OR_RETURN(auto stream, Stream(node->inputs[0]));
-      std::vector<std::string> col_names;
-      std::vector<df::KahanSum> sum, sumsq;
-      std::vector<double> mn, mx;
-      std::vector<int64_t> count;
-      bool initialized = false;
-      while (true) {
-        LAFP_ASSIGN_OR_RETURN(auto part, stream->Next());
-        if (!part.has_value()) break;
-        PayOverhead();
-        if (!initialized) {
-          for (size_t c = 0; c < part->num_columns(); ++c) {
-            if (!df::IsNumeric(part->column(c)->type())) continue;
-            col_names.push_back(part->names()[c]);
-          }
-          sum.assign(col_names.size(), df::KahanSum());
-          sumsq.assign(col_names.size(), df::KahanSum());
-          count.assign(col_names.size(), 0);
-          mn.assign(col_names.size(),
-                    std::numeric_limits<double>::infinity());
-          mx.assign(col_names.size(),
-                    -std::numeric_limits<double>::infinity());
-          initialized = true;
-        }
-        for (size_t k = 0; k < col_names.size(); ++k) {
-          LAFP_ASSIGN_OR_RETURN(df::ColumnPtr col,
-                                part->column(col_names[k]));
-          for (size_t r = 0; r < col->size(); ++r) {
-            if (!col->IsValid(r)) continue;
-            LAFP_ASSIGN_OR_RETURN(double v, col->NumericAt(r));
-            if (std::isnan(v)) continue;
-            sum[k].Add(v);
-            sumsq[k].Add(v * v);
-            ++count[k];
-            mn[k] = std::min(mn[k], v);
-            mx[k] = std::max(mx[k], v);
-          }
-        }
-      }
-      std::vector<std::string> out_names{"stat"};
-      std::vector<df::ColumnPtr> out_cols;
-      {
-        df::ColumnBuilder stat(df::DataType::kString, tracker_);
-        for (const char* s : {"count", "mean", "std", "min", "max"}) {
-          stat.AppendString(s);
-        }
-        LAFP_ASSIGN_OR_RETURN(df::ColumnPtr c, stat.Finish());
-        out_cols.push_back(std::move(c));
-      }
-      for (size_t k = 0; k < col_names.size(); ++k) {
-        df::ColumnBuilder b(df::DataType::kDouble, tracker_);
-        double total = sum[k].Total();
-        double total_sq = sumsq[k].Total();
-        double mean = count[k] > 0 ? total / count[k] : std::nan("");
-        double var =
-            count[k] > 1
-                ? std::max(0.0, (total_sq - total * total / count[k]) /
-                                    (count[k] - 1))
-                : std::nan("");
-        b.AppendDouble(static_cast<double>(count[k]));
-        b.AppendDouble(mean);
-        b.AppendDouble(count[k] > 1 ? std::sqrt(var) : std::nan(""));
-        b.AppendDouble(count[k] > 0 ? mn[k] : std::nan(""));
-        b.AppendDouble(count[k] > 0 ? mx[k] : std::nan(""));
-        LAFP_ASSIGN_OR_RETURN(df::ColumnPtr c, b.Finish());
-        out_names.push_back(col_names[k]);
-        out_cols.push_back(std::move(c));
-      }
-      LAFP_ASSIGN_OR_RETURN(
-          df::DataFrame out,
-          df::DataFrame::Make(std::move(out_names), std::move(out_cols)));
-      return MemoizeSingle(node, std::move(out));
-    }
-    case OpKind::kDropDuplicates:
-    case OpKind::kUnique: {
-      // Streaming dedup with an accumulated distinct set. The accumulator
-      // grows with the number of distinct keys (tracked memory).
-      LAFP_ASSIGN_OR_RETURN(auto stream, Stream(node->inputs[0]));
-      df::DataFrame acc;
-      bool first = true;
-      while (true) {
-        LAFP_ASSIGN_OR_RETURN(auto part, stream->Next());
-        if (!part.has_value()) break;
-        PayOverhead();
-        df::DataFrame deduped;
-        if (desc.kind == OpKind::kUnique) {
-          if (part->num_columns() != 1) {
-            return Status::TypeError("unique expects a series");
-          }
-          LAFP_ASSIGN_OR_RETURN(df::ColumnPtr u,
-                                df::Unique(*part->column(size_t{0})));
-          LAFP_ASSIGN_OR_RETURN(
-              deduped, df::DataFrame::Make({part->names()[0]}, {u}));
-        } else {
-          LAFP_ASSIGN_OR_RETURN(deduped,
-                                df::DropDuplicates(*part, desc.columns));
-        }
-        if (first) {
-          acc = std::move(deduped);
-          first = false;
-        } else {
-          LAFP_ASSIGN_OR_RETURN(df::DataFrame merged,
-                                df::Concat({acc, deduped}));
-          if (desc.kind == OpKind::kUnique) {
-            LAFP_ASSIGN_OR_RETURN(df::ColumnPtr u,
-                                  df::Unique(*merged.column(size_t{0})));
-            LAFP_ASSIGN_OR_RETURN(
-                acc, df::DataFrame::Make({merged.names()[0]}, {u}));
-          } else {
-            LAFP_ASSIGN_OR_RETURN(acc,
-                                  df::DropDuplicates(merged, desc.columns));
-          }
-        }
-      }
-      return MemoizeSingle(node, std::move(acc));
-    }
-    default: {
-      if (Traits(desc.kind).Is(OpTraits::kMap)) {
-        return ZoneStream::Make(this, node);
-      }
-      // Fallback inside the backend (sort and anything exotic): collect
-      // inputs, run the eager kernel.
-      std::vector<EagerValue> inputs;
+    case Strategy::kChain: {
+      std::vector<std::unique_ptr<PartitionStream>> streams;
       for (const auto& in : node->inputs) {
-        if (in->produces_scalar) {
-          LAFP_ASSIGN_OR_RETURN(df::Scalar s, EvalScalar(in));
-          inputs.push_back(EagerValue::FromScalar(std::move(s)));
-          continue;
-        }
-        LAFP_ASSIGN_OR_RETURN(df::DataFrame frame, CollectEager(in));
-        inputs.push_back(EagerValue::Frame(std::move(frame)));
+        LAFP_ASSIGN_OR_RETURN(auto s, Stream(in));
+        streams.push_back(std::move(s));
       }
-      PayOverhead();
-      LAFP_ASSIGN_OR_RETURN(EagerValue out,
-                            ExecuteEagerOp(desc, inputs, tracker_));
-      if (out.is_scalar) {
-        return Status::ExecutionError("unexpected scalar from fallback op");
-      }
+      return std::unique_ptr<PartitionStream>(
+          std::make_unique<ChainStream>(std::move(streams)));
+    }
+    case Strategy::kCombine: {
+      // The combiners' state grows only with the result (distinct keys,
+      // head's rows), and head stops pulling early.
+      LAFP_ASSIGN_OR_RETURN(EagerValue out, Combine(node));
       return MemoizeSingle(node, std::move(out.frame));
     }
+    case Strategy::kLen:
+    case Strategy::kGather:
+      break;
   }
+  // Gather inside the backend (sort, nunique group-bys and anything
+  // exotic): collect the inputs, run the eager kernel.
+  std::vector<EagerValue> inputs;
+  for (const auto& in : node->inputs) {
+    if (in->produces_scalar) {
+      LAFP_ASSIGN_OR_RETURN(df::Scalar s, EvalScalar(in));
+      inputs.push_back(EagerValue::FromScalar(std::move(s)));
+      continue;
+    }
+    LAFP_ASSIGN_OR_RETURN(df::DataFrame frame, CollectEager(in));
+    inputs.push_back(EagerValue::Frame(std::move(frame)));
+  }
+  PayOverhead();
+  LAFP_ASSIGN_OR_RETURN(EagerValue out, ExecuteEagerOp(desc, inputs, tracker_));
+  if (out.is_scalar) {
+    return Status::ExecutionError("unexpected scalar from fallback op");
+  }
+  return MemoizeSingle(node, std::move(out.frame));
 }
 
 }  // namespace internal
@@ -750,16 +572,9 @@ DaskBackend::~DaskBackend() {
 }
 
 bool DaskBackend::SupportsOp(const OpDesc& desc) const {
-  switch (desc.kind) {
-    case OpKind::kPrint:
-      return false;
-    case OpKind::kSortValues:
-      // No global row order in Dask (paper §5.2): programs must fall back
-      // to Pandas around order-sensitive operations.
-      return false;
-    default:
-      return true;
-  }
+  // No global row order in Dask (paper §5.2): programs fall back to
+  // Pandas around sort_values. Print is the session's.
+  return desc.kind != OpKind::kPrint && desc.kind != OpKind::kSortValues;
 }
 
 Result<BackendValue> DaskBackend::Execute(
@@ -810,16 +625,6 @@ Status DaskBackend::Persist(const BackendValue& value) {
   LAFP_ASSIGN_OR_RETURN(internal::DaskNodePtr node,
                         internal::NodeOf(value));
   node->persist_requested = true;
-  return Status::OK();
-}
-
-Status DaskBackend::Unpersist(const BackendValue& value) {
-  if (value.is_scalar) return Status::OK();
-  LAFP_ASSIGN_OR_RETURN(internal::DaskNodePtr node,
-                        internal::NodeOf(value));
-  node->persist_requested = false;
-  node->persisted.reset();
-  node->persisted_scalar.reset();
   return Status::OK();
 }
 

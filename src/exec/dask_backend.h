@@ -18,11 +18,14 @@ class DaskEvaluator;
 ///
 /// Execute() merely records plan nodes ("creates an operator DAG in the
 /// backend framework", paper §2.5); Materialize() evaluates the plan by
-/// streaming partitions:
+/// streaming partitions, running each op by its StrategyOf
+/// (exec/partitioned.h):
 ///   - chains of row-wise ops are fused and evaluated one partition at a
 ///     time (bounded memory regardless of dataset size);
-///   - group-bys and reductions fold partitions through two-phase
-///     combiners;
+///   - combine ops (group-by, reductions, head, value_counts, describe,
+///     drop_duplicates, unique) pull partitions through the shared
+///     combiners (exec/agg_twophase.h) until the combiner has enough;
+///   - concat chains its inputs' streams;
 ///   - merge broadcasts the right side (a deliberate materialization
 ///     point that can OOM, as in the paper's failure cases);
 ///   - the final result is concatenated into an eager frame — the other
@@ -48,7 +51,6 @@ class DaskBackend : public Backend {
   Result<EagerValue> Materialize(const BackendValue& value) override;
   Result<BackendValue> FromEager(const EagerValue& value) override;
   Status Persist(const BackendValue& value) override;
-  Status Unpersist(const BackendValue& value) override;
 
  private:
   friend class internal::DaskEvaluator;

@@ -183,11 +183,10 @@ Result<BackendFramePtr> ModinBackend::RunKeep(
 }
 
 Result<std::vector<df::DataFrame>> ModinBackend::Fetch(
-    const BackendFrame& frame) {
+    const BackendFrame& frame, size_t limit) {
   LAFP_ASSIGN_OR_RETURN(const PartitionedFrame* parts, PartsOf(frame));
   std::vector<df::DataFrame> out;
-  out.reserve(parts->num_partitions());
-  for (size_t i = 0; i < parts->num_partitions(); ++i) {
+  for (size_t i = 0; i < parts->num_partitions() && i < limit; ++i) {
     LAFP_ASSIGN_OR_RETURN(df::DataFrame part, parts->partition(i, tracker_));
     out.push_back(std::move(part));
   }

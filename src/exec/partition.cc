@@ -24,26 +24,10 @@ Result<df::DataFrame> Partition::Load(MemoryTracker* tracker) const {
   return ReadSpillFile(spill_path_, tracker);
 }
 
-Status PartitionedFrame::SpillAll(const std::string& dir,
-                                  const std::string& name_prefix) {
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    LAFP_RETURN_NOT_OK(partitions_[i]->SpillTo(
-        dir, name_prefix + "_" + std::to_string(i)));
-  }
-  return Status::OK();
-}
-
-Result<df::DataFrame> PartitionedFrame::ToEager(
-    MemoryTracker* tracker) const {
-  if (partitions_.empty()) return df::DataFrame();
-  std::vector<df::DataFrame> frames;
-  frames.reserve(partitions_.size());
-  for (const auto& p : partitions_) {
-    LAFP_ASSIGN_OR_RETURN(df::DataFrame f, p->Load(tracker));
-    frames.push_back(std::move(f));
-  }
-  if (frames.size() == 1) return frames[0];
-  return df::Concat(frames);
+Result<df::DataFrame> ConcatPartitions(std::vector<df::DataFrame> parts) {
+  if (parts.empty()) return df::DataFrame();
+  if (parts.size() == 1) return std::move(parts[0]);
+  return df::Concat(parts);
 }
 
 Result<PartitionedFrame> PartitionedFrame::FromEager(

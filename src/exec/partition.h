@@ -35,6 +35,10 @@ class Partition {
   size_t num_rows_ = 0;
 };
 
+/// Row partitions concatenated in order: one passes through unchanged,
+/// none is an empty frame.
+Result<df::DataFrame> ConcatPartitions(std::vector<df::DataFrame> parts);
+
 /// An ordered list of partitions — the in-memory representation used by
 /// the Modin backend and the persisted/cached representation in the Dask
 /// backend.
@@ -55,18 +59,11 @@ class PartitionedFrame {
     return partitions_[i]->Load(tracker);
   }
 
-  /// Spill every partition to `dir` (Dask disk-persist extension).
-  Status SpillAll(const std::string& dir, const std::string& name_prefix);
-
   /// Spill one partition (used to bound memory while collecting).
   Status SpillPartition(size_t i, const std::string& dir,
                         const std::string& name) {
     return partitions_[i]->SpillTo(dir, name);
   }
-
-  /// Concatenate into one eager frame (the materialization point; charges
-  /// the tracker with the full footprint).
-  Result<df::DataFrame> ToEager(MemoryTracker* tracker) const;
 
   /// Split an eager frame into row chunks of `partition_rows`. Fails
   /// (kOutOfMemory) if the chunk copies exceed the budget.

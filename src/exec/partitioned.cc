@@ -1,7 +1,10 @@
 #include "exec/partitioned.h"
 
+#include <limits>
+
 #include "common/macros.h"
 #include "exec/agg_twophase.h"
+#include "exec/partition.h"
 
 namespace lafp::exec {
 
@@ -56,28 +59,19 @@ Result<df::DataFrame> ScanUnits::Read(const ScanUnit& unit) const {
                          static_cast<size_t>(unit.slice.rows));
 }
 
-namespace {
-
-enum class Strategy { kScan, kMap, kGroupBy, kReduce, kLen, kMerge, kGather };
-
 Strategy StrategyOf(const OpDesc& desc) {
-  switch (desc.kind) {
-    case OpKind::kReadCsv:
-    case OpKind::kReadLfc:
-      return Strategy::kScan;
-    case OpKind::kGroupByAgg:
-      return Strategy::kGroupBy;
-    case OpKind::kReduce:
-      return Strategy::kReduce;
-    case OpKind::kLen:
-      return Strategy::kLen;
-    case OpKind::kMerge:
-      return Strategy::kMerge;
-    default:
-      return Traits(desc.kind).Is(OpTraits::kMap) ? Strategy::kMap
-                                                  : Strategy::kGather;
+  const OpKind kind = desc.kind;
+  if (kind == OpKind::kReadCsv || kind == OpKind::kReadLfc) {
+    return Strategy::kScan;
   }
+  if (kind == OpKind::kMerge) return Strategy::kMerge;
+  if (kind == OpKind::kLen) return Strategy::kLen;
+  if (kind == OpKind::kConcat) return Strategy::kChain;
+  if (CombinerFor(desc) != nullptr) return Strategy::kCombine;
+  return Traits(kind).Is(OpTraits::kMap) ? Strategy::kMap : Strategy::kGather;
 }
+
+namespace {
 
 bool IsFrame(const BackendValue& value) {
   return !value.is_scalar && value.frame != nullptr;
@@ -115,30 +109,30 @@ Result<BackendValue> PartitionedBackend::ExecutePartitioned(
       LAFP_ASSIGN_OR_RETURN(BackendFramePtr out, RunKeep(desc, inputs));
       return BackendValue::Frame(std::move(out));
     }
-    case Strategy::kGroupBy: {
-      GroupByCombiner combiner(desc.columns, desc.aggs);
-      if (!combiner.supported()) break;
-      LAFP_ASSIGN_OR_RETURN(std::vector<df::DataFrame> partials,
-                            RunReturn(combiner.PartialOp(), {inputs[0]}));
-      // Folded in partition order: first-appearance group order, and so
-      // the bytes, are the same for every partition placement.
-      for (auto& partial : partials) {
-        LAFP_RETURN_NOT_OK(combiner.AddPartial(std::move(partial)));
+    case Strategy::kCombine: {
+      std::unique_ptr<Combiner> combiner = CombinerFor(desc);
+      std::vector<df::DataFrame> parts;
+      if (const OpDesc* phase_one = combiner->phase_one()) {
+        LAFP_ASSIGN_OR_RETURN(parts, RunReturn(*phase_one, {inputs[0]}));
+      } else {
+        // Only the leading partitions the combiner needs (head's prefix).
+        LAFP_ASSIGN_OR_RETURN(std::vector<uint64_t> rows,
+                              Rows(*inputs[0].frame));
+        size_t limit = 0;
+        for (uint64_t have = 0;
+             limit < rows.size() && !combiner->Enough(limit, have);) {
+          have += rows[limit++];
+        }
+        LAFP_ASSIGN_OR_RETURN(parts, Fetch(*inputs[0].frame, limit));
+        PayTasks(parts.size());
       }
-      LAFP_ASSIGN_OR_RETURN(df::DataFrame result, combiner.Finish());
-      LAFP_ASSIGN_OR_RETURN(BackendFramePtr out, Place(result));
-      return BackendValue::Frame(std::move(out));
-    }
-    case Strategy::kReduce: {
-      LAFP_ASSIGN_OR_RETURN(std::vector<df::DataFrame> parts,
-                            Fetch(*inputs[0].frame));
-      PayTasks(parts.size());
-      ReduceCombiner combiner(desc.agg_func);
-      for (const auto& part : parts) {
-        LAFP_RETURN_NOT_OK(combiner.AddPartition(part));
+      // Folded in partition order: first-appearance order, and so the
+      // bytes, are the same for every partition placement.
+      for (auto& part : parts) {
+        LAFP_RETURN_NOT_OK(combiner->AddPartial(std::move(part)));
       }
-      LAFP_ASSIGN_OR_RETURN(df::Scalar out, combiner.Finish());
-      return BackendValue::FromScalar(std::move(out));
+      LAFP_ASSIGN_OR_RETURN(EagerValue out, combiner->Finish());
+      return FromEagerPartitioned(out);
     }
     case Strategy::kLen: {
       const int64_t rows = RowCount(inputs[0]);
@@ -157,6 +151,7 @@ Result<BackendValue> PartitionedBackend::ExecutePartitioned(
       return BackendValue::Frame(std::move(out));
     }
     case Strategy::kScan:
+    case Strategy::kChain:
     case Strategy::kGather:
       break;
   }
@@ -202,11 +197,11 @@ Result<EagerValue> PartitionedBackend::MaterializePartitioned(
   if (value.frame == nullptr) {
     return Status::Invalid(std::string("empty value passed to ") + name());
   }
-  LAFP_ASSIGN_OR_RETURN(std::vector<df::DataFrame> parts,
-                        Fetch(*value.frame));
-  if (parts.empty()) return EagerValue::Frame(df::DataFrame());
-  if (parts.size() == 1) return EagerValue::Frame(std::move(parts[0]));
-  LAFP_ASSIGN_OR_RETURN(df::DataFrame whole, df::Concat(parts));
+  LAFP_ASSIGN_OR_RETURN(
+      std::vector<df::DataFrame> parts,
+      Fetch(*value.frame, std::numeric_limits<size_t>::max()));
+  LAFP_ASSIGN_OR_RETURN(df::DataFrame whole,
+                        ConcatPartitions(std::move(parts)));
   return EagerValue::Frame(std::move(whole));
 }
 

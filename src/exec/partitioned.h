@@ -53,24 +53,32 @@ class ScanUnits {
   bool done_ = false;
 };
 
+/// How an op runs over row partitions: the one per-op decision, shared by
+/// the partitioned planner below (Modin, Shard) and Dask's stream
+/// evaluator. kCombine ops fold through CombinerFor(desc); kChain
+/// (concat) streams its inputs in order on Dask and gathers here.
+enum class Strategy { kScan, kMap, kMerge, kLen, kChain, kCombine, kGather };
+
+Strategy StrategyOf(const OpDesc& desc);
+
 /// The eager partitioned backends (Modin, Shard): a frame is an ordered
-/// list of row partitions held in a store, and one planner decides, once
-/// per op, how the op runs over them:
+/// list of row partitions held in a store, and the planner runs each op
+/// by its StrategyOf:
 ///
 ///   - scans split into ScanUnits, one partition each;
-///   - map ops (OpTraits::kMap) run per partition and stay in place; a
-///     second frame input must be Aligned (same per-partition rows, same
-///     placement), else the op gathers;
-///   - group-bys run in two phases: phase one is an ordinary kGroupByAgg
-///     over GroupByCombiner's partial specs, run per partition and
-///     returned; the combine runs here and the result is placed;
-///   - reductions fold the fetched partitions with ReduceCombiner;
-///   - len sums the partition row counts;
+///   - map ops run per partition and stay in place; a second frame input
+///     must be Aligned (same per-partition rows, same placement), else
+///     the op gathers;
 ///   - merges broadcast the materialized right side beside the left
 ///     partitions and join per partition;
-///   - everything else (and nunique group-bys, misaligned maps) gathers:
-///     the inputs are materialized, the eager kernel runs here, and the
-///     result is placed.
+///   - len sums the partition row counts;
+///   - combines run the combiner's phase one per partition and fold the
+///     returned outputs, or, without a phase one, fold the fetched
+///     partitions: only the prefix the combiner calls Enough, for head.
+///     The result is placed;
+///   - everything else (concat, nunique group-bys, sort, misaligned maps)
+///     gathers: the inputs are materialized, the eager kernel runs here,
+///     and the result is placed.
 ///
 /// Subclasses supply the store primitives below and forward Execute,
 /// Materialize and FromEager to the planner (adding their own locking
@@ -109,9 +117,9 @@ class PartitionedBackend : public Backend {
   virtual Result<std::vector<df::DataFrame>> RunReturn(
       const OpDesc& desc, const std::vector<BackendValue>& inputs) = 0;
 
-  /// A frame's partitions, in order.
-  virtual Result<std::vector<df::DataFrame>> Fetch(
-      const BackendFrame& frame) = 0;
+  /// A frame's first `limit` partitions (or all it has), in order.
+  virtual Result<std::vector<df::DataFrame>> Fetch(const BackendFrame& frame,
+                                                   size_t limit) = 0;
 
   /// Splits an eager frame into partitions of config().partition_rows
   /// rows (one empty partition for an empty frame) and stores them.
@@ -132,7 +140,7 @@ class PartitionedBackend : public Backend {
       const BackendFrame& frame) const = 0;
 
   /// The simulated dispatch cost (config().task_overhead_us) of `tasks`
-  /// tasks the planner runs itself: one per partition it reduces, one per
+  /// tasks the planner runs itself: one per partition it folds, one per
   /// gathered op. Stores pay it inside their own partition tasks.
   virtual void PayTasks(size_t tasks) const { (void)tasks; }
 

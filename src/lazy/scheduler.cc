@@ -146,13 +146,11 @@ Status Scheduler::RunSerial(const std::vector<TaskNodePtr>& order,
     if (plan.reused.count(n.get()) > 0) {
       if (report != nullptr) {
         ++report->nodes_reused;
-        if (options_.collect_stats) {
-          NodeStats stats;
-          stats.node_id = n->id;
-          stats.op = n->desc.ToString();
-          stats.reused = true;
-          report->nodes.push_back(std::move(stats));
-        }
+        NodeStats stats;
+        stats.node_id = n->id;
+        stats.op = n->desc.ToString();
+        stats.reused = true;
+        report->nodes.push_back(std::move(stats));
       }
       continue;  // carried over, nothing to do
     }
@@ -206,7 +204,7 @@ Status Scheduler::RunSerial(const std::vector<TaskNodePtr>& order,
       report->kernel_micros += stats.kernel_micros;
       report->kernel_morsels += stats.morsels;
       report->parallel_kernels += stats.parallel_kernels;
-      if (options_.collect_stats) report->nodes.push_back(std::move(stats));
+      report->nodes.push_back(std::move(stats));
     }
     // Release inputs whose consumers in this round are all done.
     for (const auto& in : n->inputs) {
@@ -288,13 +286,11 @@ Status Scheduler::RunParallel(const std::vector<TaskNodePtr>& order,
     for (const auto& n : order) {
       if (plan.reused.count(n.get()) == 0) continue;
       ++report->nodes_reused;
-      if (options_.collect_stats) {
-        NodeStats stats;
-        stats.node_id = n->id;
-        stats.op = n->desc.ToString();
-        stats.reused = true;
-        report->nodes.push_back(std::move(stats));
-      }
+      NodeStats stats;
+      stats.node_id = n->id;
+      stats.op = n->desc.ToString();
+      stats.reused = true;
+      report->nodes.push_back(std::move(stats));
     }
   }
 
@@ -370,7 +366,7 @@ Status Scheduler::RunParallel(const std::vector<TaskNodePtr>& order,
           report->kernel_micros += stats.kernel_micros;
           report->kernel_morsels += stats.morsels;
           report->parallel_kernels += stats.parallel_kernels;
-          if (options_.collect_stats) report->nodes.push_back(stats);
+          report->nodes.push_back(stats);
         }
         // Release this node's inputs (per-edge, mirrors the serial path).
         for (const auto& in : n->inputs) {

@@ -63,7 +63,7 @@ struct ExecutionReport {
     std::string name;
     int64_t wall_micros = 0;
     // Plan delta: reachable task-graph size before/after the pass ran
-    // (-1 = not measured, e.g. stats collection off).
+    // (-1 = not measured).
     int64_t nodes_before = -1;
     int64_t nodes_after = -1;
   };
@@ -94,7 +94,6 @@ class Scheduler {
   struct Options {
     int num_threads = 1;        // <= 1 => serial reference path
     bool clear_results = false;  // §2.6 clearing (lazy mode, eager backend)
-    bool collect_stats = true;   // fill ExecutionReport::nodes
     /// Optional external cancellation token. The scheduler trips it on
     /// the first node failure (so cooperating work can stop early) and
     /// honors an externally tripped token between nodes: no new node

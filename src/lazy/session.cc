@@ -301,19 +301,15 @@ Status Session::ExecuteRound(const std::vector<TaskNodePtr>& roots,
   report.backend = backend_->name();
 
   // Plan-delta accounting for pass stats: reachable graph size before and
-  // after each pass (one TopoSort per measurement, stats-gated).
-  const bool plan_deltas = options_.exec.collect_stats;
-  int64_t nodes_before =
-      plan_deltas ? static_cast<int64_t>(TaskGraph::TopoSort(roots).size())
-                  : -1;
+  // after each pass (one TopoSort per measurement).
+  int64_t nodes_before = static_cast<int64_t>(TaskGraph::TopoSort(roots).size());
   // One pipeline stage: timer + trace span + per-pass report entry.
   auto run_stage = [&](const std::string& name, auto&& body) -> Status {
     Timer pass_timer;
     trace::Span pass_span("pass:" + name, "pass");
     Status pass_status = body();
     int64_t nodes_after =
-        plan_deltas ? static_cast<int64_t>(TaskGraph::TopoSort(roots).size())
-                    : -1;
+        static_cast<int64_t>(TaskGraph::TopoSort(roots).size());
     if (pass_span.active()) {
       pass_span.AddArg("nodes_before", nodes_before);
       pass_span.AddArg("nodes_after", nodes_after);
@@ -363,8 +359,7 @@ Status Session::ExecuteRound(const std::vector<TaskNodePtr>& roots,
   // so those rounds stay on the deterministic serial path.
   // Already resolved by NormalizeOptions (no inherit sentinel left).
   int threads = options_.exec.num_threads;
-  const bool parallel = threads > 1 && !options_.exec.serial_scheduler &&
-                        !backend_->lazy();
+  const bool parallel = threads > 1 && !backend_->lazy();
   // An injected pool (query server) is shared across sessions; otherwise
   // the session lazily builds its own.
   ThreadPool* pool = options_.exec.scheduler_pool;
@@ -378,7 +373,6 @@ Status Session::ExecuteRound(const std::vector<TaskNodePtr>& roots,
   Scheduler::Options sched_options;
   sched_options.num_threads = parallel ? threads : 1;
   sched_options.clear_results = clear_results;
-  sched_options.collect_stats = options_.exec.collect_stats;
   sched_options.cancel = options_.exec.cancel;
   Scheduler::Callbacks callbacks;
   callbacks.exec_node = [this](const TaskNodePtr& node, NodeStats* stats) {

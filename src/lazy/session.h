@@ -32,14 +32,6 @@ struct ExecutionOptions {
   /// (so aggregate-initialized SessionOptions keep their old meaning);
   /// 1 = serial scheduling.
   int num_threads = 0;
-  /// Collect per-node statistics into Session::last_report(). Cheap
-  /// (microseconds per node); disable for benchmark inner loops.
-  bool collect_stats = true;
-  /// Force the deterministic serial reference scheduler even when
-  /// num_threads > 1 (debugging / A-B testing aid). Lazy backends (Dask)
-  /// always schedule serially: their Execute() is cheap plan recording,
-  /// and plan caches are not synchronized.
-  bool serial_scheduler = false;
   /// Morsel-driven parallelism *inside* individual kernels (the
   /// intra-operator axis, orthogonal to num_threads' inter-operator /
   /// partition axis). 0 = off (kernels run their legacy sequential loops,
@@ -181,14 +173,6 @@ class SessionOptions::Builder {
   Builder& eager() { return mode(ExecutionMode::kEager); }
   Builder& lazy_print(bool on) {
     opts_.lazy_print = on;
-    return *this;
-  }
-  Builder& collect_stats(bool on) {
-    opts_.exec.collect_stats = on;
-    return *this;
-  }
-  Builder& serial_scheduler(bool on) {
-    opts_.exec.serial_scheduler = on;
     return *this;
   }
   /// Arm fault-injection specs for the session (LAFP_FAULTS grammar).

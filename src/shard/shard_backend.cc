@@ -590,11 +590,12 @@ Result<std::vector<df::DataFrame>> ShardBackend::RunReturn(
 }
 
 Result<std::vector<df::DataFrame>> ShardBackend::Fetch(
-    const exec::BackendFrame& frame) {
+    const exec::BackendFrame& frame, size_t limit) {
   LAFP_ASSIGN_OR_RETURN(const ShardFrame* sharded, PartsOf(frame));
   LAFP_RETURN_NOT_OK(ValidateLive(sharded->parts()));
   std::vector<WorkerCall> calls;
   for (const auto& p : sharded->parts()) {
+    if (calls.size() == limit) break;
     WireWriter payload;
     payload.U64(p.handle);
     calls.push_back({p.worker, MsgType::kGetFrame, payload.Take()});

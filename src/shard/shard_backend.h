@@ -164,8 +164,8 @@ class ShardBackend : public exec::PartitionedBackend {
   Result<std::vector<df::DataFrame>> RunReturn(
       const exec::OpDesc& desc,
       const std::vector<exec::BackendValue>& inputs) override;
-  Result<std::vector<df::DataFrame>> Fetch(
-      const exec::BackendFrame& frame) override;
+  Result<std::vector<df::DataFrame>> Fetch(const exec::BackendFrame& frame,
+                                           size_t limit) override;
   Result<exec::BackendFramePtr> Place(const df::DataFrame& frame) override;
   Result<exec::BackendFramePtr> Broadcast(
       const df::DataFrame& frame,

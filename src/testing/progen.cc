@@ -14,7 +14,8 @@ namespace {
 struct FrameVar {
   std::string name;
   std::vector<FuzzColumn> cols;
-  /// groupby/value_counts results: print/checksum/head only.
+  /// groupby, value_counts, unique and describe results:
+  /// print/checksum/head only.
   bool reduced = false;
   /// Source table ordinal, -1 after a merge. Merges are only generated
   /// between frames of distinct roots so non-key column names never
@@ -173,7 +174,7 @@ class ProgramBuilder {
     // Weighted surface coverage; generators that lack a precondition
     // (no timestamp column, only one table, ...) fall through to a
     // plain filter, which is always possible.
-    switch (rng_.Below(14)) {
+    switch (rng_.Below(15)) {
       case 0:
       case 1:
         EmitFilter();
@@ -215,8 +216,11 @@ class ProgramBuilder {
         }
         EmitFilter();
         return;
-      default:
+      case 13:
         EmitDropDuplicates();
+        return;
+      default:
+        EmitSummary();
         return;
     }
   }
@@ -357,8 +361,9 @@ class ProgramBuilder {
       Line(out.name + " = " + src->name + ".sort_values(by=[\"" + by->name +
            "\"], ascending=" + asc + ")");
     } else {
+      // head(0) keeps the schema: a later `.x.sum()` must still resolve.
       Line(out.name + " = " + src->name + ".head(" +
-           std::to_string(2 + rng_.Below(20)) + ")");
+           std::to_string(rng_.Chance(0.15) ? 0 : 2 + rng_.Below(20)) + ")");
     }
     AddFrame(std::move(out));
   }
@@ -404,6 +409,24 @@ class ProgramBuilder {
     out.name = NewFrameName();
     Line(out.name + " = " + src->name + ".drop_duplicates(subset=[\"" +
          by->name + "\"])");
+    AddFrame(std::move(out));
+  }
+
+  /// value_counts(), unique() or describe(): the combiners whose folds
+  /// must keep eager's order and bits. The result is only printed and
+  /// checksummed, so its columns are not tracked.
+  void EmitSummary() {
+    FrameVar* src = PickFrame();
+    if (src == nullptr) return;
+    FrameVar out;
+    out.name = NewFrameName();
+    out.reduced = true;
+    const std::string col =
+        src->name + "." + src->cols[rng_.Below(src->cols.size())].name;
+    static const char* kSummaries[] = {".value_counts()", ".unique()"};
+    const uint64_t pick = rng_.Below(3);
+    Line(out.name + " = " +
+         (pick < 2 ? col + kSummaries[pick] : src->name + ".describe()"));
     AddFrame(std::move(out));
   }
 

@@ -28,8 +28,9 @@ struct GeneratedProgram {
 
 /// Draw a random well-typed PdScript program over the full supported
 /// surface (read_csv, filter chains, isin, column assigns, dt accessors,
-/// groupby/agg, merge, sort_values, head, concat, dropna/fillna,
-/// drop_duplicates, len / series reductions, if/for/while, print) ending
+/// groupby/agg, merge, sort_values, head (n >= 0), concat, dropna/fillna,
+/// drop_duplicates, value_counts, unique, describe, len / series
+/// reductions, if/for/while, print) ending
 /// with a checksum() of every live frame. Deterministic in `seed`.
 GeneratedProgram GenerateProgram(uint64_t seed,
                                  const ProgramGenOptions& options = {});

@@ -14,6 +14,7 @@ namespace lafp::exec {
 namespace {
 
 using df::AggFunc;
+using df::Column;
 using df::DataFrame;
 using df::DataType;
 using df::Scalar;
@@ -251,6 +252,56 @@ TEST_P(BackendParamTest, HeadIsSmall) {
   auto eager = backend_->Materialize(*h);
   ASSERT_TRUE(eager.ok());
   EXPECT_EQ(eager->frame.num_rows(), 5u);
+}
+
+TEST_P(BackendParamTest, HeadZeroKeepsColumns) {
+  // df.head(0).fare.sum() is 0.0: the empty head still has every column.
+  auto frame = Read();
+  ASSERT_TRUE(frame.ok());
+  OpDesc head;
+  head.kind = OpKind::kHead;
+  head.n = 0;
+  auto h = backend_->Execute(head, {*frame});
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  auto eager = backend_->Materialize(*h);
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  EXPECT_EQ(eager->frame.num_rows(), 0u);
+  EXPECT_EQ(eager->frame.num_columns(), 5u);
+  auto fare = GetCol(*h, "fare");
+  ASSERT_TRUE(fare.ok()) << fare.status().ToString();
+  OpDesc sum;
+  sum.kind = OpKind::kReduce;
+  sum.agg_func = AggFunc::kSum;
+  auto total = backend_->Execute(sum, {*fare});
+  ASSERT_TRUE(total.ok()) << total.status().ToString();
+  auto value = backend_->Materialize(*total);
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  ASSERT_TRUE(value->is_scalar);
+  EXPECT_EQ(value->scalar.type(), DataType::kDouble);
+  EXPECT_EQ(value->scalar.double_value(), 0.0);
+}
+
+TEST_P(BackendParamTest, ValueCountsTiesKeepFirstAppearance) {
+  // Partition 0 holds a x20 then b x44, partition 1 a x24: a and b tie at
+  // 44 and a appears first. Per-partition value_counts partials, folded
+  // in order, would put b first.
+  std::vector<std::string> values(20, "a");
+  values.insert(values.end(), 44, "b");
+  values.insert(values.end(), 24, "a");
+  auto col = Column::MakeString(values, {}, &tracker_);
+  ASSERT_TRUE(col.ok());
+  auto series = DataFrame::Make({"v"}, {*col});
+  ASSERT_TRUE(series.ok());
+  auto imported = backend_->FromEager(EagerValue::Frame(*series));
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  OpDesc vc;
+  vc.kind = OpKind::kValueCounts;
+  auto counts = backend_->Execute(vc, {*imported});
+  ASSERT_TRUE(counts.ok()) << counts.status().ToString();
+  auto ref = df::ValueCounts(**col, "v");
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ((*ref->column("v"))->StringAt(0), "a");
+  EXPECT_EQ(Canonical(*counts), RefCanonical(*ref));
 }
 
 TEST_P(BackendParamTest, ValueCountsMatchesReference) {

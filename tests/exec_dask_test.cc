@@ -124,7 +124,6 @@ TEST_F(DaskTest, PersistCachesAcrossMaterializations) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->frame.CanonicalString(true),
             second->frame.CanonicalString(true));
-  ASSERT_TRUE(backend->Unpersist(*frame).ok());
 }
 
 TEST_F(DaskTest, PersistIncreasesMemoryFootprint) {

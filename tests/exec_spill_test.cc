@@ -172,20 +172,5 @@ TEST_F(SpillTest, PartitionSpillReleasesMemory) {
   EXPECT_EQ((*reloaded->column("v"))->IntAt(9999), 7);
 }
 
-TEST_F(SpillTest, SpillAllAndToEager) {
-  MemoryTracker tracker(0);
-  auto col = *Column::MakeInt({1, 2, 3, 4, 5, 6}, {}, &tracker);
-  auto frame = *DataFrame::Make({"v"}, {col});
-  col.reset();
-  auto parts = PartitionedFrame::FromEager(frame, 2);
-  ASSERT_TRUE(parts.ok());
-  EXPECT_EQ(parts->num_partitions(), 3u);
-  ASSERT_TRUE(parts->SpillAll(dir_, "chunk").ok());
-  auto eager = parts->ToEager(&tracker);
-  ASSERT_TRUE(eager.ok());
-  EXPECT_EQ(eager->num_rows(), 6u);
-  EXPECT_EQ((*eager->column("v"))->IntAt(5), 6);
-}
-
 }  // namespace
 }  // namespace lafp::exec

@@ -30,11 +30,12 @@ TEST_F(TwoPhaseTest, GroupBySumAcrossPartitions) {
   auto out = combiner.Finish();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   // Groups in first-appearance order across partials: 1, 2, 3.
-  EXPECT_EQ(out->num_rows(), 3u);
-  EXPECT_EQ((*out->column("k"))->IntAt(0), 1);
-  EXPECT_DOUBLE_EQ((*out->column("s"))->DoubleAt(0), 4.0);
-  EXPECT_DOUBLE_EQ((*out->column("s"))->DoubleAt(1), 6.0);
-  EXPECT_DOUBLE_EQ((*out->column("s"))->DoubleAt(2), 5.0);
+  const DataFrame& frame = out->frame;
+  EXPECT_EQ(frame.num_rows(), 3u);
+  EXPECT_EQ((*frame.column("k"))->IntAt(0), 1);
+  EXPECT_DOUBLE_EQ((*frame.column("s"))->DoubleAt(0), 4.0);
+  EXPECT_DOUBLE_EQ((*frame.column("s"))->DoubleAt(1), 6.0);
+  EXPECT_DOUBLE_EQ((*frame.column("s"))->DoubleAt(2), 5.0);
 }
 
 TEST_F(TwoPhaseTest, GroupByMeanDecomposesIntoSumAndCount) {
@@ -43,9 +44,9 @@ TEST_F(TwoPhaseTest, GroupByMeanDecomposesIntoSumAndCount) {
   ASSERT_TRUE(combiner.AddPartition(Part({1}, {6.0})).ok());
   auto out = combiner.Finish();
   ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->num_rows(), 1u);
+  ASSERT_EQ(out->frame.num_rows(), 1u);
   // Mean of {1,2,6} = 3, not mean-of-means (1.5+6)/2 = 3.75.
-  EXPECT_DOUBLE_EQ((*out->column("m"))->DoubleAt(0), 3.0);
+  EXPECT_DOUBLE_EQ((*out->frame.column("m"))->DoubleAt(0), 3.0);
 }
 
 TEST_F(TwoPhaseTest, GroupByMinMaxCount) {
@@ -56,9 +57,9 @@ TEST_F(TwoPhaseTest, GroupByMinMaxCount) {
   ASSERT_TRUE(combiner.AddPartition(Part({1, 1}, {9.0, 1.0})).ok());
   auto out = combiner.Finish();
   ASSERT_TRUE(out.ok());
-  EXPECT_DOUBLE_EQ((*out->column("lo"))->DoubleAt(0), 1.0);
-  EXPECT_DOUBLE_EQ((*out->column("hi"))->DoubleAt(0), 9.0);
-  EXPECT_EQ((*out->column("n"))->IntAt(0), 4);
+  EXPECT_DOUBLE_EQ((*out->frame.column("lo"))->DoubleAt(0), 1.0);
+  EXPECT_DOUBLE_EQ((*out->frame.column("hi"))->DoubleAt(0), 9.0);
+  EXPECT_EQ((*out->frame.column("n"))->IntAt(0), 4);
 }
 
 TEST_F(TwoPhaseTest, NuniqueUnsupported) {
@@ -81,12 +82,12 @@ TEST_F(TwoPhaseTest, ReduceSumMeanAcrossPartitions) {
   ReduceCombiner sum(AggFunc::kSum);
   ASSERT_TRUE(sum.AddPartition(Series({1.0, 2.0}, &tracker_)).ok());
   ASSERT_TRUE(sum.AddPartition(Series({3.0}, &tracker_)).ok());
-  EXPECT_DOUBLE_EQ((*sum.Finish()).double_value(), 6.0);
+  EXPECT_DOUBLE_EQ((*sum.Finish()).scalar.double_value(), 6.0);
 
   ReduceCombiner mean(AggFunc::kMean);
   ASSERT_TRUE(mean.AddPartition(Series({1.0, 2.0}, &tracker_)).ok());
   ASSERT_TRUE(mean.AddPartition(Series({6.0}, &tracker_)).ok());
-  EXPECT_DOUBLE_EQ((*mean.Finish()).double_value(), 3.0);
+  EXPECT_DOUBLE_EQ((*mean.Finish()).scalar.double_value(), 3.0);
 }
 
 TEST_F(TwoPhaseTest, ReduceIntSumStaysInt) {
@@ -94,7 +95,7 @@ TEST_F(TwoPhaseTest, ReduceIntSumStaysInt) {
   auto ints = *Column::MakeInt({1, 2, 3}, {}, &tracker_);
   auto frame = *DataFrame::Make({"v"}, {ints});
   ASSERT_TRUE(sum.AddPartition(frame).ok());
-  Scalar out = *sum.Finish();
+  Scalar out = sum.Finish()->scalar;
   EXPECT_EQ(out.type(), df::DataType::kInt64);
   EXPECT_EQ(out.int_value(), 6);
 }
@@ -103,17 +104,17 @@ TEST_F(TwoPhaseTest, ReduceMinMaxAndEmpty) {
   ReduceCombiner mn(AggFunc::kMin);
   ASSERT_TRUE(mn.AddPartition(Series({5.0, 2.0}, &tracker_)).ok());
   ASSERT_TRUE(mn.AddPartition(Series({7.0}, &tracker_)).ok());
-  EXPECT_DOUBLE_EQ((*mn.Finish()).double_value(), 2.0);
+  EXPECT_DOUBLE_EQ((*mn.Finish()).scalar.double_value(), 2.0);
 
   ReduceCombiner empty(AggFunc::kMax);
-  EXPECT_TRUE((*empty.Finish()).is_null());
+  EXPECT_TRUE((*empty.Finish()).scalar.is_null());
 }
 
 TEST_F(TwoPhaseTest, ReduceNuniqueUnionsPartitions) {
   ReduceCombiner nu(AggFunc::kNunique);
   ASSERT_TRUE(nu.AddPartition(Series({1.0, 2.0, 1.0}, &tracker_)).ok());
   ASSERT_TRUE(nu.AddPartition(Series({2.0, 3.0}, &tracker_)).ok());
-  EXPECT_EQ((*nu.Finish()).int_value(), 3);
+  EXPECT_EQ((*nu.Finish()).scalar.int_value(), 3);
 }
 
 TEST_F(TwoPhaseTest, ReduceStringMinMax) {
@@ -124,7 +125,7 @@ TEST_F(TwoPhaseTest, ReduceStringMinMax) {
       mn.AddPartition(*DataFrame::Make({"v"}, {s1})).ok());
   ASSERT_TRUE(
       mn.AddPartition(*DataFrame::Make({"v"}, {s2})).ok());
-  EXPECT_EQ((*mn.Finish()).string_value(), "apple");
+  EXPECT_EQ((*mn.Finish()).scalar.string_value(), "apple");
 }
 
 TEST_F(TwoPhaseTest, ReduceRejectsMultiColumnPartition) {

@@ -173,6 +173,37 @@ TEST_F(ShardExecutorTest, PipelineStaysPartitionLocal) {
             static_cast<int64_t>(gather_bytes->size()));
 }
 
+// head(5) fetches only the partitions holding its rows: the first of the
+// scan's eleven 64-row partitions, not a gather of all of them.
+TEST_F(ShardExecutorTest, HeadFetchesOnlyItsPrefix) {
+  MemoryTracker scan_tracker(0);
+  auto scanned = io::ReadCsv(csv_path_, {}, &scan_tracker);
+  ASSERT_TRUE(scanned.ok());
+  auto gather_bytes = exec::SerializeFrame(*scanned);
+  ASSERT_TRUE(gather_bytes.ok());
+  auto run = [&](Session* session) -> Result<std::string> {
+    LAFP_ASSIGN_OR_RETURN(auto frame, FatDataFrame::ReadCsv(session, csv_path_));
+    LAFP_ASSIGN_OR_RETURN(auto head, frame.Head(5));
+    LAFP_ASSIGN_OR_RETURN(auto eager, head.ToEager());
+    return eager.ToString(eager.num_rows() + 1);
+  };
+  auto reference = run(MakeSession(BackendKind::kPandas).get());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  metrics::Registry* registry = metrics::Registry::Global();
+  auto before = registry->Scrape();
+  auto session = MakeSession(BackendKind::kShard, 4);
+  auto out = run(session.get());
+  auto after = registry->Scrape();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(*out, *reference);
+  // Four scans, one kGetFrame for partition 0, one kPutFrame placing the
+  // head and one kGetFrame materializing it. A gather fetches all eleven.
+  EXPECT_EQ(after["shard.calls"] - before["shard.calls"], 7);
+  EXPECT_LT(after["shard.bytes_shipped"] - before["shard.bytes_shipped"],
+            static_cast<int64_t>(gather_bytes->size()));
+}
+
 // A worker SIGKILLed while the scan request is in flight is respawned and
 // the scan retried transparently: the query still succeeds with
 // reference-identical bytes (scans are idempotent, ISSUE acceptance
