@@ -1,12 +1,12 @@
 #include "dataframe/column.h"
 
 #include <cmath>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "dataframe/kernel_context.h"
+#include "dataframe/key_index.h"
 
 namespace lafp::df {
 
@@ -461,6 +461,33 @@ Result<ColumnPtr> ColumnBuilder::Finish() {
   }
 }
 
+DictionaryPtr FactorizeStrings(const Column& strings,
+                               std::vector<int32_t>* codes) {
+  const size_t n = strings.size();
+  std::vector<uint32_t> ids(n);
+  KeyIndex index({&strings});
+  index.Insert(0, n, ids.data());
+  // The null rows form one group of their own, which the dictionary skips.
+  uint32_t null_id = kNoGroup;
+  for (size_t i = 0; i < n && strings.has_nulls(); ++i) {
+    if (!strings.IsValid(i)) {
+      null_id = ids[i];
+      break;
+    }
+  }
+  auto dict = std::make_shared<Dictionary>();
+  dict->reserve(index.num_groups());
+  for (size_t g = 0; g < index.num_groups(); ++g) {
+    if (g != null_id) dict->push_back(strings.StringAt(index.first_rows()[g]));
+  }
+  codes->assign(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (ids[i] == null_id) continue;
+    (*codes)[i] = static_cast<int32_t>(ids[i] < null_id ? ids[i] : ids[i] - 1);
+  }
+  return dict;
+}
+
 Result<ColumnPtr> CategorizeStrings(const Column& strings,
                                     MemoryTracker* tracker) {
   if (strings.type() == DataType::kCategory) {
@@ -472,20 +499,9 @@ Result<ColumnPtr> CategorizeStrings(const Column& strings,
   if (strings.type() != DataType::kString) {
     return Status::TypeError("categorize requires a string column");
   }
-  auto dict = std::make_shared<Dictionary>();
-  std::unordered_map<std::string, int32_t> index;
-  std::vector<int32_t> codes(strings.size(), 0);
-  std::vector<uint8_t> validity;
-  if (strings.has_nulls()) validity = strings.validity();
-  for (size_t i = 0; i < strings.size(); ++i) {
-    if (!strings.IsValid(i)) continue;
-    const std::string& s = strings.StringAt(i);
-    auto [it, inserted] =
-        index.emplace(s, static_cast<int32_t>(dict->size()));
-    if (inserted) dict->push_back(s);
-    codes[i] = it->second;
-  }
-  return Column::MakeCategory(std::move(codes), std::move(validity),
+  std::vector<int32_t> codes;
+  DictionaryPtr dict = FactorizeStrings(strings, &codes);
+  return Column::MakeCategory(std::move(codes), strings.validity(),
                               std::move(dict), tracker);
 }
 

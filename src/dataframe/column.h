@@ -172,8 +172,15 @@ class ColumnBuilder {
   std::vector<uint8_t> bools_;
 };
 
-/// Dictionary-encode a string column into a category column. The dictionary
-/// lists distinct values in first-appearance order.
+/// The one string factorize (KeyIndex), behind astype('category') and
+/// LFC dictionaries: returns the distinct valid values of a kString
+/// column in first-appearance order and fills `codes` with each row's
+/// index into them (0 at null rows).
+DictionaryPtr FactorizeStrings(const Column& strings,
+                               std::vector<int32_t>* codes);
+
+/// Dictionary-encode a string column into a category column
+/// (FactorizeStrings).
 Result<ColumnPtr> CategorizeStrings(const Column& strings,
                                     MemoryTracker* tracker);
 

@@ -82,39 +82,45 @@ class U64Table {
   size_t size_ = 0;
 };
 
-/// Open-addressing map from text to an id. Slots cache the hash, so a
-/// probe compares bytes only on a full 64-bit hash match.
+/// Open-addressing map from text to an id: linear probing, load factor
+/// at most 1/2. A 16-byte slot points at the text (a column's or a
+/// dictionary's string, which outlives the index) and caches 32 bits of
+/// its hash, so a probe compares bytes only on a hash match.
 class TextTable {
  public:
-  uint32_t Insert(std::string_view text, uint32_t next) {
+  uint32_t Insert(const std::string& text, uint32_t next) {
     if ((size_ + 1) * 2 > slots_.size()) Grow();
-    const uint64_t h = std::hash<std::string_view>{}(text);
+    const uint32_t h = Hash(text);
     for (size_t i = h & mask_;; i = (i + 1) & mask_) {
       Slot& s = slots_[i];
       if (s.id == kNoGroup) {
-        s = {h, text, next};
+        s = {&text, h, next};
         ++size_;
         return next;
       }
-      if (s.hash == h && s.text == text) return s.id;
+      if (s.hash == h && *s.text == text) return s.id;
     }
   }
 
   uint32_t Find(std::string_view text) const {
     if (slots_.empty()) return kNoGroup;
-    const uint64_t h = std::hash<std::string_view>{}(text);
+    const uint32_t h = Hash(text);
     for (size_t i = h & mask_;; i = (i + 1) & mask_) {
       const Slot& s = slots_[i];
-      if (s.id == kNoGroup || (s.hash == h && s.text == text)) return s.id;
+      if (s.id == kNoGroup || (s.hash == h && *s.text == text)) return s.id;
     }
   }
 
  private:
   struct Slot {
-    uint64_t hash = 0;
-    std::string_view text;
+    const std::string* text = nullptr;
+    uint32_t hash = 0;
     uint32_t id = kNoGroup;
   };
+
+  static uint32_t Hash(std::string_view text) {
+    return static_cast<uint32_t>(std::hash<std::string_view>{}(text));
+  }
 
   void Grow() {
     std::vector<Slot> old = std::move(slots_);
@@ -330,7 +336,7 @@ class KeyIndex::ColumnKeys {
     }
   }
 
-  uint32_t TextId(std::string_view text) {
+  uint32_t TextId(const std::string& text) {
     const uint32_t id = texts_.Insert(text, num_ids_);
     if (id == num_ids_) ++num_ids_;
     return id;

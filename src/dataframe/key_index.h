@@ -27,7 +27,7 @@ inline constexpr uint32_t kNoGroup = std::numeric_limits<uint32_t>::max();
 /// Each key column keeps its own typed table: category codes index a
 /// code -> id array, 64-bit values (int64, timestamp, bool, canonical
 /// double bits) go through a flat open-addressing table, and strings
-/// through a table of string_views with cached hashes. A composite key
+/// through a table of pointers to them with cached hashes. A composite key
 /// folds the per-column ids left to right through a table over
 /// (id so far, next column's id) pairs, so ids are exact tuples: no
 /// separator or null marker can make two different keys collide.

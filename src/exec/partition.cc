@@ -2,18 +2,20 @@
 
 #include <filesystem>
 
+#include "common/fault.h"
 #include "common/macros.h"
 #include "dataframe/ops.h"
-#include "exec/spill.h"
+#include "io/columnar.h"
 
 namespace lafp::exec {
 
 Status Partition::SpillTo(const std::string& dir, const std::string& name) {
   if (spilled()) return Status::OK();
+  LAFP_RETURN_NOT_OK(FaultPoint("spill.write"));
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  std::string path = dir + "/" + name + ".part.bin";
-  LAFP_RETURN_NOT_OK(WriteSpillFile(frame_, path));
+  std::string path = dir + "/" + name + ".part.lfc";
+  LAFP_RETURN_NOT_OK(io::WriteLfcFile(frame_, path));
   spill_path_ = path;
   frame_ = df::DataFrame();  // releases the memory reservation
   return Status::OK();
@@ -21,7 +23,8 @@ Status Partition::SpillTo(const std::string& dir, const std::string& name) {
 
 Result<df::DataFrame> Partition::Load(MemoryTracker* tracker) const {
   if (!spilled()) return frame_;
-  return ReadSpillFile(spill_path_, tracker);
+  LAFP_RETURN_NOT_OK(FaultPoint("spill.read"));
+  return io::ReadLfcFile(spill_path_, {}, tracker);
 }
 
 Result<df::DataFrame> ConcatPartitions(std::vector<df::DataFrame> parts) {

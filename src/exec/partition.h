@@ -11,19 +11,22 @@
 
 namespace lafp::exec {
 
-/// A horizontal partition held either in memory or spilled to a CSV file
-/// on disk. Spilled partitions release their memory reservation and are
-/// reloaded (re-charging the tracker) on access.
+/// A horizontal partition held either in memory or spilled to an LFC
+/// file on disk (the §5.4 disk-persist extension). Spilled partitions
+/// release their memory reservation and are reloaded (re-charging the
+/// tracker) on access.
 class Partition {
  public:
   explicit Partition(df::DataFrame frame)
       : frame_(std::move(frame)), num_rows_(frame_.num_rows()) {}
 
-  /// Spill to `<dir>/<name>.part.bin` (binary columnar format, see
-  /// exec/spill.h), dropping the in-memory frame.
+  /// Spill to `<dir>/<name>.part.lfc` (io::WriteLfcFile), dropping the
+  /// in-memory frame. The `spill.write` fault site fires once; a failed
+  /// spill leaves no file and keeps the frame, so it can be retried.
   Status SpillTo(const std::string& dir, const std::string& name);
 
-  /// In-memory frame (loads from disk if spilled).
+  /// In-memory frame (loads from disk if spilled; the `spill.read` fault
+  /// site fires once per load).
   Result<df::DataFrame> Load(MemoryTracker* tracker) const;
 
   bool spilled() const { return !spill_path_.empty(); }

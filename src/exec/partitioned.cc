@@ -54,9 +54,8 @@ Result<df::DataFrame> ScanUnits::Read(const ScanUnit& unit) const {
   if (csv_ != nullptr) {
     return unit.empty ? csv_->EmptyFrame() : csv_->ParseRange(unit.range);
   }
-  if (unit.empty) return lfc_->EmptyFrame(lfc_columns_);
-  return lfc_->ReadChunk(unit.slice.chunk, lfc_columns_,
-                         static_cast<size_t>(unit.slice.rows));
+  if (unit.empty) return lfc_->ReadSlices(lfc_columns_, {});
+  return lfc_->ReadSlices(lfc_columns_, {unit.slice});
 }
 
 Strategy StrategyOf(const OpDesc& desc) {

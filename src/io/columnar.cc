@@ -12,13 +12,13 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <unordered_map>
 
 #include "common/fault.h"
 #include "common/hash.h"
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "common/wire.h"
 #include "dataframe/column.h"
 
 namespace lafp::io {
@@ -44,7 +44,7 @@ struct ColumnEntry {
   uint64_t dict_offset = 0;
   uint64_t dict_bytes = 0;
   uint32_t dict_count = 0;
-  df::DictionaryPtr dict;  // decoded eagerly at Open
+  df::DictionaryPtr dict;  // the writer's, or decoded eagerly at open
   std::vector<ChunkMeta> chunks;
 };
 
@@ -62,91 +62,118 @@ uint64_t PayloadWidth(const ColumnEntry& col) {
   }
 }
 
-template <typename T>
-void AppendPod(std::string* buf, T v) {
-  buf->append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-/// Bounds-checked reader over a byte range; every length decoded from
-/// disk is clamped against what is actually left before it is used.
-class Cursor {
+/// Where the one encoder's bytes go: a string (EncodeLfc) or a tmp file
+/// (WriteLfcFile).
+class Sink {
  public:
-  Cursor(const uint8_t* data, size_t size) : p_(data), end_(data + size) {}
+  virtual ~Sink() = default;
+  void Append(const void* data, size_t n) {
+    Write(static_cast<const char*>(data), n);
+    pos_ += n;
+  }
+  void Append(const std::string& bytes) { Append(bytes.data(), bytes.size()); }
+  /// Runs before each column-chunk and before the footer.
+  virtual Status Check() { return Status::OK(); }
+  uint64_t pos() const { return pos_; }
 
-  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
+ private:
+  virtual void Write(const char* data, size_t n) = 0;
+  uint64_t pos_ = 0;
+};
 
-  template <typename T>
-  bool Read(T* v) {
-    if (remaining() < sizeof(T)) return false;
-    std::memcpy(v, p_, sizeof(T));
-    p_ += sizeof(T);
-    return true;
+class StringSink final : public Sink {
+ public:
+  std::string bytes;
+
+ private:
+  void Write(const char* data, size_t n) override { bytes.append(data, n); }
+};
+
+class FileSink final : public Sink {
+ public:
+  explicit FileSink(const std::string& path)
+      : path_(path), out_(path, std::ios::binary | std::ios::trunc) {}
+
+  bool is_open() const { return out_.is_open(); }
+
+  /// ENOSPC/EIO injection, once per column-chunk so a fault lands
+  /// mid-file — the partial-write shape a full disk produces — then the
+  /// stream's own state.
+  Status Check() override {
+    LAFP_RETURN_NOT_OK(FaultPoint("lfc.write"));
+    return StreamStatus();
   }
 
-  bool ReadString(size_t n, std::string* out) {
-    if (remaining() < n) return false;
-    out->assign(reinterpret_cast<const char*>(p_), n);
-    p_ += n;
-    return true;
+  Status Close() {
+    out_.flush();
+    LAFP_RETURN_NOT_OK(StreamStatus());
+    out_.close();
+    return Status::OK();
   }
 
  private:
-  const uint8_t* p_;
-  const uint8_t* end_;
-};
-
-/// Delete a partially written tmp file; a truncated LFC file must never
-/// become visible at the final path (same discipline as spill writes).
-Status FailWrite(std::ofstream* out, const std::string& tmp,
-                 const Status& cause) {
-  const int saved_errno = errno;
-  out->close();
-  std::error_code ec;
-  std::filesystem::remove(tmp, ec);  // best effort; report the root cause
-  if (!cause.ok()) return cause;
-  std::string detail = "lfc write failed: " + tmp;
-  if (saved_errno != 0) {
-    detail += " (";
-    detail += std::strerror(saved_errno);
-    detail += ")";
+  void Write(const char* data, size_t n) override {
+    out_.write(data, static_cast<std::streamsize>(n));
   }
-  return Status::IOError(detail);
-}
+
+  Status StreamStatus() const {
+    if (out_.good()) return Status::OK();
+    std::string detail = "lfc write failed: " + path_;
+    if (errno != 0) {
+      detail += " (";
+      detail += std::strerror(errno);
+      detail += ")";
+    }
+    return Status::IOError(detail);
+  }
+
+  std::string path_;
+  std::ofstream out_;
+};
 
 LfcZoneMap ComputeZone(const df::Column& col, size_t r0, size_t r1) {
   LfcZoneMap z;
-  for (size_t i = r0; i < r1; ++i) {
-    if (!col.IsValid(i)) {
-      ++z.null_count;
-      continue;
+  const uint8_t* valid = col.validity_data();
+  // Min/max over the valid rows whose value `skip` keeps.
+  auto bounds = [&](auto value, auto skip, auto* lo, auto* hi) {
+    for (size_t i = r0; i < r1; ++i) {
+      if (valid != nullptr && valid[i] == 0) {
+        ++z.null_count;
+        continue;
+      }
+      const auto v = value(i);
+      if (skip(v)) continue;
+      if (!z.has_bounds || v < *lo) *lo = v;
+      if (!z.has_bounds || v > *hi) *hi = v;
+      z.has_bounds = true;
     }
-    switch (col.type()) {
-      case df::DataType::kInt64:
-      case df::DataType::kTimestamp: {
-        const int64_t v = col.IntAt(i);
-        if (!z.has_bounds || v < z.min_i) z.min_i = v;
-        if (!z.has_bounds || v > z.max_i) z.max_i = v;
-        z.has_bounds = true;
-        break;
-      }
-      case df::DataType::kDouble: {
-        const double v = col.DoubleAt(i);
-        if (std::isnan(v)) break;  // NaN never satisfies a predicate
-        if (!z.has_bounds || v < z.min_d) z.min_d = v;
-        if (!z.has_bounds || v > z.max_d) z.max_d = v;
-        z.has_bounds = true;
-        break;
-      }
-      case df::DataType::kBool: {
-        const int64_t v = col.BoolAt(i) ? 1 : 0;
-        if (!z.has_bounds || v < z.min_i) z.min_i = v;
-        if (!z.has_bounds || v > z.max_i) z.max_i = v;
-        z.has_bounds = true;
-        break;
-      }
-      default:
-        break;  // dictionary columns carry no ordering bounds
+  };
+  auto keep = [](auto) { return false; };
+  switch (col.type()) {
+    case df::DataType::kInt64:
+    case df::DataType::kTimestamp: {
+      const int64_t* v = col.int_data();
+      bounds([v](size_t i) { return v[i]; }, keep, &z.min_i, &z.max_i);
+      break;
     }
+    case df::DataType::kDouble: {
+      // NaN never satisfies a predicate.
+      const double* v = col.double_data();
+      bounds([v](size_t i) { return v[i]; },
+             [](double d) { return std::isnan(d); }, &z.min_d, &z.max_d);
+      break;
+    }
+    case df::DataType::kBool: {
+      const uint8_t* v = col.bool_data();
+      bounds([v](size_t i) { return int64_t{v[i] != 0}; }, keep, &z.min_i,
+             &z.max_i);
+      break;
+    }
+    default:  // dictionary columns carry no ordering bounds
+      for (size_t i = r0; i < r1 && valid != nullptr; ++i) {
+        z.null_count += valid[i] == 0;
+      }
+      break;
   }
   return z;
 }
@@ -257,8 +284,150 @@ bool ChunkNeverMatches(const ColumnEntry& col, const ChunkMeta& chunk,
   return IntervalNeverMatches(p.op, lo, hi, *r);
 }
 
-Status Corrupt(const std::string& path, const std::string& what) {
-  return Status::IOError("corrupt lfc file " + path + ": " + what);
+/// `source` names the bytes: "lfc file <path>" or "lfc bytes (<what>)".
+Status Corrupt(const std::string& source, const std::string& what) {
+  return Status::IOError("corrupt " + source + ": " + what);
+}
+
+/// Raw chunk payload of `col`; dictionary columns write `codes`.
+const char* PayloadData(const df::Column& col,
+                        const std::vector<int32_t>& codes) {
+  switch (col.type()) {
+    case df::DataType::kInt64:
+    case df::DataType::kTimestamp:
+      return reinterpret_cast<const char*>(col.int_data());
+    case df::DataType::kDouble:
+      return reinterpret_cast<const char*>(col.double_data());
+    case df::DataType::kBool:
+      return reinterpret_cast<const char*>(col.bool_data());
+    default:
+      return reinterpret_cast<const char*>(codes.data());
+  }
+}
+
+/// The one LFC encoder: files, spill files and exchange payloads.
+Status Encode(const df::DataFrame& frame, const LfcWriteOptions& options,
+              Sink* sink) {
+  const size_t chunk_rows = options.chunk_rows == 0 ? 65536
+                                                    : options.chunk_rows;
+  const size_t nrows = frame.num_rows();
+  const size_t ncols = frame.num_columns();
+  const size_t nchunks = nrows == 0 ? 0 : (nrows + chunk_rows - 1) / chunk_rows;
+
+  // Per-column encodings. String columns dictionary-encode into
+  // first-appearance order (df::FactorizeStrings); category columns keep
+  // their codes and dictionary verbatim so a round trip is exact.
+  std::vector<ColumnEntry> metas(ncols);
+  std::vector<std::vector<int32_t>> codes(ncols);
+  for (size_t c = 0; c < ncols; ++c) {
+    const df::Column& col = *frame.column(c);
+    ColumnEntry& m = metas[c];
+    m.name = frame.names()[c];
+    m.physical = col.type();
+    if (col.type() == df::DataType::kNull) {
+      return Status::Invalid("cannot write a null-typed column to lfc: " +
+                             m.name);
+    }
+    if (col.type() == df::DataType::kString) {
+      m.dict = df::FactorizeStrings(col, &codes[c]);
+    } else if (col.type() == df::DataType::kCategory) {
+      m.was_category = true;
+      m.dict = col.dictionary();
+      codes[c].assign(col.size(), 0);  // a null row writes code 0
+      for (size_t i = 0; i < col.size(); ++i) {
+        if (!col.IsValid(i)) continue;
+        const int32_t code = col.CodeAt(i);
+        if (code < 0 || static_cast<size_t>(code) >= m.dict->size()) {
+          return Status::Invalid("category code out of range in column " +
+                                 m.name);
+        }
+        codes[c][i] = code;
+      }
+    }
+    m.dict_encoded = m.dict != nullptr;
+    if (m.dict_encoded) m.dict_count = static_cast<uint32_t>(m.dict->size());
+  }
+
+  sink->Append(&kLfcMagic, sizeof(kLfcMagic));
+
+  // ---- chunk data section ----
+  std::vector<uint8_t> bitmap;
+  for (size_t chunk = 0; chunk < nchunks; ++chunk) {
+    const size_t r0 = chunk * chunk_rows;
+    const size_t r1 = std::min(nrows, r0 + chunk_rows);
+    const size_t n = r1 - r0;
+    for (size_t c = 0; c < ncols; ++c) {
+      LAFP_RETURN_NOT_OK(sink->Check());
+      const df::Column& col = *frame.column(c);
+      ChunkMeta cm;
+      cm.offset = sink->pos();
+      cm.zone = ComputeZone(col, r0, r1);
+      if (cm.zone.null_count > 0) {
+        bitmap.assign((n + 7) / 8, 0);
+        for (size_t i = 0; i < n; ++i) {
+          if (col.IsValid(r0 + i)) bitmap[i / 8] |= uint8_t(1u << (i % 8));
+        }
+        cm.validity_bytes = bitmap.size();
+        sink->Append(bitmap.data(), bitmap.size());
+      }
+      const uint64_t width = PayloadWidth(metas[c]);
+      cm.payload_bytes = n * width;
+      sink->Append(PayloadData(col, codes[c]) + r0 * width, n * width);
+      metas[c].chunks.push_back(cm);
+    }
+  }
+
+  // ---- dictionary section ----
+  for (ColumnEntry& m : metas) {
+    if (!m.dict_encoded) continue;
+    WireWriter entries;
+    for (const std::string& s : *m.dict) entries.Str(s);
+    m.dict_offset = sink->pos();
+    m.dict_bytes = entries.size();
+    sink->Append(entries.Take());
+  }
+
+  // ---- footer + trailer ----
+  WireWriter footer;
+  footer.U32(kLfcVersion);
+  footer.U64(nrows);
+  footer.U64(chunk_rows);
+  footer.U32(static_cast<uint32_t>(ncols));
+  footer.U32(static_cast<uint32_t>(nchunks));
+  for (size_t chunk = 0; chunk < nchunks; ++chunk) {
+    footer.U64(std::min(nrows, (chunk + 1) * chunk_rows) - chunk * chunk_rows);
+  }
+  for (const ColumnEntry& m : metas) {
+    footer.Str(m.name);
+    footer.U8(static_cast<uint8_t>(m.physical));
+    footer.U8((m.dict_encoded ? kFlagDictEncoded : 0) |
+              (m.was_category ? kFlagWasCategory : 0));
+    if (m.dict_encoded) {
+      footer.U64(m.dict_offset);
+      footer.U64(m.dict_bytes);
+      footer.U32(m.dict_count);
+    }
+    for (const ChunkMeta& cm : m.chunks) {
+      footer.U64(cm.offset);
+      footer.U64(cm.validity_bytes);
+      footer.U64(cm.payload_bytes);
+      footer.U64(cm.zone.null_count);
+      footer.U8(cm.zone.has_bounds ? 1 : 0);
+      footer.I64(cm.zone.min_i);
+      footer.I64(cm.zone.max_i);
+      footer.F64(cm.zone.min_d);
+      footer.F64(cm.zone.max_d);
+    }
+  }
+  LAFP_RETURN_NOT_OK(sink->Check());
+  const std::string bytes = footer.Take();
+  WireWriter trailer;
+  trailer.U64(bytes.size());
+  trailer.U64(Fnv1a64(bytes.data(), bytes.size()));
+  trailer.U64(kLfcMagic);
+  sink->Append(bytes);
+  sink->Append(trailer.Take());
+  return Status::OK();
 }
 
 }  // namespace
@@ -277,194 +446,24 @@ Status WriteLfcFile(const df::DataFrame& frame, const std::string& path,
       metrics::Registry::Global()->GetCounter("lfc.writes");
   lfc_writes->Increment();
 
-  const size_t chunk_rows = options.chunk_rows == 0 ? 65536
-                                                    : options.chunk_rows;
-  const size_t nrows = frame.num_rows();
-  const size_t ncols = frame.num_columns();
-  const size_t nchunks = nrows == 0 ? 0 : (nrows + chunk_rows - 1) / chunk_rows;
-
-  // Per-column encodings. String columns dictionary-encode into
-  // first-appearance order; category columns keep their codes and
-  // dictionary verbatim so a round trip is exact.
-  std::vector<ColumnEntry> metas(ncols);
-  std::vector<std::vector<uint32_t>> codes(ncols);
-  std::vector<const df::Dictionary*> dicts(ncols, nullptr);
-  std::vector<df::Dictionary> built_dicts(ncols);
-  for (size_t c = 0; c < ncols; ++c) {
-    const df::Column& col = *frame.column(c);
-    ColumnEntry& m = metas[c];
-    m.name = frame.names()[c];
-    m.physical = col.type();
-    switch (col.type()) {
-      case df::DataType::kNull:
-        return Status::Invalid("cannot write a null-typed column to lfc: " +
-                               m.name);
-      case df::DataType::kString: {
-        m.dict_encoded = true;
-        std::unordered_map<std::string, uint32_t> index;
-        codes[c].resize(col.size(), 0);
-        for (size_t i = 0; i < col.size(); ++i) {
-          if (!col.IsValid(i)) continue;
-          auto [it, inserted] = index.emplace(
-              col.StringAt(i), static_cast<uint32_t>(built_dicts[c].size()));
-          if (inserted) built_dicts[c].push_back(col.StringAt(i));
-          codes[c][i] = it->second;
-        }
-        dicts[c] = &built_dicts[c];
-        break;
-      }
-      case df::DataType::kCategory: {
-        m.dict_encoded = true;
-        m.was_category = true;
-        const df::Dictionary& dict = *col.dictionary();
-        codes[c].resize(col.size(), 0);
-        for (size_t i = 0; i < col.size(); ++i) {
-          const int32_t code = col.CodeAt(i);
-          if (!col.IsValid(i)) continue;
-          if (code < 0 || static_cast<size_t>(code) >= dict.size()) {
-            return Status::Invalid("category code out of range in column " +
-                                   m.name);
-          }
-          codes[c][i] = static_cast<uint32_t>(code);
-        }
-        dicts[c] = &dict;
-        break;
-      }
-      default:
-        break;
-    }
-    if (dicts[c] != nullptr) {
-      m.dict_count = static_cast<uint32_t>(dicts[c]->size());
-    }
-  }
-
   const std::string tmp = path + ".tmp";
   errno = 0;
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::IOError("cannot create lfc file " + tmp);
-  }
-  uint64_t pos = 0;
-  auto write_raw = [&](const void* data, size_t n) {
-    out.write(reinterpret_cast<const char*>(data),
-              static_cast<std::streamsize>(n));
-    pos += n;
-  };
-  write_raw(&kLfcMagic, sizeof(kLfcMagic));
-
-  // ---- chunk data section ----
-  for (size_t chunk = 0; chunk < nchunks; ++chunk) {
-    const size_t r0 = chunk * chunk_rows;
-    const size_t r1 = std::min(nrows, r0 + chunk_rows);
-    const size_t n = r1 - r0;
-    for (size_t c = 0; c < ncols; ++c) {
-      // ENOSPC/EIO injection, once per column-chunk so a fault lands
-      // mid-file — the partial-write shape a full disk produces.
-      Status injected = FaultPoint("lfc.write");
-      if (!injected.ok()) return FailWrite(&out, tmp, injected);
-      const df::Column& col = *frame.column(c);
-      ChunkMeta cm;
-      cm.offset = pos;
-      cm.zone = ComputeZone(col, r0, r1);
-      if (cm.zone.null_count > 0) {
-        std::vector<uint8_t> bitmap((n + 7) / 8, 0);
-        for (size_t i = 0; i < n; ++i) {
-          if (col.IsValid(r0 + i)) bitmap[i / 8] |= uint8_t(1u << (i % 8));
-        }
-        cm.validity_bytes = bitmap.size();
-        write_raw(bitmap.data(), bitmap.size());
-      }
-      switch (col.type()) {
-        case df::DataType::kInt64:
-        case df::DataType::kTimestamp:
-          cm.payload_bytes = n * 8;
-          write_raw(col.ints().data() + r0, n * 8);
-          break;
-        case df::DataType::kDouble:
-          cm.payload_bytes = n * 8;
-          write_raw(col.doubles().data() + r0, n * 8);
-          break;
-        case df::DataType::kBool:
-          cm.payload_bytes = n;
-          write_raw(col.bools().data() + r0, n);
-          break;
-        case df::DataType::kString:
-        case df::DataType::kCategory:
-          cm.payload_bytes = n * 4;
-          write_raw(codes[c].data() + r0, n * 4);
-          break;
-        case df::DataType::kNull:
-          break;  // rejected above
-      }
-      if (!out.good()) return FailWrite(&out, tmp, Status::OK());
-      metas[c].chunks.push_back(cm);
+  Status st;
+  {  // the stream closes here, before the tmp file is removed or renamed
+    FileSink sink(tmp);
+    if (!sink.is_open()) {
+      return Status::IOError("cannot create lfc file " + tmp);
     }
+    st = Encode(frame, options, &sink);
+    if (st.ok()) st = sink.Close();
   }
-
-  // ---- dictionary section ----
-  for (size_t c = 0; c < ncols; ++c) {
-    if (dicts[c] == nullptr) continue;
-    metas[c].dict_offset = pos;
-    for (const std::string& s : *dicts[c]) {
-      const uint32_t len = static_cast<uint32_t>(s.size());
-      write_raw(&len, sizeof(len));
-      write_raw(s.data(), s.size());
-    }
-    metas[c].dict_bytes = pos - metas[c].dict_offset;
-    if (!out.good()) return FailWrite(&out, tmp, Status::OK());
-  }
-
-  // ---- footer + trailer ----
-  std::string footer;
-  AppendPod(&footer, kLfcVersion);
-  AppendPod(&footer, static_cast<uint64_t>(nrows));
-  AppendPod(&footer, static_cast<uint64_t>(chunk_rows));
-  AppendPod(&footer, static_cast<uint32_t>(ncols));
-  AppendPod(&footer, static_cast<uint32_t>(nchunks));
-  for (size_t chunk = 0; chunk < nchunks; ++chunk) {
-    const size_t r0 = chunk * chunk_rows;
-    AppendPod(&footer,
-              static_cast<uint64_t>(std::min(nrows, r0 + chunk_rows) - r0));
-  }
-  for (const ColumnEntry& m : metas) {
-    AppendPod(&footer, static_cast<uint32_t>(m.name.size()));
-    footer += m.name;
-    AppendPod(&footer, static_cast<uint8_t>(m.physical));
-    uint8_t flags = 0;
-    if (m.dict_encoded) flags |= kFlagDictEncoded;
-    if (m.was_category) flags |= kFlagWasCategory;
-    AppendPod(&footer, flags);
-    if (m.dict_encoded) {
-      AppendPod(&footer, m.dict_offset);
-      AppendPod(&footer, m.dict_bytes);
-      AppendPod(&footer, m.dict_count);
-    }
-    for (const ChunkMeta& cm : m.chunks) {
-      AppendPod(&footer, cm.offset);
-      AppendPod(&footer, cm.validity_bytes);
-      AppendPod(&footer, cm.payload_bytes);
-      AppendPod(&footer, cm.zone.null_count);
-      AppendPod(&footer, static_cast<uint8_t>(cm.zone.has_bounds ? 1 : 0));
-      AppendPod(&footer, cm.zone.min_i);
-      AppendPod(&footer, cm.zone.max_i);
-      AppendPod(&footer, cm.zone.min_d);
-      AppendPod(&footer, cm.zone.max_d);
-    }
-  }
-  Status injected = FaultPoint("lfc.write");
-  if (!injected.ok()) return FailWrite(&out, tmp, injected);
-  write_raw(footer.data(), footer.size());
-  const uint64_t footer_len = footer.size();
-  const uint64_t footer_checksum = Fnv1a64(footer.data(), footer.size());
-  write_raw(&footer_len, sizeof(footer_len));
-  write_raw(&footer_checksum, sizeof(footer_checksum));
-  write_raw(&kLfcMagic, sizeof(kLfcMagic));
-  out.flush();
-  if (!out.good()) return FailWrite(&out, tmp, Status::OK());
-  out.close();
-
-  // Atomic publish: the final path only ever holds a complete file.
   std::error_code ec;
+  if (!st.ok()) {
+    // A truncated LFC file must never become visible at the final path.
+    std::filesystem::remove(tmp, ec);  // best effort; report the root cause
+    return st;
+  }
+  // Atomic publish: the final path only ever holds a complete file.
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
     std::filesystem::remove(tmp, ec);
@@ -474,6 +473,13 @@ Status WriteLfcFile(const df::DataFrame& frame, const std::string& path,
   return Status::OK();
 }
 
+Result<std::string> EncodeLfc(const df::DataFrame& frame,
+                              const LfcWriteOptions& options) {
+  StringSink sink;
+  LAFP_RETURN_NOT_OK(Encode(frame, options, &sink));
+  return std::move(sink.bytes);
+}
+
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
@@ -481,13 +487,16 @@ Status WriteLfcFile(const df::DataFrame& frame, const std::string& path,
 struct LfcReader::Impl {
   void* map = MAP_FAILED;
   size_t map_size = 0;
+  std::string_view bytes;  // the mapping or the caller's buffer
   std::vector<ColumnEntry> cols;
 
   ~Impl() {
     if (map != MAP_FAILED) ::munmap(map, map_size);
   }
 
-  const uint8_t* base() const { return static_cast<const uint8_t*>(map); }
+  const uint8_t* base() const {
+    return reinterpret_cast<const uint8_t*>(bytes.data());
+  }
 };
 
 LfcReader::LfcReader() : impl_(new Impl) {}
@@ -514,108 +523,125 @@ Result<std::unique_ptr<LfcReader>> LfcReader::Open(const std::string& path,
     ::close(fd);
     return Status::IOError("cannot stat lfc file " + path);
   }
-  const size_t file_size = static_cast<size_t>(st.st_size);
-  if (file_size < sizeof(kLfcMagic) + kTrailerBytes) {
-    ::close(fd);
-    return Corrupt(path, "file too small for header and trailer");
-  }
-  void* map = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (map == MAP_FAILED) {
-    return Status::IOError("cannot mmap lfc file " + path + " (" +
-                           std::strerror(errno) + ")");
-  }
-
   std::unique_ptr<LfcReader> reader(new LfcReader());
-  reader->impl_->map = map;
-  reader->impl_->map_size = file_size;
   reader->path_ = path;
+  reader->source_ = "lfc file " + path;
   reader->tracker_ = tracker;
-  const uint8_t* base = reader->impl_->base();
+  // A file too small to hold a header and trailer stays unmapped; Parse
+  // rejects the empty view.
+  const size_t file_size = static_cast<size_t>(st.st_size);
+  if (file_size >= sizeof(kLfcMagic) + kTrailerBytes) {
+    void* map = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map == MAP_FAILED) {
+      const int saved_errno = errno;
+      ::close(fd);
+      return Status::IOError("cannot mmap lfc file " + path + " (" +
+                             std::strerror(saved_errno) + ")");
+    }
+    reader->impl_->map = map;
+    reader->impl_->map_size = file_size;
+    reader->impl_->bytes = {static_cast<const char*>(map), file_size};
+  }
+  ::close(fd);
+  LAFP_RETURN_NOT_OK(reader->Parse());
+  return reader;
+}
 
+Result<std::unique_ptr<LfcReader>> LfcReader::OpenBytes(
+    std::string_view bytes, MemoryTracker* tracker, std::string_view source) {
+  std::unique_ptr<LfcReader> reader(new LfcReader());
+  reader->source_ = "lfc bytes (" + std::string(source) + ")";
+  reader->tracker_ = tracker;
+  reader->impl_->bytes = bytes;
+  LAFP_RETURN_NOT_OK(reader->Parse());
+  return reader;
+}
+
+Status LfcReader::Parse() {
+  const std::string_view bytes = impl_->bytes;
+  const size_t size = bytes.size();
+  auto corrupt = [&](const std::string& what) {
+    return Corrupt(source_, what);
+  };
+  if (size < sizeof(kLfcMagic) + kTrailerBytes) {
+    return corrupt("file too small for header and trailer");
+  }
   uint64_t head_magic = 0;
-  std::memcpy(&head_magic, base, sizeof(head_magic));
-  if (head_magic != kLfcMagic) return Corrupt(path, "bad magic");
+  WireReader(bytes).U64(&head_magic);
+  if (head_magic != kLfcMagic) return corrupt("bad magic");
 
   // Trailer: footer_len | footer_checksum | magic at the very end.
   uint64_t footer_len = 0, footer_checksum = 0, tail_magic = 0;
-  const uint8_t* trailer = base + file_size - kTrailerBytes;
-  std::memcpy(&footer_len, trailer, 8);
-  std::memcpy(&footer_checksum, trailer + 8, 8);
-  std::memcpy(&tail_magic, trailer + 16, 8);
-  if (tail_magic != kLfcMagic) return Corrupt(path, "bad trailer magic");
-  const uint64_t max_footer =
-      file_size - sizeof(kLfcMagic) - kTrailerBytes;
+  WireReader trailer(bytes.substr(size - kTrailerBytes));
+  trailer.U64(&footer_len);
+  trailer.U64(&footer_checksum);
+  trailer.U64(&tail_magic);
+  if (tail_magic != kLfcMagic) return corrupt("bad trailer magic");
+  const uint64_t max_footer = size - sizeof(kLfcMagic) - kTrailerBytes;
   if (footer_len > max_footer) {
-    return Corrupt(path, "footer length " + std::to_string(footer_len) +
-                             " exceeds file size");
+    return corrupt("footer length " + std::to_string(footer_len) +
+                   " exceeds file size");
   }
-  const uint64_t footer_start = file_size - kTrailerBytes - footer_len;
-  if (Fnv1a64(base + footer_start, footer_len) != footer_checksum) {
-    return Corrupt(path, "footer checksum mismatch");
+  const uint64_t footer_start = size - kTrailerBytes - footer_len;
+  if (Fnv1a64(bytes.data() + footer_start, footer_len) != footer_checksum) {
+    return corrupt("footer checksum mismatch");
   }
-  reader->info_.footer_checksum = footer_checksum;
+  info_.footer_checksum = footer_checksum;
 
-  Cursor cur(base + footer_start, footer_len);
+  WireReader footer(bytes.substr(footer_start, footer_len));
   uint32_t version = 0, ncols = 0, nchunks = 0;
   uint64_t nrows = 0, nominal_chunk_rows = 0;
-  if (!cur.Read(&version) || !cur.Read(&nrows) ||
-      !cur.Read(&nominal_chunk_rows) || !cur.Read(&ncols) ||
-      !cur.Read(&nchunks)) {
-    return Corrupt(path, "truncated footer header");
+  if (!footer.U32(&version) || !footer.U64(&nrows) ||
+      !footer.U64(&nominal_chunk_rows) || !footer.U32(&ncols) ||
+      !footer.U32(&nchunks)) {
+    return corrupt("truncated footer header");
   }
   if (version != kLfcVersion) {
     return Status::IOError("unsupported lfc version " +
-                           std::to_string(version) + " in " + path);
+                           std::to_string(version) + " in " + source_);
   }
   // Every chunk row count is a u64 and every column needs at least its
   // name length + type + flags; clamp both counts before any loop.
-  if (nchunks > cur.remaining() / 8) {
-    return Corrupt(path, "chunk count exceeds footer size");
+  if (nchunks > footer.remaining() / 8) {
+    return corrupt("chunk count exceeds footer size");
   }
-  reader->chunk_rows_.resize(nchunks);
+  chunk_rows_.resize(nchunks);
   uint64_t rows_sum = 0;
   for (uint32_t i = 0; i < nchunks; ++i) {
-    if (!cur.Read(&reader->chunk_rows_[i])) {
-      return Corrupt(path, "truncated chunk table");
-    }
-    if (reader->chunk_rows_[i] == 0 || reader->chunk_rows_[i] > nrows) {
-      return Corrupt(path, "chunk row count out of range");
+    if (!footer.U64(&chunk_rows_[i])) return corrupt("truncated chunk table");
+    if (chunk_rows_[i] == 0 || chunk_rows_[i] > nrows) {
+      return corrupt("chunk row count out of range");
     }
     // Overflow-safe accumulation: huge per-chunk counts must not wrap
     // rows_sum back onto nrows and launder themselves through the sum
     // check below.
-    if (reader->chunk_rows_[i] > nrows - rows_sum) {
-      return Corrupt(path, "chunk rows exceed row count");
+    if (chunk_rows_[i] > nrows - rows_sum) {
+      return corrupt("chunk rows exceed row count");
     }
-    rows_sum += reader->chunk_rows_[i];
+    rows_sum += chunk_rows_[i];
   }
   if (rows_sum != nrows) {
-    return Corrupt(path, "chunk rows do not sum to row count");
+    return corrupt("chunk rows do not sum to row count");
   }
   if (ncols == 0 && nrows != 0) {
     // The writer only emits chunks for frames with columns; without this
     // a column-less footer could claim an arbitrary row count that no
     // per-chunk payload check below would ever bound.
-    return Corrupt(path, "row count without columns");
+    return corrupt("row count without columns");
   }
-  if (ncols > cur.remaining() / 6) {
-    return Corrupt(path, "column count exceeds footer size");
+  if (ncols > footer.remaining() / 6) {
+    return corrupt("column count exceeds footer size");
   }
 
-  reader->info_.nrows = nrows;
-  reader->info_.num_chunks = nchunks;
-  reader->impl_->cols.resize(ncols);
+  info_.nrows = nrows;
+  info_.num_chunks = nchunks;
+  impl_->cols.resize(ncols);
   for (uint32_t c = 0; c < ncols; ++c) {
-    ColumnEntry& col = reader->impl_->cols[c];
-    uint32_t name_len = 0;
-    if (!cur.Read(&name_len) || name_len > cur.remaining() ||
-        !cur.ReadString(name_len, &col.name)) {
-      return Corrupt(path, "truncated column name");
-    }
+    ColumnEntry& col = impl_->cols[c];
+    if (!footer.Str(&col.name)) return corrupt("truncated column name");
     uint8_t type_raw = 0, flags = 0;
-    if (!cur.Read(&type_raw) || !cur.Read(&flags)) {
-      return Corrupt(path, "truncated column meta");
+    if (!footer.U8(&type_raw) || !footer.U8(&flags)) {
+      return corrupt("truncated column meta");
     }
     col.physical = static_cast<df::DataType>(type_raw);
     col.dict_encoded = (flags & kFlagDictEncoded) != 0;
@@ -626,46 +652,40 @@ Result<std::unique_ptr<LfcReader>> LfcReader::Open(const std::string& path,
       case df::DataType::kDouble:
       case df::DataType::kBool:
         if (col.dict_encoded) {
-          return Corrupt(path, "dictionary flag on numeric column");
+          return corrupt("dictionary flag on numeric column");
         }
         break;
       case df::DataType::kString:
       case df::DataType::kCategory:
         if (!col.dict_encoded) {
-          return Corrupt(path, "string column without dictionary");
+          return corrupt("string column without dictionary");
         }
         break;
       default:
-        return Corrupt(path, "bad column type");
+        return corrupt("bad column type");
     }
     if (col.dict_encoded) {
-      if (!cur.Read(&col.dict_offset) || !cur.Read(&col.dict_bytes) ||
-          !cur.Read(&col.dict_count)) {
-        return Corrupt(path, "truncated dictionary meta");
+      if (!footer.U64(&col.dict_offset) || !footer.U64(&col.dict_bytes) ||
+          !footer.U32(&col.dict_count)) {
+        return corrupt("truncated dictionary meta");
       }
       if (col.dict_offset > footer_start ||
           col.dict_bytes > footer_start - col.dict_offset) {
-        return Corrupt(path, "dictionary extends past data section");
+        return corrupt("dictionary extends past data section");
       }
       if (col.dict_count > col.dict_bytes / 4 + 1) {
-        return Corrupt(path, "dictionary count exceeds its byte length");
+        return corrupt("dictionary count exceeds its byte length");
       }
       // Decode the dictionary eagerly; entry lengths are clamped against
       // the remaining dictionary bytes ("over-long offsets" corpus).
       auto dict = std::make_shared<df::Dictionary>();
-      Cursor dcur(base + col.dict_offset, col.dict_bytes);
+      WireReader entries(bytes.substr(col.dict_offset, col.dict_bytes));
       for (uint32_t i = 0; i < col.dict_count; ++i) {
-        uint32_t len = 0;
         std::string entry;
-        if (!dcur.Read(&len) || len > dcur.remaining() ||
-            !dcur.ReadString(len, &entry)) {
-          return Corrupt(path, "truncated dictionary entry");
-        }
+        if (!entries.Str(&entry)) return corrupt("truncated dictionary entry");
         dict->push_back(std::move(entry));
       }
-      if (dcur.remaining() != 0) {
-        return Corrupt(path, "trailing bytes in dictionary");
-      }
+      if (!entries.Done()) return corrupt("trailing bytes in dictionary");
       col.dict = std::move(dict);
     }
     const uint64_t width = PayloadWidth(col);
@@ -673,15 +693,15 @@ Result<std::unique_ptr<LfcReader>> LfcReader::Open(const std::string& path,
     for (uint32_t i = 0; i < nchunks; ++i) {
       ChunkMeta& cm = col.chunks[i];
       uint8_t has_bounds = 0;
-      if (!cur.Read(&cm.offset) || !cur.Read(&cm.validity_bytes) ||
-          !cur.Read(&cm.payload_bytes) || !cur.Read(&cm.zone.null_count) ||
-          !cur.Read(&has_bounds) || !cur.Read(&cm.zone.min_i) ||
-          !cur.Read(&cm.zone.max_i) || !cur.Read(&cm.zone.min_d) ||
-          !cur.Read(&cm.zone.max_d)) {
-        return Corrupt(path, "truncated chunk meta");
+      if (!footer.U64(&cm.offset) || !footer.U64(&cm.validity_bytes) ||
+          !footer.U64(&cm.payload_bytes) || !footer.U64(&cm.zone.null_count) ||
+          !footer.U8(&has_bounds) || !footer.I64(&cm.zone.min_i) ||
+          !footer.I64(&cm.zone.max_i) || !footer.F64(&cm.zone.min_d) ||
+          !footer.F64(&cm.zone.max_d)) {
+        return corrupt("truncated chunk meta");
       }
       cm.zone.has_bounds = has_bounds != 0;
-      const uint64_t rows = reader->chunk_rows_[i];
+      const uint64_t rows = chunk_rows_[i];
       // The chunk's bytes must lie entirely inside the data section
       // (between the head magic and the footer), checked without
       // overflow: each length is clamped against what is left.
@@ -689,37 +709,35 @@ Result<std::unique_ptr<LfcReader>> LfcReader::Open(const std::string& path,
           cm.validity_bytes > footer_start - cm.offset ||
           cm.payload_bytes >
               footer_start - cm.offset - cm.validity_bytes) {
-        return Corrupt(path, "chunk extends past data section");
+        return corrupt("chunk extends past data section");
       }
       // Bound the row count in division form BEFORE any arithmetic on
       // it: a crafted `rows` near 2^64/width would wrap `rows * width`
       // (and `rows + 7`) and make a zero-byte chunk claim to hold 2^61
-      // rows, sending the decoder far past the mapping. `width` is 1, 4,
+      // rows, sending the decoder far past the buffer. `width` is 1, 4,
       // or 8 for every column type accepted above.
       const uint64_t payload_room =
           footer_start - cm.offset - cm.validity_bytes;
       if (rows > payload_room / width) {
-        return Corrupt(path, "chunk row count exceeds data section");
+        return corrupt("chunk row count exceeds data section");
       }
       if (cm.validity_bytes != 0 && cm.validity_bytes != (rows + 7) / 8) {
-        return Corrupt(path, "validity bitmap size mismatch");
+        return corrupt("validity bitmap size mismatch");
       }
       if (cm.payload_bytes != rows * width) {
-        return Corrupt(path, "payload size mismatch");
+        return corrupt("payload size mismatch");
       }
       if (cm.zone.null_count > rows) {
-        return Corrupt(path, "null count exceeds chunk rows");
+        return corrupt("null count exceeds chunk rows");
       }
     }
-    reader->info_.columns.push_back(
+    info_.columns.push_back(
         {col.name, col.was_category ? df::DataType::kCategory
          : col.physical == df::DataType::kCategory ? df::DataType::kString
                                                    : col.physical});
   }
-  if (cur.remaining() != 0) {
-    return Corrupt(path, "trailing bytes in footer");
-  }
-  return reader;
+  if (!footer.Done()) return corrupt("trailing bytes in footer");
+  return Status::OK();
 }
 
 const LfcZoneMap& LfcReader::zone_map(size_t col, size_t chunk) const {
@@ -783,13 +801,14 @@ struct ColumnAssembly {
   bool saw_invalid = false;
 };
 
-Status DecodeChunkInto(const std::string& path, const ColumnEntry& col,
+Status DecodeChunkInto(const std::string& source, const ColumnEntry& col,
                        const ChunkMeta& cm, const uint8_t* base,
                        uint64_t take, ColumnAssembly* out) {
   // Validity first: bits are LSB-first within each byte.
-  std::vector<uint8_t> valid;
+  const size_t prior = out->validity.size();
+  out->validity.resize(prior + take, 1);
+  uint8_t* valid = out->validity.data() + prior;
   if (cm.validity_bytes != 0) {
-    valid.resize(take);
     const uint8_t* bitmap = base + cm.offset;
     for (uint64_t i = 0; i < take; ++i) {
       valid[i] = (bitmap[i / 8] >> (i % 8)) & 1;
@@ -797,52 +816,43 @@ Status DecodeChunkInto(const std::string& path, const ColumnEntry& col,
     }
   }
   const uint8_t* payload = base + cm.offset + cm.validity_bytes;
-  const size_t prior = out->validity.size();
-  out->validity.resize(prior + take, 1);
-  if (!valid.empty()) {
-    std::copy(valid.begin(), valid.end(), out->validity.begin() + prior);
-  }
+  auto append_raw = [&](auto* values) {
+    const size_t at = values->size();
+    values->resize(at + take);
+    std::memcpy(values->data() + at, payload, take * sizeof((*values)[0]));
+  };
   switch (col.physical) {
     case df::DataType::kInt64:
-    case df::DataType::kTimestamp: {
-      const size_t at = out->ints.size();
-      out->ints.resize(at + take);
-      std::memcpy(out->ints.data() + at, payload, take * 8);
+    case df::DataType::kTimestamp:
+      append_raw(&out->ints);
       break;
-    }
-    case df::DataType::kDouble: {
-      const size_t at = out->doubles.size();
-      out->doubles.resize(at + take);
-      std::memcpy(out->doubles.data() + at, payload, take * 8);
+    case df::DataType::kDouble:
+      append_raw(&out->doubles);
       break;
-    }
-    case df::DataType::kBool: {
-      const size_t at = out->bools.size();
-      out->bools.resize(at + take);
-      std::memcpy(out->bools.data() + at, payload, take);
+    case df::DataType::kBool:
+      append_raw(&out->bools);
       break;
-    }
     case df::DataType::kString:
     case df::DataType::kCategory: {
       const df::Dictionary& dict = *col.dict;
       for (uint64_t i = 0; i < take; ++i) {
         uint32_t code = 0;
         std::memcpy(&code, payload + i * 4, 4);
-        const bool is_valid = valid.empty() || valid[i] != 0;
-        if (is_valid && code >= col.dict_count) {
-          return Corrupt(path, "dictionary code out of range");
+        if (valid[i] == 0) {
+          code = 0;  // never dereference a null row's code
+        } else if (code >= col.dict_count) {
+          return Corrupt(source, "dictionary code out of range");
         }
-        if (!is_valid) code = 0;  // never dereference a null row's code
         if (col.was_category) {
           out->codes.push_back(static_cast<int32_t>(code));
         } else {
-          out->strings.push_back(is_valid ? dict[code] : std::string());
+          out->strings.push_back(valid[i] != 0 ? dict[code] : std::string());
         }
       }
       break;
     }
     case df::DataType::kNull:
-      return Corrupt(path, "bad column type");
+      return Corrupt(source, "bad column type");
   }
   return Status::OK();
 }
@@ -881,35 +891,21 @@ Result<df::ColumnPtr> FinishAssembly(const ColumnEntry& col,
 
 }  // namespace
 
-Result<df::DataFrame> LfcReader::ReadChunk(size_t chunk,
-                                           const std::vector<size_t>& col_idxs,
-                                           size_t limit) const {
-  const uint64_t rows = chunk_rows_[chunk];
-  const uint64_t take =
-      limit == 0 ? rows : std::min<uint64_t>(rows, limit);
+Result<df::DataFrame> LfcReader::ReadSlices(
+    const std::vector<size_t>& col_idxs,
+    const std::vector<LfcSlice>& slices) const {
   std::vector<std::string> names;
   std::vector<df::ColumnPtr> cols;
   for (size_t idx : col_idxs) {
     const ColumnEntry& col = impl_->cols[idx];
     ColumnAssembly a;
-    LAFP_RETURN_NOT_OK(DecodeChunkInto(path_, col, col.chunks[chunk],
-                                       impl_->base(), take, &a));
+    for (const LfcSlice& s : slices) {
+      LAFP_RETURN_NOT_OK(DecodeChunkInto(
+          source_, col, col.chunks[s.chunk], impl_->base(),
+          std::min(s.rows, chunk_rows_[s.chunk]), &a));
+    }
     LAFP_ASSIGN_OR_RETURN(df::ColumnPtr built,
                           FinishAssembly(col, std::move(a), tracker_));
-    names.push_back(col.name);
-    cols.push_back(std::move(built));
-  }
-  return df::DataFrame::Make(std::move(names), std::move(cols));
-}
-
-Result<df::DataFrame> LfcReader::EmptyFrame(
-    const std::vector<size_t>& col_idxs) const {
-  std::vector<std::string> names;
-  std::vector<df::ColumnPtr> cols;
-  for (size_t idx : col_idxs) {
-    const ColumnEntry& col = impl_->cols[idx];
-    LAFP_ASSIGN_OR_RETURN(df::ColumnPtr built,
-                          FinishAssembly(col, ColumnAssembly{}, tracker_));
     names.push_back(col.name);
     cols.push_back(std::move(built));
   }
@@ -960,35 +956,20 @@ Result<df::DataFrame> ReadLfcFile(const std::string& path,
   LAFP_ASSIGN_OR_RETURN(auto reader, LfcReader::Open(path, tracker));
   LAFP_ASSIGN_OR_RETURN(std::vector<size_t> sel,
                         reader->SelectColumns(options.usecols));
-  const std::vector<LfcSlice> slices = reader->Slices(options, stats);
+  return reader->ReadSlices(sel, reader->Slices(options, stats));
+}
 
-  if (slices.empty()) return reader->EmptyFrame(sel);
-  if (slices.size() == 1) {
-    return reader->ReadChunk(slices[0].chunk, sel,
-                             static_cast<size_t>(slices[0].rows));
+Result<df::DataFrame> DecodeLfc(std::string_view bytes,
+                                MemoryTracker* tracker,
+                                std::string_view source) {
+  LAFP_ASSIGN_OR_RETURN(auto reader,
+                        LfcReader::OpenBytes(bytes, tracker, source));
+  LAFP_ASSIGN_OR_RETURN(std::vector<size_t> all, reader->SelectColumns({}));
+  std::vector<LfcSlice> slices;
+  for (size_t c = 0; c < reader->num_chunks(); ++c) {
+    slices.push_back({c, reader->chunk_rows(c)});
   }
-  // Multi-chunk assembly: one pass per column over the surviving
-  // slices, one allocation per column.
-  std::vector<std::string> names;
-  std::vector<df::ColumnPtr> cols;
-  for (size_t idx : sel) {
-    df::ColumnPtr built;
-    LAFP_ASSIGN_OR_RETURN(
-        built, [&]() -> Result<df::ColumnPtr> {
-          ColumnAssembly a;
-          const ColumnEntry& col = reader->impl_->cols[idx];
-          for (const LfcSlice& s : slices) {
-            LAFP_RETURN_NOT_OK(DecodeChunkInto(path, col,
-                                               col.chunks[s.chunk],
-                                               reader->impl_->base(), s.rows,
-                                               &a));
-          }
-          return FinishAssembly(col, std::move(a), tracker);
-        }());
-    names.push_back(reader->impl_->cols[idx].name);
-    cols.push_back(std::move(built));
-  }
-  return df::DataFrame::Make(std::move(names), std::move(cols));
+  return reader->ReadSlices(all, slices);
 }
 
 Result<LfcFileInfo> ReadLfcInfo(const std::string& path) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/memory_tracker.h"
@@ -13,9 +14,10 @@
 
 namespace lafp::io {
 
-/// LFC ("Lazy Fat Columnar") — the native on-disk table format
-/// (ROADMAP item 2, DESIGN.md "Native columnar storage"). One file per
-/// table:
+/// LFC ("Lazy Fat Columnar") — the engine's one frame encoding
+/// (DESIGN.md "Native columnar storage"): LFC files, Dask spill files
+/// (exec/partition.h) and every shard exchange payload (shard/wire.h)
+/// are the same bytes. One encoding per frame:
 ///
 ///   [magic u64]
 ///   [chunk data: per chunk, per column: validity bitmap + payload]
@@ -25,13 +27,13 @@ namespace lafp::io {
 ///
 /// The footer lives at the end so the writer streams chunk payloads
 /// without back-patching; readers locate it through the fixed-size
-/// trailer. Reads are mmap-backed and validate every offset/length
-/// against the mapped size before touching bytes (the spill-reader
-/// clamping discipline, hardened further by tests/lfc_corpus).
+/// trailer. Files are read through an mmap, byte payloads in place; both
+/// go through one validation path that checks every offset/length
+/// against the buffer size before touching bytes (tests/lfc_corpus).
 ///
-/// Fault points: `lfc.write` fires once per column-chunk while writing
-/// (partial tmp files are unlinked; the final rename is atomic) and
-/// `lfc.read` fires at open.
+/// Fault points (files only): `lfc.write` fires once per column-chunk
+/// while writing (partial tmp files are unlinked; the final rename is
+/// atomic) and `lfc.read` fires at open.
 
 inline constexpr uint64_t kLfcMagic = 0x4c41465043465331ULL;  // "LAFPCFS1"
 inline constexpr uint32_t kLfcVersion = 1;
@@ -106,6 +108,17 @@ bool IsLfcFile(const std::string& path);
 Status WriteLfcFile(const df::DataFrame& frame, const std::string& path,
                     const LfcWriteOptions& options = {});
 
+/// The bytes WriteLfcFile would write, in memory (the shard exchange's
+/// frame payload).
+Result<std::string> EncodeLfc(const df::DataFrame& frame,
+                              const LfcWriteOptions& options = {});
+
+/// Decode a whole frame from LFC bytes, validated as a file is. Fires no
+/// fault site; errors name "lfc bytes (<source>)" instead of a path.
+Result<df::DataFrame> DecodeLfc(std::string_view bytes,
+                                MemoryTracker* tracker,
+                                std::string_view source = "in memory");
+
 /// Eager whole-file read with projection, row limit, and zone-map
 /// pruning. `stats`, when non-null, reports chunk-skip counts.
 Result<df::DataFrame> ReadLfcFile(const std::string& path,
@@ -124,21 +137,25 @@ Status ConvertCsvToLfc(const std::string& csv_path,
                        const LfcWriteOptions& options,
                        MemoryTracker* tracker);
 
-/// mmap-backed chunk reader — the streaming/partitioned scan surface
-/// (Dask partitions, Modin chunk-per-partition reads). Thread-safe for
-/// concurrent ReadChunk calls: the mapping is immutable and decoded
+/// Chunk reader over an mmap'd file or a caller's bytes — the
+/// streaming/partitioned scan surface (Dask partitions, Modin
+/// chunk-per-partition reads) and the exchange decoder. Thread-safe for
+/// concurrent ReadSlices calls: the bytes are immutable and decoded
 /// columns charge the (thread-safe) MemoryTracker.
 class LfcReader {
  public:
   static Result<std::unique_ptr<LfcReader>> Open(const std::string& path,
                                                  MemoryTracker* tracker);
+  /// Reads `bytes` in place (they must outlive the reader); errors name
+  /// "lfc bytes (<source>)".
+  static Result<std::unique_ptr<LfcReader>> OpenBytes(
+      std::string_view bytes, MemoryTracker* tracker, std::string_view source);
   ~LfcReader();
 
   LfcReader(const LfcReader&) = delete;
   LfcReader& operator=(const LfcReader&) = delete;
 
   const LfcFileInfo& info() const { return info_; }
-  const std::string& path() const { return path_; }
   size_t num_chunks() const { return chunk_rows_.size(); }
   uint64_t chunk_rows(size_t chunk) const { return chunk_rows_[chunk]; }
   const LfcZoneMap& zone_map(size_t col, size_t chunk) const;
@@ -165,28 +182,22 @@ class LfcReader {
   std::vector<LfcSlice> Slices(const LfcReadOptions& options,
                                LfcReadStats* stats = nullptr) const;
 
-  /// Decode the first `limit` rows (0 = all) of `chunk`, projected to
-  /// `col_idxs` (file-order indexes from SelectColumns).
-  Result<df::DataFrame> ReadChunk(size_t chunk,
-                                  const std::vector<size_t>& col_idxs,
-                                  size_t limit = 0) const;
-
-  /// An empty frame carrying the projected schema (header-only reads).
-  Result<df::DataFrame> EmptyFrame(const std::vector<size_t>& col_idxs) const;
+  /// Decode `slices`, in order, into one frame projected to `col_idxs`
+  /// (file-order indexes from SelectColumns), one allocation per column.
+  /// No slices gives an empty frame carrying the projected schema.
+  Result<df::DataFrame> ReadSlices(const std::vector<size_t>& col_idxs,
+                                   const std::vector<LfcSlice>& slices) const;
 
  private:
   struct Impl;
   LfcReader();
-
-  // ReadLfcFile assembles multi-chunk columns straight from the mapping
-  // (one allocation per column) instead of concatenating ReadChunk frames.
-  friend Result<df::DataFrame> ReadLfcFile(const std::string& path,
-                                           const LfcReadOptions& options,
-                                           MemoryTracker* tracker,
-                                           LfcReadStats* stats);
+  /// The one validation path: parse and check the footer of the bytes
+  /// in impl_.
+  Status Parse();
 
   std::unique_ptr<Impl> impl_;
-  std::string path_;
+  std::string path_;    // empty for bytes
+  std::string source_;  // names the bytes in errors
   LfcFileInfo info_;
   std::vector<uint64_t> chunk_rows_;
   MemoryTracker* tracker_ = nullptr;

@@ -16,7 +16,7 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "exec/partition.h"
-#include "exec/spill.h"
+#include "io/columnar.h"
 #include "shard/worker.h"
 
 namespace lafp::shard {
@@ -96,7 +96,7 @@ Result<std::vector<df::DataFrame>> FramesOfReplies(
           std::to_string(static_cast<uint32_t>(reply.type)));
     }
     LAFP_ASSIGN_OR_RETURN(df::DataFrame frame,
-                          exec::DeserializeFrame(reply.payload, tracker));
+                          io::DecodeLfc(reply.payload, tracker, kExchange));
     frames.push_back(std::move(frame));
   }
   return frames;
@@ -617,7 +617,7 @@ Result<exec::BackendFramePtr> ShardBackend::Place(const df::DataFrame& frame) {
     const int w = static_cast<int>(i % static_cast<size_t>(nw));
     LAFP_RETURN_NOT_OK(cluster_->EnsureAlive(w));
     LAFP_ASSIGN_OR_RETURN(df::DataFrame chunk, chunks.partition(i, tracker_));
-    LAFP_ASSIGN_OR_RETURN(std::string bytes, exec::SerializeFrame(chunk));
+    LAFP_ASSIGN_OR_RETURN(std::string bytes, io::EncodeLfc(chunk));
     const uint64_t handle = cluster_->NextHandle();
     WireWriter payload;
     payload.U64(handle);
@@ -642,7 +642,7 @@ Result<exec::BackendFramePtr> ShardBackend::Broadcast(
   LAFP_ASSIGN_OR_RETURN(const ShardFrame* sharded, PartsOf(alongside));
   LAFP_RETURN_NOT_OK(ValidateLive(sharded->parts()));
   // Serialized once, shipped once to each distinct worker.
-  LAFP_ASSIGN_OR_RETURN(std::string bytes, exec::SerializeFrame(frame));
+  LAFP_ASSIGN_OR_RETURN(std::string bytes, io::EncodeLfc(frame));
   std::vector<ShardPartition> copies;
   std::vector<WorkerCall> puts;
   std::vector<bool> has_copy(static_cast<size_t>(kMaxShards), false);

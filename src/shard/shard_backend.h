@@ -104,8 +104,8 @@ struct ShardPartition {
 /// per-partition ops run where their partition lives (kExecOp; group-by
 /// phase one replies with its partial, which the coordinator folds in
 /// global partition order), and broadcasts ship one copy per worker.
-/// Frames cross the socket in the hardened spill stream format
-/// (exec/spill.h). Gathered ops run at the coordinator and re-scatter, so
+/// Frames cross the socket as LFC bytes (io::EncodeLfc / DecodeLfc).
+/// Gathered ops run at the coordinator and re-scatter, so
 /// results are byte-identical to the single-process engines for any
 /// shard count.
 class ShardBackend : public exec::PartitionedBackend {

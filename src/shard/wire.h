@@ -17,9 +17,10 @@
 ///
 /// Payloads are little-endian structs built with WireWriter and decoded
 /// with the bounds-checked WireReader (common/wire.h); plan fragments are
-/// the operator codec (exec::EncodeOpDesc); dataframes travel as the spill
-/// stream format (exec/spill.h, SerializeFrame/DeserializeFrame) so the
-/// exchange path reuses the hardened length-validated decoder.
+/// the operator codec (exec::EncodeOpDesc); "frame bytes" are one LFC
+/// encoding (io::EncodeLfc), decoded by io::DecodeLfc through the LFC
+/// file reader's validation, so files, spill and exchange share one
+/// hardened decoder.
 ///
 /// Request payloads (coordinator -> worker):
 ///   kScan:           OpDesc | u32 worker_index | u32 num_workers
@@ -50,6 +51,9 @@ constexpr uint32_t kFrameMagic = 0x4846534cu;
 /// Per-message payload clamp. A crafted or corrupted length header must
 /// not drive a multi-gigabyte allocation before any payload byte is read.
 constexpr uint64_t kMaxMessageBytes = 1ull << 30;  // 1 GiB
+
+/// The source DecodeLfc names in errors about frame bytes.
+constexpr char kExchange[] = "shard exchange";
 
 /// Handles the worker assigns locally during scans live above this base;
 /// coordinator-assigned handles count up from 1, so the two spaces can

@@ -14,7 +14,7 @@
 #include "common/memory_tracker.h"
 #include "exec/eager_ops.h"
 #include "exec/partitioned.h"
-#include "exec/spill.h"
+#include "io/columnar.h"
 #include "shard/wire.h"
 
 namespace lafp::shard {
@@ -114,7 +114,7 @@ Result<Message> HandleExecOp(WorkerState* st, const Message& req) {
       std::string bytes;
       if (!r.Str(&bytes)) return r.Error("inline frame");
       LAFP_ASSIGN_OR_RETURN(df::DataFrame frame,
-                            exec::DeserializeFrame(bytes, &st->tracker));
+                            io::DecodeLfc(bytes, &st->tracker, kExchange));
       inputs.push_back(exec::EagerValue::Frame(std::move(frame)));
     } else {
       return Status::Invalid("shard worker: unknown input tag");
@@ -128,7 +128,7 @@ Result<Message> HandleExecOp(WorkerState* st, const Message& req) {
     return Status::Invalid("shard worker: op produced a scalar");
   }
   if (out_handle == 0) {
-    LAFP_ASSIGN_OR_RETURN(std::string bytes, exec::SerializeFrame(out.frame));
+    LAFP_ASSIGN_OR_RETURN(std::string bytes, io::EncodeLfc(out.frame));
     return Message{MsgType::kFrameData, std::move(bytes)};
   }
   const uint64_t rows = out.frame.num_rows();
@@ -143,7 +143,7 @@ Result<Message> HandlePutFrame(WorkerState* st, const Message& req) {
   uint64_t handle = 0;
   if (!r.U64(&handle)) return r.Error("put handle");
   LAFP_ASSIGN_OR_RETURN(df::DataFrame frame,
-                        exec::DeserializeFrame(r.Rest(), &st->tracker));
+                        io::DecodeLfc(r.Rest(), &st->tracker, kExchange));
   const uint64_t rows = frame.num_rows();
   st->frames[handle] = std::move(frame);
   WireWriter w;
@@ -156,7 +156,7 @@ Result<Message> HandleGetFrame(WorkerState* st, const Message& req) {
   uint64_t handle = 0;
   if (!r.U64(&handle)) return r.Error("get handle");
   LAFP_ASSIGN_OR_RETURN(df::DataFrame frame, LookupFrame(st, handle));
-  LAFP_ASSIGN_OR_RETURN(std::string bytes, exec::SerializeFrame(frame));
+  LAFP_ASSIGN_OR_RETURN(std::string bytes, io::EncodeLfc(frame));
   return Message{MsgType::kFrameData, std::move(bytes)};
 }
 

@@ -182,6 +182,31 @@ TEST_F(DaskTest, SpillPersistedExtensionBoundsMemory) {
             again->frame.CanonicalString(true));
 }
 
+// A persisted partition reloads from its spill file as it was written: a
+// category column keeps its dtype and its dictionary.
+TEST_F(DaskTest, SpilledCategoryKeepsDtypeAndDictionary) {
+  MemoryTracker tracker(0);
+  BackendConfig config;
+  // One partition, so no concat decategorizes the materialized column.
+  config.partition_rows = 65536;
+  config.spill_dir = dir_ + "/spill";
+  config.spill_persisted = true;
+  auto backend = MakeBackend(BackendKind::kDask, &tracker, config);
+  OpDesc desc;
+  desc.kind = OpKind::kReadCsv;
+  desc.path = csv_path_;
+  desc.csv_options.dtypes = {{"grp", df::DataType::kCategory}};
+  auto frame = backend->Execute(desc, {});
+  ASSERT_TRUE(frame.ok());
+  ASSERT_TRUE(backend->Persist(*frame).ok());
+  auto out = backend->Materialize(*frame);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_FALSE(std::filesystem::is_empty(config.spill_dir));
+  const df::Column& grp = **out->frame.column("grp");
+  ASSERT_EQ(grp.type(), df::DataType::kCategory);
+  EXPECT_EQ(*grp.dictionary(), (df::Dictionary{"0", "1", "2", "3", "4"}));
+}
+
 TEST_F(DaskTest, SharedNodeEvaluatedOncePerMaterialize) {
   // mask and frame share the read; fusion must evaluate the read once per
   // partition (this is a correctness smoke test: results must match the

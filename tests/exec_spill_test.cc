@@ -1,12 +1,15 @@
-#include "exec/spill.h"
+// Partition spill (the §5.4 disk-persist extension): a spilled partition
+// is an LFC file (io/columnar.h), so every dtype reloads exactly —
+// categories keep their dictionaries — and a reload re-charges the
+// tracker. The codec's hostile-input sweeps live in io_columnar_test.
+#include "exec/partition.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 
+#include "common/macros.h"
 #include "dataframe/ops.h"
-#include "exec/partition.h"
 
 namespace lafp::exec {
 namespace {
@@ -35,9 +38,16 @@ class SpillTest : public ::testing::Test {
          *df::ParseTimestamp("1969-12-31 23:00:00")},
         {1, 0, 1}, &tracker_);
     auto cat = *df::CategorizeStrings(
-        **Column::MakeString({"x", "y", "x"}, {}, &tracker_), &tracker_);
+        **Column::MakeString({"y", "x", "y"}, {}, &tracker_), &tracker_);
     return *DataFrame::Make({"i", "d", "s", "b", "t", "c"},
                             {ints, doubles, strings, bools, ts, cat});
+  }
+
+  /// Spill `frame` as partition `name` and load it back.
+  Result<DataFrame> RoundTrip(DataFrame frame, const std::string& name) {
+    Partition partition(std::move(frame));
+    LAFP_RETURN_NOT_OK(partition.SpillTo(dir_, name));
+    return partition.Load(&tracker_);
   }
 
   std::string dir_;
@@ -46,16 +56,17 @@ class SpillTest : public ::testing::Test {
 
 TEST_F(SpillTest, RoundTripsAllTypes) {
   DataFrame frame = AllTypesFrame();
-  std::string path = dir_ + "/all.bin";
-  ASSERT_TRUE(WriteSpillFile(frame, path).ok());
-  auto back = ReadSpillFile(path, &tracker_);
+  auto back = RoundTrip(frame, "all");
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->num_rows(), 3u);
   EXPECT_EQ(back->names(), frame.names());
-  // Categories come back as plain strings; values must match.
-  EXPECT_EQ((*back->column("c"))->type(), DataType::kString);
-  for (size_t r = 0; r < 3; ++r) {
-    for (size_t c = 0; c < frame.num_columns(); ++c) {
+  // Categories come back as categories, dictionary order included.
+  const Column& cat = **back->column("c");
+  ASSERT_EQ(cat.type(), DataType::kCategory);
+  EXPECT_EQ(*cat.dictionary(), (df::Dictionary{"y", "x"}));
+  for (size_t c = 0; c < frame.num_columns(); ++c) {
+    EXPECT_EQ(back->column(c)->type(), frame.column(c)->type());
+    for (size_t r = 0; r < 3; ++r) {
       EXPECT_EQ(back->column(c)->ValueString(r),
                 frame.column(c)->ValueString(r))
           << "col " << frame.names()[c] << " row " << r;
@@ -67,91 +78,21 @@ TEST_F(SpillTest, RoundTripsAllTypes) {
 TEST_F(SpillTest, EmptyFrameRoundTrips) {
   df::ColumnBuilder b(DataType::kInt64, &tracker_);
   auto empty = *DataFrame::Make({"v"}, {*b.Finish()});
-  std::string path = dir_ + "/empty.bin";
-  ASSERT_TRUE(WriteSpillFile(empty, path).ok());
-  auto back = ReadSpillFile(path, &tracker_);
-  ASSERT_TRUE(back.ok());
+  auto back = RoundTrip(empty, "empty");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->num_rows(), 0u);
   EXPECT_EQ(back->num_columns(), 1u);
 }
 
-// The exchange wire format must round-trip a zero-row partition that
-// still carries a real column table (names + dtypes). Shard workers send
-// these routinely — a filter that empties one partition must not lose
-// the schema or fail the clamp checks sized for nrows >= 1.
-TEST_F(SpillTest, ZeroRowNonEmptyColumnsRoundTripOnWire) {
-  df::ColumnBuilder ints(DataType::kInt64, &tracker_);
-  df::ColumnBuilder strs(DataType::kString, &tracker_);
-  df::ColumnBuilder dbls(DataType::kDouble, &tracker_);
-  auto empty = *DataFrame::Make(
-      {"i", "s", "d"}, {*ints.Finish(), *strs.Finish(), *dbls.Finish()});
-  auto bytes = SerializeFrame(empty);
-  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-  auto back = DeserializeFrame(*bytes, &tracker_);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->num_rows(), 0u);
-  ASSERT_EQ(back->num_columns(), 3u);
-  EXPECT_EQ(back->names(), empty.names());
-  EXPECT_EQ((*back->column("i"))->type(), DataType::kInt64);
-  EXPECT_EQ((*back->column("s"))->type(), DataType::kString);
-  EXPECT_EQ((*back->column("d"))->type(), DataType::kDouble);
-}
-
-// Message-framed payloads carry an exact length: trailing bytes after
-// the frame mean protocol desync and must fail, not be ignored.
-TEST_F(SpillTest, WirePayloadRejectsTrailingJunk) {
-  DataFrame frame = AllTypesFrame();
-  auto bytes = SerializeFrame(frame);
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_TRUE(DeserializeFrame(*bytes, &tracker_).ok());
-  EXPECT_FALSE(DeserializeFrame(*bytes + "x", &tracker_).ok());
-}
-
-// Rows claimed with no columns to hold them are unrepresentable; the
-// header clamp must reject the combination (ncols == 0 && nrows > 0)
-// while keeping the legitimate zero-row / zero-column cases working.
-TEST_F(SpillTest, RejectsRowsWithoutColumns) {
-  auto bytes = SerializeFrame(DataFrame());
-  ASSERT_TRUE(bytes.ok());
-  // Patch nrows (u64 at offset 12, after u64 magic + u32 ncols) to 5.
-  std::string forged = *bytes;
-  ASSERT_GE(forged.size(), 20u);
-  forged[12] = 5;
-  auto back = DeserializeFrame(forged, &tracker_);
-  ASSERT_FALSE(back.ok());
-  EXPECT_NE(back.status().message().find("no columns"), std::string::npos)
-      << back.status().ToString();
-}
-
-TEST_F(SpillTest, RejectsGarbageAndTruncation) {
-  std::string path = dir_ + "/garbage.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not a spill file at all";
-  }
-  EXPECT_FALSE(ReadSpillFile(path, &tracker_).ok());
-
-  // Truncate a valid file mid-payload.
-  DataFrame frame = AllTypesFrame();
-  std::string full = dir_ + "/full.bin";
-  ASSERT_TRUE(WriteSpillFile(frame, full).ok());
-  auto size = std::filesystem::file_size(full);
-  std::filesystem::resize_file(full, size / 2);
-  EXPECT_FALSE(ReadSpillFile(full, &tracker_).ok());
-
-  EXPECT_FALSE(ReadSpillFile(dir_ + "/missing.bin", &tracker_).ok());
-}
-
 TEST_F(SpillTest, ReloadChargesTracker) {
-  DataFrame frame = AllTypesFrame();
-  std::string path = dir_ + "/charge.bin";
-  ASSERT_TRUE(WriteSpillFile(frame, path).ok());
+  Partition partition(AllTypesFrame());
+  ASSERT_TRUE(partition.SpillTo(dir_, "charge").ok());
   MemoryTracker fresh(0);
-  auto back = ReadSpillFile(path, &fresh);
+  auto back = partition.Load(&fresh);
   ASSERT_TRUE(back.ok());
   EXPECT_GT(fresh.current(), 0);
   MemoryTracker tiny(8);
-  EXPECT_TRUE(ReadSpillFile(path, &tiny).status().IsOutOfMemory());
+  EXPECT_TRUE(partition.Load(&tiny).status().IsOutOfMemory());
 }
 
 TEST_F(SpillTest, PartitionSpillReleasesMemory) {

@@ -1,8 +1,9 @@
 // LFC native columnar format: round-trip property tests over every
 // dtype and edge shape, projection/row-limit contracts, zone-map pruning
 // correctness per comparison op, the format-abuse sweep (checked-in
-// corrupt corpus + exhaustive truncation and bit-flip mutations), the
-// mmap reader's concurrent-chunk-read thread safety, and the optimizer's
+// corrupt corpus + exhaustive truncation and bit-flip mutations) over
+// both decoder entry points (file path and in-memory bytes), the mmap
+// reader's concurrent-chunk-read thread safety, and the optimizer's
 // zone-prune pass end to end.
 #include "io/columnar.h"
 
@@ -17,7 +18,9 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/hash.h"
 #include "common/metrics.h"
+#include "common/wire.h"
 #include "dataframe/ops.h"
 #include "lazy/fat_dataframe.h"
 #include "optimizer/passes.h"
@@ -107,6 +110,11 @@ class LfcTest : public ::testing::Test {
                              std::istreambuf_iterator<char>());
   }
 
+  /// The bytes entry point over the first `len` bytes of `bytes`.
+  Result<DataFrame> Decode(const std::vector<char>& bytes, size_t len) {
+    return DecodeLfc(std::string_view(bytes.data(), len), &tracker_);
+  }
+
   void WriteBytes(const std::string& path, const std::vector<char>& bytes) {
     std::ofstream(path, std::ios::binary | std::ios::trunc)
         .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -135,6 +143,14 @@ TEST_F(LfcTest, RoundTripEveryDtypeAcrossChunkSizes) {
     // Logical types survive exactly — category stays category.
     EXPECT_EQ(back->column(5)->type(), DataType::kCategory);
     EXPECT_EQ(back->column(1)->type(), DataType::kTimestamp);
+    // The bytes encoder writes exactly the file, and decodes alike.
+    auto bytes = EncodeLfc(frame, wo);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    const std::vector<char> file = FileBytes(path);
+    EXPECT_EQ(*bytes, std::string(file.begin(), file.end()));
+    auto decoded = DecodeLfc(*bytes, &tracker_);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(FrameRepr(*decoded), expected) << "chunk_rows=" << chunk_rows;
   }
 }
 
@@ -154,6 +170,52 @@ TEST_F(LfcTest, RoundTripEmptyFrame) {
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->nrows, 0u);
   EXPECT_EQ(info->num_chunks, 0u);
+  // The shard exchange ships empty partitions routinely: the bytes path
+  // keeps the column table too.
+  auto bytes = EncodeLfc(frame);
+  ASSERT_TRUE(bytes.ok());
+  auto decoded = DecodeLfc(*bytes, &tracker_);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(FrameRepr(*decoded), FrameRepr(*back));
+}
+
+// What an exchange payload must also reject: trailing bytes (the sender
+// and receiver disagree about the frame's extent) and a footer re-sealed
+// to claim rows without columns; a decode over budget is OutOfMemory.
+// Errors name the bytes' source, not a path.
+TEST_F(LfcTest, DecodeRejectsTrailingBytesAndColumnlessRows) {
+  auto bytes = EncodeLfc(MixedFrame(5));
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_TRUE(DecodeLfc(*bytes, &tracker_).ok());
+  auto trailing = DecodeLfc(*bytes + "x", &tracker_, "shard exchange");
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_NE(trailing.status().message().find("(shard exchange)"),
+            std::string::npos)
+      << trailing.status().ToString();
+
+  MemoryTracker tiny(8);
+  EXPECT_TRUE(DecodeLfc(*bytes, &tiny).status().IsOutOfMemory());
+
+  // Five rows in one chunk, no columns, checksum re-sealed.
+  WireWriter footer;
+  footer.U32(kLfcVersion);
+  footer.U64(5);      // nrows
+  footer.U64(65536);  // nominal chunk rows
+  footer.U32(0);      // ncols
+  footer.U32(1);      // nchunks
+  footer.U64(5);      // chunk 0 rows
+  const std::string body = footer.Take();
+  WireWriter forged;
+  forged.U64(kLfcMagic);
+  forged.Raw(body);
+  forged.U64(body.size());
+  forged.U64(Fnv1a64(body.data(), body.size()));
+  forged.U64(kLfcMagic);
+  auto columnless = DecodeLfc(forged.Take(), &tracker_);
+  ASSERT_FALSE(columnless.ok());
+  EXPECT_NE(columnless.status().message().find("row count without columns"),
+            std::string::npos)
+      << columnless.status().ToString();
 }
 
 TEST_F(LfcTest, RoundTripSingleRow) {
@@ -469,7 +531,8 @@ TEST_F(LfcTest, ConcurrentChunkReadsAgainstSharedTracker) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&] {
       for (size_t c = 0; c < (*reader)->num_chunks(); ++c) {
-        auto chunk = (*reader)->ReadChunk(c, *sel);
+        auto chunk =
+            (*reader)->ReadSlices(*sel, {{c, (*reader)->chunk_rows(c)}});
         if (!chunk.ok()) {
           ++failures;
           continue;
@@ -631,6 +694,9 @@ TEST_F(LfcTest, InjectedWriteFaultLeavesNoPartialFile) {
   }
   ASSERT_TRUE(WriteLfcFile(frame, path).ok());
   EXPECT_TRUE(ReadLfcFile(path, {}, &tracker_).ok());
+  // The bytes encoder fires no file fault site.
+  FaultScope scope("lfc.write:nth=1");
+  EXPECT_TRUE(EncodeLfc(frame).ok());
 }
 
 TEST_F(LfcTest, InjectedReadFaultSurfacesCleanly) {
@@ -638,6 +704,8 @@ TEST_F(LfcTest, InjectedReadFaultSurfacesCleanly) {
   const std::string path = Path("readfault.lfc");
   ASSERT_TRUE(WriteLfcFile(frame, path).ok());
   FaultScope scope("lfc.read:nth=1");
+  // A bytes decode fires no file fault site: the armed fault waits.
+  EXPECT_TRUE(DecodeLfc(*EncodeLfc(frame), &tracker_).ok());
   auto result = ReadLfcFile(path, {}, &tracker_);
   EXPECT_TRUE(result.status().IsIOError());
   EXPECT_TRUE(ReadLfcFile(path, {}, &tracker_).ok());  // single-shot
@@ -648,8 +716,9 @@ TEST_F(LfcTest, InjectedReadFaultSurfacesCleanly) {
 // ---------------------------------------------------------------------------
 
 // Checked-in hostile files (tests/lfc_corpus): every one must fail with a
-// clean Status from both the full reader and the footer-only path — no
-// crash, no over-read, no unbounded allocation, no tracker leak.
+// clean Status from the full reader, the footer-only path and the bytes
+// decoder — no crash, no over-read, no unbounded allocation, no tracker
+// leak.
 TEST_F(LfcTest, CorruptCorpusFailsCleanly) {
   const fs::path corpus = LAFP_LFC_CORPUS_DIR;
   ASSERT_TRUE(fs::exists(corpus)) << corpus;
@@ -659,6 +728,8 @@ TEST_F(LfcTest, CorruptCorpusFailsCleanly) {
     const int64_t before = tracker_.current();
     auto result = ReadLfcFile(entry.path().string(), {}, &tracker_);
     EXPECT_FALSE(result.ok()) << entry.path().filename();
+    const std::vector<char> bytes = FileBytes(entry.path().string());
+    EXPECT_FALSE(Decode(bytes, bytes.size()).ok()) << entry.path().filename();
     EXPECT_EQ(tracker_.current(), before)
         << "tracker leak from " << entry.path().filename();
     EXPECT_FALSE(ReadLfcInfo(entry.path().string()).ok())
@@ -666,6 +737,7 @@ TEST_F(LfcTest, CorruptCorpusFailsCleanly) {
     ++checked;
   }
   EXPECT_GE(checked, 12);
+  EXPECT_FALSE(ReadLfcFile(Path("missing.lfc"), {}, &tracker_).ok());
 }
 
 // Every strict prefix of a valid file is a truncation the reader must
@@ -683,6 +755,8 @@ TEST_F(LfcTest, EveryTruncationFailsCleanly) {
     WriteBytes(trunc, std::vector<char>(bytes.begin(), bytes.begin() + len));
     auto result = ReadLfcFile(trunc, {}, &tracker_);
     EXPECT_FALSE(result.ok()) << "prefix of length " << len << " succeeded";
+    EXPECT_FALSE(Decode(bytes, len).ok())
+        << "bytes prefix of length " << len << " succeeded";
   }
 }
 
@@ -709,12 +783,15 @@ TEST_F(LfcTest, BitFlipsNeverCrashAndMetadataFlipsFail) {
       std::vector<char> mutated = bytes;
       mutated[i] ^= static_cast<char>(1 << bit);
       WriteBytes(flipped, mutated);
-      auto result = ReadLfcFile(flipped, {}, &tracker_);  // must not crash
-      if (i < 8 || i >= footer_start) {
-        EXPECT_FALSE(result.ok())
-            << "metadata flip byte " << i << " bit " << bit << " succeeded";
-      } else if (result.ok()) {
-        EXPECT_EQ(result->num_rows(), frame.num_rows());
+      // Must not crash, through either entry point.
+      for (auto result : {ReadLfcFile(flipped, {}, &tracker_),
+                          Decode(mutated, mutated.size())}) {
+        if (i < 8 || i >= footer_start) {
+          EXPECT_FALSE(result.ok())
+              << "metadata flip byte " << i << " bit " << bit << " succeeded";
+        } else if (result.ok()) {
+          EXPECT_EQ(result->num_rows(), frame.num_rows());
+        }
       }
     }
   }

@@ -14,7 +14,7 @@
 #include "common/cancellation.h"
 #include "common/macros.h"
 #include "common/metrics.h"
-#include "exec/spill.h"
+#include "io/columnar.h"
 #include "io/csv.h"
 #include "lazy/fat_dataframe.h"
 
@@ -140,7 +140,7 @@ TEST_F(ShardExecutorTest, PipelineStaysPartitionLocal) {
   MemoryTracker scan_tracker(0);
   auto scanned = io::ReadCsv(csv_path_, {}, &scan_tracker);
   ASSERT_TRUE(scanned.ok());
-  auto gather_bytes = exec::SerializeFrame(*scanned);
+  auto gather_bytes = io::EncodeLfc(*scanned);
   ASSERT_TRUE(gather_bytes.ok());
   auto run = [&](Session* session) -> Result<std::string> {
     LAFP_ASSIGN_OR_RETURN(auto frame, FatDataFrame::ReadCsv(session, csv_path_));
@@ -179,7 +179,7 @@ TEST_F(ShardExecutorTest, HeadFetchesOnlyItsPrefix) {
   MemoryTracker scan_tracker(0);
   auto scanned = io::ReadCsv(csv_path_, {}, &scan_tracker);
   ASSERT_TRUE(scanned.ok());
-  auto gather_bytes = exec::SerializeFrame(*scanned);
+  auto gather_bytes = io::EncodeLfc(*scanned);
   ASSERT_TRUE(gather_bytes.ok());
   auto run = [&](Session* session) -> Result<std::string> {
     LAFP_ASSIGN_OR_RETURN(auto frame, FatDataFrame::ReadCsv(session, csv_path_));
@@ -303,7 +303,7 @@ TEST_F(ShardExecutorTest, ZeroRowPartitionExchange) {
 }
 
 // All-null columns cross the exchange intact (null bitmaps are part of
-// the spill wire format; a lost bitmap shows up as fabricated zeros).
+// the LFC payload; a lost bitmap shows up as fabricated zeros).
 TEST_F(ShardExecutorTest, AllNullColumnExchange) {
   std::string path = dir_ + "/nulls.csv";
   {
@@ -333,6 +333,27 @@ TEST_F(ShardExecutorTest, AllNullColumnExchange) {
                           << out.status().ToString();
     EXPECT_EQ(*out, *reference) << "shards=" << shards;
   }
+}
+
+// A category frame placed on the workers (kPutFrame) and fetched back
+// (kGetFrame) stays a category, with its dictionary in the same order.
+TEST_F(ShardExecutorTest, CategoryFrameKeepsDtypeAndDictionary) {
+  auto labels = *df::Column::MakeString({"b", "a", "", "b", "c"},
+                                        {1, 1, 1, 0, 1}, &tracker_);
+  auto cat = *df::CategorizeStrings(*labels, &tracker_);
+  auto frame = *df::DataFrame::Make({"label"}, {cat});
+  exec::BackendConfig config;
+  config.shards = 2;
+  config.partition_rows = 64;
+  auto backend = exec::MakeBackend(BackendKind::kShard, &tracker_, config);
+  auto placed = backend->FromEager(exec::EagerValue::Frame(frame));
+  ASSERT_TRUE(placed.ok()) << placed.status().ToString();
+  auto fetched = backend->Materialize(*placed);
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  const df::Column& col = **fetched->frame.column("label");
+  ASSERT_EQ(col.type(), df::DataType::kCategory);
+  EXPECT_EQ(*col.dictionary(), (df::Dictionary{"b", "a", "", "c"}));
+  EXPECT_EQ(fetched->frame.ToString(10), frame.ToString(10));
 }
 
 }  // namespace
