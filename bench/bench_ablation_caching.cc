@@ -8,10 +8,9 @@
 //
 // Part 2 measures the cross-query plan/result cache
 // (lazy/result_cache.h): the same optimized program runs cold (fresh
-// shared cache, inserts only) and then warm (spliced from the cache);
-// results land in BENCH_cache.json.
+// shared cache, inserts only) and then warm (spliced from the cache),
+// one printed row per backend.
 #include <cstdio>
-#include <fstream>
 #include <memory>
 
 #include "bench/harness.h"
@@ -27,8 +26,7 @@ namespace {
 /// on execution failure or a cold/warm checksum mismatch.
 bool RunCrossQuery(const std::string& program,
                    const std::map<std::string, std::string>& paths,
-                   exec::BackendKind backend, const std::string& dir,
-                   std::ofstream& json, bool* first_record) {
+                   exec::BackendKind backend, const std::string& dir) {
   BenchConfig config;
   config.backend = backend;
   config.optimized = true;
@@ -57,13 +55,6 @@ bool RunCrossQuery(const std::string& program,
               cold.seconds, warm.seconds, speedup,
               static_cast<long long>(inserts),
               static_cast<long long>(warm_hits));
-  json << (*first_record ? "" : ",\n") << "  {\"program\": \"" << program
-       << "\", \"backend\": \"" << name << "\", \"cold_seconds\": "
-       << cold.seconds << ", \"warm_seconds\": " << warm.seconds
-       << ", \"speedup\": " << speedup << ", \"inserts\": " << inserts
-       << ", \"warm_hits\": " << warm_hits << ", \"cache_bytes\": "
-       << config.result_cache->bytes() << "}";
-  *first_record = false;
   return true;
 }
 
@@ -122,17 +113,12 @@ int main() {
       "\nCross-query result cache: repeated optimized runs of stu\n\n");
   std::printf("%-22s %10s %10s %10s %7s %7s\n", "backend", "cold (s)",
               "warm (s)", "speedup", "insert", "hits");
-  std::ofstream json("BENCH_cache.json");
-  json << "[\n";
-  bool first_record = true;
   bool ok = true;
   for (auto backend :
        {exec::BackendKind::kPandas, exec::BackendKind::kModin}) {
-    ok = RunCrossQuery("stu", *paths, backend, dir, json, &first_record) &&
-         ok;
+    ok = RunCrossQuery("stu", *paths, backend, dir) && ok;
   }
-  json << "\n]\n";
-  std::printf("\n-> BENCH_cache.json (warm runs splice cached subtrees;\n"
-              "   warm output must checksum-match the cold run)\n");
+  std::printf("\n(warm runs splice cached subtrees; warm output must\n"
+              " checksum-match the cold run)\n");
   return ok ? 0 : 1;
 }

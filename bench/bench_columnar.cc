@@ -4,14 +4,13 @@
 // the newest ~1% of rows, so nearly every chunk's `ts` zone map rules it
 // out before any decode happens.
 //
-// Results land in BENCH_columnar.json. The shape that must hold: the
+// Results print as a table. The shape that must hold: the
 // full LFC scan beats the CSV parse (binary decode vs text parse), and
 // the pruned selective scan beats the unpruned one (chunk skipping vs
 // decode-then-filter). The exit code gates on both plus byte-count
 // agreement between the pruned and unpruned pipelines.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -177,23 +176,5 @@ int main() {
     std::fprintf(stderr, "pruned scan did not beat unpruned scan\n");
     ok = false;
   }
-
-  std::ofstream json("BENCH_columnar.json");
-  json << "[\n"
-       << "  {\"phase\": \"csv_parse_full\", \"seconds\": "
-       << csv_parse.seconds << ", \"rows\": " << csv_parse.rows << "},\n"
-       << "  {\"phase\": \"lfc_scan_full\", \"seconds\": "
-       << lfc_full.seconds << ", \"rows\": " << lfc_full.rows
-       << ", \"speedup_vs_csv\": " << csv_speedup << "},\n"
-       << "  {\"phase\": \"lfc_selective_unpruned\", \"seconds\": "
-       << unpruned.seconds << ", \"rows\": " << unpruned.rows << "},\n"
-       << "  {\"phase\": \"lfc_selective_pruned\", \"seconds\": "
-       << pruned.seconds << ", \"rows\": " << pruned.rows
-       << ", \"chunks_total\": " << pruned_stats.chunks_total
-       << ", \"chunks_skipped\": " << pruned_stats.chunks_skipped
-       << ", \"speedup_vs_unpruned\": " << prune_speedup << "}\n"
-       << "]\n";
-  std::printf("-> BENCH_columnar.json (LFC must beat CSV; pruned must beat "
-              "unpruned)\n");
   return ok ? 0 : 1;
 }

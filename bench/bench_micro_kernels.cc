@@ -22,8 +22,6 @@
 #include "common/timer.h"
 #include "dataframe/kernel_context.h"
 #include "dataframe/ops.h"
-#include "exec/fused.h"
-#include "exec/op.h"
 #include "io/csv.h"
 #include "lazy/fat_dataframe.h"
 #include "optimizer/passes.h"
@@ -314,47 +312,6 @@ int RunKernelThreadSweep() {
        [&] {
          return Checksum(
              *df::Merge(keyed, lookup, {"grp"}, df::JoinType::kInner));
-       }},
-      // filter -> project -> (*2) -> (+2.5) -> abs, first as five separate
-      // kernel calls with materialized intermediates, then as one kFusedMap
-      // node running the whole chain in a single morsel pass. Same bytes
-      // (the invariance suite pins that); the delta is the fusion win.
-      {"unfused_chain",
-       [&] {
-         auto mask =
-             *df::Compare(*value, df::CompareOp::kGt, df::Scalar::Double(0));
-         auto filtered = *df::Filter(frame, *mask);
-         auto col = *filtered.column("value");
-         auto t = *df::Arith(*col, df::ArithOp::kMul, df::Scalar::Double(2.0));
-         t = *df::Arith(*t, df::ArithOp::kAdd, df::Scalar::Double(2.5));
-         t = *df::Abs(*t);
-         return Checksum(*t);
-       }},
-      {"fused_chain",
-       [&] {
-         auto mask =
-             *df::Compare(*value, df::CompareOp::kGt, df::Scalar::Double(0));
-         exec::OpDesc step;
-         step.kind = exec::OpKind::kArith;
-         step.has_scalar = true;
-         exec::OpDesc d;
-         d.kind = exec::OpKind::kFusedMap;
-         d.column = "value";
-         step.arith_op = df::ArithOp::kMul;
-         step.scalar = df::Scalar::Double(2.0);
-         d.fused.push_back(step);
-         step.arith_op = df::ArithOp::kAdd;
-         step.scalar = df::Scalar::Double(2.5);
-         d.fused.push_back(step);
-         exec::OpDesc abs_step;
-         abs_step.kind = exec::OpKind::kAbs;
-         d.fused.push_back(abs_step);
-         std::vector<exec::EagerValue> inputs;
-         inputs.push_back(exec::EagerValue::Frame(frame));
-         inputs.push_back(exec::EagerValue::Frame(
-             *df::DataFrame::Make({"m"}, {mask})));
-         auto out = *exec::ExecuteFusedMap(d, inputs, &tracker);
-         return Checksum(*out.frame.column(size_t{0}));
        }},
   };
 

@@ -2,8 +2,8 @@
 // a loopback port, hammered by concurrent HTTP clients running the same
 // PdScript workload. Reports per-request latency at client counts 1..C
 // (the shared-pool multiplexing cost), warm-vs-cold cache effect, and
-// admission-rejection behavior when offered load exceeds max_sessions.
-// Results land in BENCH_serve.json.
+// admission-rejection behavior when offered load exceeds max_sessions,
+// one printed line per scenario.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -134,16 +134,7 @@ LoadResult RunLoad(int port, const std::string& body, int clients,
   return result;
 }
 
-void EmitRecord(std::ofstream& json, bool* first, const char* scenario,
-                const LoadResult& r) {
-  json << (*first ? "" : ",\n") << "  {\"scenario\": \"" << scenario
-       << "\", \"clients\": " << r.clients
-       << ", \"requests\": " << r.requests << ", \"ok\": " << r.ok
-       << ", \"rejected\": " << r.rejected << ", \"failed\": " << r.failed
-       << ", \"seconds\": " << r.seconds
-       << ", \"rps\": " << r.requests_per_second()
-       << ", \"avg_latency_ms\": " << r.avg_latency_ms() << "}";
-  *first = false;
+void PrintRecord(const char* scenario, const LoadResult& r) {
   std::printf("  %-24s clients=%d ok=%d rejected=%d failed=%d "
               "rps=%.1f avg=%.2f ms\n",
               scenario, r.clients, r.ok, r.rejected, r.failed,
@@ -170,36 +161,32 @@ int Main() {
   std::printf("bench_serve: %d rows, %d requests/client, max_sessions=%d\n",
               kRows, per_client, options.max_sessions);
 
-  std::ofstream json("BENCH_serve.json");
-  json << "[\n";
-  bool first = true;
   bool correct = true;
 
   // Cold single client first (fills the shared result cache), then the
   // same serial load warm: the delta is the cross-request cache win.
   LoadResult cold = RunLoad(service.port(), body, 1, per_client);
-  EmitRecord(json, &first, "serial_cold", cold);
+  PrintRecord("serial_cold", cold);
   LoadResult warm = RunLoad(service.port(), body, 1, per_client);
-  EmitRecord(json, &first, "serial_warm", warm);
+  PrintRecord("serial_warm", warm);
   correct = correct && cold.failed == 0 && warm.failed == 0;
 
   // Concurrency within admission capacity: every request must succeed.
   for (int clients : {2, 4, 8}) {
     LoadResult r = RunLoad(service.port(), body, clients, per_client);
-    EmitRecord(json, &first, "concurrent", r);
+    PrintRecord("concurrent", r);
     correct = correct && r.failed == 0 && r.rejected == 0;
   }
 
   // Offered load over max_sessions: overflow is rejected with 429, never
   // an error; admitted requests still all succeed.
   LoadResult over = RunLoad(service.port(), body, 16, per_client);
-  EmitRecord(json, &first, "over_admission", over);
+  PrintRecord("over_admission", over);
   correct = correct && over.failed == 0 && over.ok > 0;
 
-  json << "\n]\n";
   service.Stop();
-  std::printf("-> BENCH_serve.json (failed=0 everywhere gates the exit "
-              "code; rejected>0 expected only over capacity)\n");
+  std::printf("(failed=0 everywhere gates the exit code; rejected>0 "
+              "expected only over capacity)\n");
   return correct ? 0 : 1;
 }
 

@@ -1,7 +1,7 @@
 // Shared-nothing shard executor scaling (ROADMAP item 5): the same
 // scan -> filter -> groupby pipeline on the single-process Pandas
-// backend and on 1/2/4 forked shard workers. Results land in
-// BENCH_shard.json. The exit code gates on byte-identical results
+// backend and on 1/2/4 forked shard workers, printed as a table. The
+// exit code gates on byte-identical results
 // across every configuration — scaling numbers are reported, not
 // gated: on a loopback socketpair exchange the break-even point
 // depends on core count and data size, and a perf regression must not
@@ -13,7 +13,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "common/macros.h"
 #include "lazy/fat_dataframe.h"
@@ -102,39 +101,17 @@ int main() {
   std::printf("%zu rows, scan+filter+groupby+sort\n\n", rows);
   std::printf("%-24s %10.4f s\n", "pandas (1 process)", reference.seconds);
 
-  struct Point {
-    int shards;
-    Timed timed;
-  };
-  std::vector<Point> points;
   for (int shards : {1, 2, 4}) {
-    Point p{shards, RunPipeline(csv, exec::BackendKind::kShard, shards)};
-    ok = ok && p.timed.ok && p.timed.output == reference.output;
-    if (p.timed.ok && p.timed.output != reference.output) {
+    Timed timed = RunPipeline(csv, exec::BackendKind::kShard, shards);
+    ok = ok && timed.ok && timed.output == reference.output;
+    if (timed.ok && timed.output != reference.output) {
       std::fprintf(stderr, "shards=%d output diverges from reference\n",
                    shards);
     }
     std::printf("%-21s %2d %10.4f s   %.2fx\n", "shard workers", shards,
-                p.timed.seconds, reference.seconds / p.timed.seconds);
-    points.push_back(std::move(p));
+                timed.seconds, reference.seconds / timed.seconds);
   }
-
-  std::ofstream json("BENCH_shard.json");
-  json << "[\n"
-       << "  {\"config\": \"pandas\", \"processes\": 1, \"seconds\": "
-       << reference.seconds << ", \"rows\": " << rows << "},\n";
-  for (size_t i = 0; i < points.size(); ++i) {
-    json << "  {\"config\": \"shard\", \"workers\": " << points[i].shards
-         << ", \"seconds\": " << points[i].timed.seconds
-         << ", \"speedup_vs_pandas\": "
-         << reference.seconds / points[i].timed.seconds
-         << ", \"identical\": "
-         << (points[i].timed.output == reference.output ? "true" : "false")
-         << "}" << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  json << "]\n";
-  std::printf("\n-> BENCH_shard.json (gates on byte-identical results "
-              "across 1/2/4 workers)\n");
+  std::printf("\n(gates on byte-identical results across 1/2/4 workers)\n");
   std::filesystem::remove_all(dir);
   return ok ? 0 : 1;
 }

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "dataframe/types.h"
-
 namespace lafp::df {
 
 // Scalar arithmetic semantics shared by the column kernels and the
@@ -59,43 +57,6 @@ inline double FlooredModDouble(double a, double b) {
     r = std::copysign(0.0, b);
   }
   return r;
-}
-
-/// Scalar double arithmetic with pandas semantics (kMod is floored).
-/// The canonical per-element form of the vectorized kernel loops; the
-/// fused evaluator and the interpreter's constant folding share it.
-inline double ApplyArith(ArithOp op, double a, double b) {
-  switch (op) {
-    case ArithOp::kAdd:
-      return a + b;
-    case ArithOp::kSub:
-      return a - b;
-    case ArithOp::kMul:
-      return a * b;
-    case ArithOp::kDiv:
-      return a / b;  // inf/NaN semantics match pandas' float division
-    case ArithOp::kMod:
-      return FlooredModDouble(a, b);
-  }
-  return std::nan("");
-}
-
-/// Scalar int64 arithmetic with NumPy wrap + floored-mod semantics.
-/// kDiv never reaches here (pandas / is true division).
-inline int64_t ApplyArithInt(ArithOp op, int64_t a, int64_t b) {
-  switch (op) {
-    case ArithOp::kAdd:
-      return WrapAdd(a, b);
-    case ArithOp::kSub:
-      return WrapSub(a, b);
-    case ArithOp::kMul:
-      return WrapMul(a, b);
-    case ArithOp::kMod:
-      return FlooredModInt(a, b);
-    case ArithOp::kDiv:
-      break;
-  }
-  return 0;
 }
 
 }  // namespace lafp::df

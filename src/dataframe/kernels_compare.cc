@@ -464,11 +464,13 @@ Result<ColumnPtr> IsIn(const Column& col,
   return Column::MakeBool(std::move(out), {}, col.tracker());
 }
 
-/// The mask -> row-index step shared by Filter, FilterColumn and the fused
-/// evaluator, morsel-parallelized in two passes: count selected rows per
-/// morsel, exclusive-prefix-sum the counts into write offsets, then fill
-/// each morsel's disjoint output range. Output order is ascending row
-/// order — exactly the serial push_back result — for every thread count.
+namespace {
+
+/// Filter's mask -> ascending row-index selection vector (nulls deselect),
+/// morsel-parallelized in two passes: count selected rows per morsel,
+/// exclusive-prefix-sum the counts into write offsets, then fill each
+/// morsel's disjoint output range. Output order is ascending row order —
+/// exactly the serial push_back result — for every thread count.
 Result<std::vector<int64_t>> MaskToIndices(const Column& mask) {
   const size_t n = mask.size();
   const size_t morsels = NumMorsels(n);
@@ -514,16 +516,7 @@ Result<std::vector<int64_t>> MaskToIndices(const Column& mask) {
   return indices;
 }
 
-Result<ColumnPtr> FilterColumn(const Column& col, const Column& mask) {
-  if (mask.type() != DataType::kBool) {
-    return Status::TypeError("filter mask must be bool");
-  }
-  if (mask.size() != col.size()) {
-    return Status::Invalid("filter mask length mismatch");
-  }
-  LAFP_ASSIGN_OR_RETURN(std::vector<int64_t> indices, MaskToIndices(mask));
-  return col.Take(indices);
-}
+}  // namespace
 
 Result<DataFrame> Filter(const DataFrame& df, const Column& mask) {
   if (mask.type() != DataType::kBool) {

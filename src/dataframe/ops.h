@@ -39,12 +39,6 @@ Result<ColumnPtr> IsIn(const Column& col, const std::vector<Scalar>& values);
 
 /// Keep rows where `mask` is true (nulls drop the row).
 Result<DataFrame> Filter(const DataFrame& df, const Column& mask);
-Result<ColumnPtr> FilterColumn(const Column& col, const Column& mask);
-
-/// The mask -> ascending row-index selection vector behind Filter /
-/// FilterColumn (nulls deselect). Exposed for the fused-map evaluator,
-/// which gathers through it without materializing filtered columns.
-Result<std::vector<int64_t>> MaskToIndices(const Column& mask);
 
 Result<DataFrame> Head(const DataFrame& df, size_t n);
 

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/macros.h"
-#include "exec/fused.h"
 
 namespace lafp::exec {
 
@@ -296,8 +295,6 @@ Result<EagerValue> ExecuteEagerOp(const OpDesc& desc,
       return EagerValue::FromScalar(
           df::Scalar::Int(static_cast<int64_t>(inputs[0].frame.num_rows())));
     }
-    case OpKind::kFusedMap:
-      return ExecuteFusedMap(desc, inputs, tracker);
     case OpKind::kPrint:
       return Status::Invalid("print is executed by the session, not a kernel");
   }

@@ -21,7 +21,6 @@ constexpr uint32_t FieldSet(Fields... fields) {
 
 constexpr uint32_t kMap = OpTraits::kMap;
 constexpr uint32_t kRowwise = OpTraits::kRowwiseInvariant;
-constexpr uint32_t kFusable = OpTraits::kFusableStep;
 constexpr uint32_t kScalarResult = OpTraits::kScalarResult;
 constexpr uint32_t kScalarOperand = OpTraits::kScalarOperand;
 
@@ -36,14 +35,12 @@ constexpr OpTraits kTraits[] = {
     {OpKind::kGetColumn, "get_item", 1, kMap | kRowwise, CE::kOpaque, ON::kCustom,
      FieldSet(F::kColumn)},
     {OpKind::kFilter, "filter", 2, kMap | kRowwise, CE::kOpaque, ON::kInput, 0},
-    {OpKind::kCompare, "compare", 2, kMap | kRowwise | kFusable | kScalarOperand,
+    {OpKind::kCompare, "compare", 2, kMap | kRowwise | kScalarOperand,
      CE::kOpaque, ON::kSeries, FieldSet(F::kCompareOp, F::kHasScalar, F::kScalar)},
     {OpKind::kBooleanAnd, "and", 2, kMap | kRowwise, CE::kOpaque, ON::kSeries, 0},
     {OpKind::kBooleanOr, "or", 2, kMap | kRowwise, CE::kOpaque, ON::kSeries, 0},
-    {OpKind::kBooleanNot, "not", 1, kMap | kRowwise | kFusable, CE::kOpaque,
-     ON::kSeries, 0},
-    {OpKind::kIsNull, "isna", 1, kMap | kRowwise | kFusable, CE::kOpaque,
-     ON::kSeries, 0},
+    {OpKind::kBooleanNot, "not", 1, kMap | kRowwise, CE::kOpaque, ON::kSeries, 0},
+    {OpKind::kIsNull, "isna", 1, kMap | kRowwise, CE::kOpaque, ON::kSeries, 0},
     {OpKind::kStrContains, "str_contains", 1, kMap | kRowwise, CE::kOpaque,
      ON::kSeries, FieldSet(F::kStrArg)},
     {OpKind::kSetColumn, "set_item", 2, kMap | kRowwise | kScalarOperand,
@@ -52,12 +49,12 @@ constexpr OpTraits kTraits[] = {
      ON::kCustom, FieldSet(F::kColumns)},
     {OpKind::kRename, "rename", 1, kMap | kRowwise, CE::kRenames, ON::kCustom,
      FieldSet(F::kRename)},
-    {OpKind::kArith, "arith", 2, kMap | kRowwise | kFusable | kScalarOperand,
+    {OpKind::kArith, "arith", 2, kMap | kRowwise | kScalarOperand,
      CE::kOpaque, ON::kSeries,
      FieldSet(F::kArithOp, F::kScalarOnLeft, F::kHasScalar, F::kScalar)},
-    {OpKind::kAbs, "abs", 1, kMap | kRowwise | kFusable, CE::kOpaque, ON::kSeries, 0},
-    {OpKind::kRound, "round", 1, kMap | kRowwise | kFusable, CE::kOpaque,
-     ON::kSeries, FieldSet(F::kDigits)},
+    {OpKind::kAbs, "abs", 1, kMap | kRowwise, CE::kOpaque, ON::kSeries, 0},
+    {OpKind::kRound, "round", 1, kMap | kRowwise, CE::kOpaque, ON::kSeries,
+     FieldSet(F::kDigits)},
     {OpKind::kFillNa, "fillna", 1, kMap | kRowwise, CE::kOpaque, ON::kInput,
      FieldSet(F::kHasScalar, F::kScalar)},
     {OpKind::kDropNa, "dropna", 1, kMap, CE::kOpaque, ON::kInput, 0},
@@ -89,8 +86,6 @@ constexpr OpTraits kTraits[] = {
     {OpKind::kReadLfc, "read_lfc", 0, 0, CE::kOpaque, ON::kCustom,
      FieldSet(F::kPath, F::kLfcOptions)},
     {OpKind::kMaterialized, "materialized", 0, 0, CE::kOpaque, ON::kNone, 0},
-    {OpKind::kFusedMap, "fused_map", 2, kMap, CE::kOpaque, ON::kNone,
-     FieldSet(F::kColumn, F::kFused)},
 };
 // clang-format on
 
@@ -109,13 +104,9 @@ constexpr const char* kFieldNames[] = {
     "path", "csv_options", "lfc_options", "columns", "column", "compare_op",
     "arith_op", "scalar_on_left", "has_scalar", "scalar", "aggs", "agg_func",
     "ascending", "join_type", "dtype", "dt_field", "n", "rename", "str_arg",
-    "scalar_list", "digits", "fused"};
-static_assert(std::size(kFieldNames) == static_cast<size_t>(F::kFused) + 1,
+    "scalar_list", "digits"};
+static_assert(std::size(kFieldNames) == static_cast<size_t>(F::kDigits) + 1,
               "one name per OpField");
-
-/// Fused chains are shallow by construction (one level in practice); the
-/// clamp only exists so a crafted fragment cannot recurse the decoder.
-constexpr uint32_t kMaxFusedDepth = 16;
 
 // ---- Codec: one Put/Get pair per field value type. ----
 
@@ -307,10 +298,6 @@ class FieldEncoder {
       Put(w_, a.out_name);
     }
   }
-  void operator()(OpField, const std::vector<OpDesc>& steps) {
-    w_->U32(static_cast<uint32_t>(steps.size()));
-    for (const auto& step : steps) Encode(step);
-  }
   template <typename T>
   void operator()(OpField, const T& v) {
     Put(w_, v);
@@ -333,10 +320,7 @@ class FieldEncoder {
 
 class FieldDecoder {
  public:
-  static Status Decode(WireReader* r, OpDesc* out, uint32_t depth) {
-    if (depth > kMaxFusedDepth) {
-      return Status::IOError("wire: fused op chain nests too deeply");
-    }
+  static Status Decode(WireReader* r, OpDesc* out) {
     uint32_t kind = 0;
     if (!r->U32(&kind)) return r->Error("op kind");
     if (kind > static_cast<uint32_t>(kLastOpKind)) {
@@ -344,7 +328,7 @@ class FieldDecoder {
     }
     OpDesc d;
     d.kind = static_cast<OpKind>(kind);
-    FieldDecoder fields(r, depth);
+    FieldDecoder fields(r);
     VisitFields(d, fields);
     LAFP_RETURN_NOT_OK(fields.status_);
     *out = std::move(d);
@@ -355,22 +339,9 @@ class FieldDecoder {
   void operator()(OpField f, T& v) {
     if (status_.ok() && !Get(r_, &v)) status_ = Malformed(f);
   }
-  void operator()(OpField f, std::vector<OpDesc>& steps) {
-    uint32_t n = 0;
-    if (!status_.ok()) return;
-    if (!GetCount(r_, &n)) {
-      status_ = Malformed(f);
-      return;
-    }
-    for (uint32_t i = 0; i < n && status_.ok(); ++i) {
-      OpDesc step;
-      status_ = Decode(r_, &step, depth_ + 1);
-      if (status_.ok()) steps.push_back(std::move(step));
-    }
-  }
 
  private:
-  FieldDecoder(WireReader* r, uint32_t depth) : r_(r), depth_(depth) {}
+  explicit FieldDecoder(WireReader* r) : r_(r) {}
 
   static Status Malformed(OpField f) {
     return Status::IOError(
@@ -379,7 +350,6 @@ class FieldDecoder {
   }
 
   WireReader* r_;
-  uint32_t depth_;
   Status status_;
 };
 
@@ -472,14 +442,6 @@ class FieldPrinter {
     Option("prune", v.prune);
     if (v.nrows != 0) parts_.push_back("nrows=" + Display(v.nrows));
   }
-  void operator()(OpField, const std::vector<OpDesc>& steps) {
-    std::string chain;
-    for (const auto& step : steps) {
-      if (!chain.empty()) chain += " -> ";
-      chain += step.ToString();
-    }
-    if (!chain.empty()) parts_.push_back(chain);
-  }
 
  private:
   template <typename T>
@@ -519,9 +481,6 @@ int ExpectedArity(const OpDesc& desc) {
   if (traits.Is(OpTraits::kScalarOperand) && desc.has_scalar) {
     return traits.arity - 1;
   }
-  // The filter+project form of fused_map consumes (frame, mask); the pure
-  // series chain consumes just the series.
-  if (desc.kind == OpKind::kFusedMap && desc.column.empty()) return 1;
   return traits.arity;
 }
 
@@ -537,7 +496,7 @@ bool EncodeOpDesc(const OpDesc& desc, WireWriter* w,
 }
 
 Status DecodeOpDesc(WireReader* r, OpDesc* out) {
-  return FieldDecoder::Decode(r, out, 0);
+  return FieldDecoder::Decode(r, out);
 }
 
 void EncodeScalar(const df::Scalar& s, WireWriter* w) {

@@ -56,15 +56,9 @@ enum class OpKind : int {
   kReadLfc,         // leaf; path + LfcReadOptions (native columnar scan)
   kMaterialized,    // leaf carrying a cached result (cache splice); the
                     // payload lives on the TaskNode, never in OpDesc
-  kFusedMap,        // optimizer-fused elementwise chain (§fusion): either
-                    // filter+project+steps (frame, mask -> series; `column`
-                    // names the projected column) or a pure series chain
-                    // (series -> series; `column` empty). The per-element
-                    // steps live in `fused`, applied in order in one
-                    // morsel pass with no intermediate materialization.
 };
 
-constexpr OpKind kLastOpKind = OpKind::kFusedMap;
+constexpr OpKind kLastOpKind = OpKind::kMaterialized;
 
 /// The OpDesc fields, in declaration order. A kind's trait row names the
 /// fields it reads; only those are printed, keyed and sent over the wire.
@@ -90,7 +84,6 @@ enum class OpField : uint8_t {
   kStrArg,
   kScalarList,
   kDigits,
-  kFused,
 };
 
 const char* OpFieldName(OpField field);
@@ -108,7 +101,7 @@ enum class ColumnEffect : uint8_t {
 /// How an operator's output column names follow from its inputs: the
 /// schema rule of the cross-query plan fingerprint (lazy/plan_fingerprint).
 enum class OutputNames : uint8_t {
-  kNone,    // nothing cacheable (print, spliced payloads, fused chains)
+  kNone,    // nothing cacheable (print, spliced payloads)
   kCustom,  // op-specific (scans, select, get/set/drop, rename, groupby)
   kInput,   // the primary input's columns, unchanged
   kSeries,  // one column, named after the first column-valued input
@@ -125,9 +118,8 @@ struct OpTraits {
     kMap = 1u << 0,               // applies independently per partition
     kRowwiseInvariant = 1u << 1,  // filtering its input first cannot change
                                   // the output on surviving rows (§3.2 (2))
-    kFusableStep = 1u << 2,       // may be a per-element kFusedMap step
-    kScalarResult = 1u << 3,      // produces a scalar, not a frame
-    kScalarOperand = 1u << 4,     // `has_scalar` replaces the second input
+    kScalarResult = 1u << 2,      // produces a scalar, not a frame
+    kScalarOperand = 1u << 3,     // `has_scalar` replaces the second input
   };
 
   OpKind kind;
@@ -161,8 +153,7 @@ struct OpDesc {
   std::vector<std::string> columns;  // kSelect / kDropColumns /
                                      // kGroupByAgg keys / kMerge on /
                                      // kSortValues by / kDropDuplicates subset
-  std::string column;                // kGetColumn / kSetColumn target /
-                                     // kFusedMap projected column
+  std::string column;                // kGetColumn / kSetColumn target
 
   df::CompareOp compare_op = df::CompareOp::kEq;  // kCompare
   df::ArithOp arith_op = df::ArithOp::kAdd;       // kArith
@@ -182,12 +173,6 @@ struct OpDesc {
   std::string str_arg;                 // kStrContains needle
   std::vector<df::Scalar> scalar_list;  // kIsIn membership values
   int digits = 0;                      // kRound
-
-  /// kFusedMap: the fused elementwise steps, in application order. Each
-  /// entry is a full OpDesc of a kFusableStep kind (kArith/kCompare with
-  /// has_scalar, kAbs, kRound, kBooleanNot, kIsNull) whose single input is
-  /// the running value of the chain.
-  std::vector<OpDesc> fused;
 
   /// Human-readable summary for debug dumps, DOT output and execution
   /// reports: the kind name, `[column]`, then the other meaningful fields.
@@ -229,15 +214,14 @@ void VisitFields(Desc& d, Visitor&& v) {
   field(OpField::kStrArg, d.str_arg);
   field(OpField::kScalarList, d.scalar_list);
   field(OpField::kDigits, d.digits);
-  field(OpField::kFused, d.fused);
 }
 
 /// Number of dataframe inputs `desc` consumes (-1 = variadic).
 int ExpectedArity(const OpDesc& desc);
 
-/// Operator codec: the kind, then each meaningful field in OpField order
-/// (recursing into `fused`). Byte-exact and reversible; it is both the
-/// shard plan-fragment format and the CSE key.
+/// Operator codec: the kind, then each meaningful field in OpField order.
+/// Byte-exact and reversible; it is both the shard plan-fragment format
+/// and the CSE key.
 void EncodeOpDesc(const OpDesc& desc, WireWriter* w);
 
 /// Resolves an input-column reference to the name to encode, or nullptr
@@ -250,8 +234,8 @@ using ColumnNameMap =
 /// leaving `w` partially written, as soon as `map` returns nullptr.
 bool EncodeOpDesc(const OpDesc& desc, WireWriter* w, const ColumnNameMap& map);
 
-/// Decodes one EncodeOpDesc fragment. Truncation, an unknown kind, an
-/// out-of-range enum or an over-deep fused chain is a clean IOError.
+/// Decodes one EncodeOpDesc fragment. Truncation, an unknown kind or an
+/// out-of-range enum is a clean IOError.
 Status DecodeOpDesc(WireReader* r, OpDesc* out);
 
 /// Scalar codec: u8 type tag + value.

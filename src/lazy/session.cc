@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
+#include <mutex>
 #include <optional>
 #include <unordered_set>
 #include <utility>
@@ -69,6 +70,14 @@ SessionOptions NormalizeOptions(SessionOptions options) {
 /// request) get distinct, monotonic ids.
 std::atomic<int64_t> next_session_id{1};
 
+/// Live traced sessions, and whether the tracer was on before the first
+/// of them switched it on (LAFP_TRACE or set_enabled). One lock covers
+/// the count and the switch, so overlapping sessions cannot interleave
+/// them.
+std::mutex trace_holds_mu;
+int trace_holds = 0;
+bool tracer_was_on = false;
+
 class FunctionPass : public OptimizerPass {
  public:
   FunctionPass(std::string name, OptimizerPassFn fn)
@@ -93,6 +102,24 @@ std::unique_ptr<OptimizerPass> MakeFunctionPass(std::string name,
   return std::make_unique<FunctionPass>(std::move(name), std::move(fn));
 }
 
+void Session::TraceHold::Acquire() {
+  std::lock_guard<std::mutex> lock(trace_holds_mu);
+  trace::Tracer* tracer = trace::Tracer::Global();
+  if (trace_holds++ == 0) {
+    tracer_was_on = tracer->enabled();
+    tracer->set_enabled(true);
+  }
+  held_ = true;
+}
+
+Session::TraceHold::~TraceHold() {
+  if (!held_) return;
+  std::lock_guard<std::mutex> lock(trace_holds_mu);
+  if (--trace_holds == 0 && !tracer_was_on) {
+    trace::Tracer::Global()->set_enabled(false);
+  }
+}
+
 Session::Session(SessionOptions options)
     : options_(NormalizeOptions(std::move(options))),
       session_id_(next_session_id.fetch_add(1, std::memory_order_relaxed)),
@@ -107,7 +134,7 @@ Session::Session(SessionOptions options)
     fault_injector_ = std::make_unique<FaultInjector>();
     fault_status_ = fault_injector_->InstallFromString(options_.fault_config);
   }
-  if (options_.exec.trace) trace::Tracer::Global()->set_enabled(true);
+  if (options_.exec.trace) trace_hold_.Acquire();
   // Inert when the tracer stayed off (neither the option nor LAFP_TRACE).
   session_span_ = std::make_unique<trace::Span>(
       std::string("session:") + backend_->name(), "session",

@@ -56,7 +56,9 @@ struct ExecutionOptions {
   /// Enable the structured tracer (common/trace.h) for this session:
   /// session/round/pass/node/kernel spans are recorded into the global
   /// tracer for Chrome-JSON or EXPLAIN ANALYZE export. Independent of the
-  /// LAFP_TRACE env knob (either can switch the tracer on).
+  /// LAFP_TRACE env knob (either can switch the tracer on). The tracer
+  /// goes off again when the last traced session ends, unless it was on
+  /// before the first of them began.
   bool trace = false;
   /// External cancellation token checked by the scheduler between nodes
   /// (common/cancellation.h). Non-owning, must outlive the session; null
@@ -379,6 +381,21 @@ class Session {
   void MarkSharedForPersist(const std::vector<TaskNodePtr>& roots,
                             const std::vector<TaskNodePtr>& live);
 
+  /// Holds the process tracer on for a session with ExecutionOptions::
+  /// trace set (see session.cc). The first member, so it is released
+  /// after every other, the session span included.
+  class TraceHold {
+   public:
+    TraceHold() = default;
+    TraceHold(const TraceHold&) = delete;
+    TraceHold& operator=(const TraceHold&) = delete;
+    ~TraceHold();
+    void Acquire();
+
+   private:
+    bool held_ = false;
+  };
+  TraceHold trace_hold_;
   SessionOptions options_;
   const int64_t session_id_;
   MemoryTracker* tracker_;

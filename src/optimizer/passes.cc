@@ -259,138 +259,6 @@ Status PruneZoneMaps(Session* session,
   return Status::OK();
 }
 
-namespace {
-
-/// A step the fused evaluator can run per element: single-input elementwise
-/// ops whose parameters are compile-time scalars. String needles/scalars
-/// are excluded (not lane-representable, and the stringy kernels are not
-/// worth fusing).
-bool IsFusableStep(const TaskNodePtr& node) {
-  if (node->executed || node->inputs.size() != 1) return false;
-  const OpDesc& d = node->desc;
-  const OpTraits& traits = exec::Traits(d.kind);
-  if (!traits.Is(OpTraits::kFusableStep)) return false;
-  if (!traits.Is(OpTraits::kScalarOperand)) return true;
-  if (!d.has_scalar) return false;
-  return d.scalar.is_null() || d.scalar.type() == df::DataType::kInt64 ||
-         d.scalar.type() == df::DataType::kDouble ||
-         d.scalar.type() == df::DataType::kBool;
-}
-
-/// True when `node` may be absorbed into a fused chain (disappear as a
-/// standalone value): nothing else reads it, it is not persisted, and it
-/// is not a user-visible root of this round.
-bool Absorbable(Session* session, const TaskNodePtr& node,
-                const TaskNode* sole_consumer,
-                const std::unordered_set<const TaskNode*>& roots_set) {
-  if (node->executed || node->persist) return false;
-  if (roots_set.count(node.get()) > 0) return false;
-  for (const auto& c : session->graph()->Consumers(node.get())) {
-    if (c.get() != sole_consumer) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-Status FuseElementwise(Session* session,
-                       const std::vector<TaskNodePtr>& roots,
-                       PassStats* stats) {
-  std::vector<TaskNodePtr> order = TaskGraph::TopoSort(roots);
-  std::unordered_set<const TaskNode*> roots_set;
-  for (const auto& r : roots) roots_set.insert(r.get());
-  // Nodes already absorbed into a fusion this sweep: never re-match them
-  // (the topo list is a snapshot and still names them).
-  std::unordered_set<const TaskNode*> absorbed;
-
-  // Reverse topo order visits consumers before producers, so each chain is
-  // matched at its maximal tail and absorbs the whole prefix in one step.
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const TaskNodePtr& tail = *it;
-    if (absorbed.count(tail.get()) > 0) continue;
-
-    // ---- Variant A tail: a run of fusable steps (possibly reaching a
-    // filter+project below). ----
-    if (IsFusableStep(tail)) {
-      std::vector<TaskNodePtr> chain{tail};  // tail-first; reversed below
-      TaskNodePtr cur = tail;
-      while (true) {
-        const TaskNodePtr& prev = cur->inputs[0];
-        if (!IsFusableStep(prev) ||
-            !Absorbable(session, prev, cur.get(), roots_set)) {
-          break;
-        }
-        chain.push_back(prev);
-        cur = prev;
-      }
-      const TaskNodePtr head = chain.back();
-      const TaskNodePtr source = head->inputs[0];
-
-      // filter -> get_column below the chain? Then the whole thing fuses
-      // into the selection-vector variant.
-      bool with_filter = false;
-      if (source->desc.kind == OpKind::kGetColumn &&
-          Absorbable(session, source, head.get(), roots_set) &&
-          source->inputs.size() == 1 &&
-          source->inputs[0]->desc.kind == OpKind::kFilter &&
-          source->inputs[0]->inputs.size() == 2 &&
-          Absorbable(session, source->inputs[0], source.get(), roots_set)) {
-        with_filter = true;
-      }
-      // A pure series chain only pays off with >= 2 steps; a lone step
-      // fuses to itself. Scalar-producing sources (reduce/len) are left
-      // alone so their error shape matches the unfused plan.
-      if (!with_filter &&
-          (chain.size() < 2 || ProducesScalar(source))) {
-        continue;
-      }
-
-      OpDesc fdesc;
-      fdesc.kind = OpKind::kFusedMap;
-      for (auto cit = chain.rbegin(); cit != chain.rend(); ++cit) {
-        fdesc.fused.push_back((*cit)->desc);
-      }
-      std::vector<TaskNodePtr> new_inputs;
-      if (with_filter) {
-        const TaskNodePtr& get = source;
-        const TaskNodePtr& filter = get->inputs[0];
-        fdesc.column = get->desc.column;
-        new_inputs = {filter->inputs[0], filter->inputs[1]};
-        absorbed.insert(get.get());
-        absorbed.insert(filter.get());
-      } else {
-        new_inputs = {source};
-      }
-      for (size_t i = 0; i + 1 < chain.size(); ++i) {
-        absorbed.insert(chain[i + 1].get());  // every step but the tail
-      }
-      tail->desc = std::move(fdesc);
-      tail->inputs = std::move(new_inputs);
-      if (stats != nullptr) ++stats->chains_fused;
-      continue;
-    }
-
-    // ---- Variant B tail: bare get_column directly on a filter (0 fused
-    // steps). Still a win: only the projected column is gathered through
-    // the selection vector instead of every column of the frame. ----
-    if (tail->desc.kind == OpKind::kGetColumn && !tail->executed &&
-        tail->inputs.size() == 1 &&
-        tail->inputs[0]->desc.kind == OpKind::kFilter &&
-        tail->inputs[0]->inputs.size() == 2 &&
-        Absorbable(session, tail->inputs[0], tail.get(), roots_set)) {
-      const TaskNodePtr filter = tail->inputs[0];
-      OpDesc fdesc;
-      fdesc.kind = OpKind::kFusedMap;
-      fdesc.column = tail->desc.column;
-      absorbed.insert(filter.get());
-      tail->desc = std::move(fdesc);
-      tail->inputs = {filter->inputs[0], filter->inputs[1]};
-      if (stats != nullptr) ++stats->chains_fused;
-    }
-  }
-  return Status::OK();
-}
-
 Status PushDownPredicates(Session* session,
                           const std::vector<TaskNodePtr>& roots,
                           PassStats* stats) {
@@ -464,14 +332,9 @@ void InstallDefaultOptimizer(Session* session,
     // the filter-directly-on-kReadLfc shape this pass matches exists.
     add("zone-prune", WrapPass(&PruneZoneMaps, stats));
   }
-  if (options.fuse) {
-    // After pushdown/zone-prune so fusion sees the final chain shapes;
-    // before the final dedup so identical fused nodes still merge.
-    add("fuse", WrapPass(&FuseElementwise, stats));
-  }
   if (options.deduplicate) {
     // Pushdown can re-create structurally identical filter chains; a
-    // final dedup merges them (same shape as the old fused pipeline).
+    // final dedup merges them.
     add("dedup-final", WrapPass(&DeduplicateNodes, stats));
   }
 }

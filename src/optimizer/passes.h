@@ -14,7 +14,6 @@ struct PassStats {
   int nodes_deduplicated = 0;
   int redundant_ops_removed = 0;
   int zone_prunes_attached = 0;
-  int chains_fused = 0;
 };
 
 /// Merge structurally identical nodes (same op fingerprint, same inputs)
@@ -56,30 +55,16 @@ Status PruneZoneMaps(lazy::Session* session,
                      const std::vector<lazy::TaskNodePtr>& roots,
                      PassStats* stats);
 
-/// Operator fusion for elementwise chains (HiFrames-style compiled
-/// pipelines, scaled to this engine): collapse
-///   filter -> get_column -> (arith|compare|abs|round|not|isna)*
-/// and pure series chains of >= 2 such steps into a single kFusedMap node
-/// that runs the whole chain in one morsel pass over a selection vector,
-/// with no intermediate column materialization. Interior nodes are only
-/// absorbed when this chain is their sole consumer, they are not persisted,
-/// and they are not user-visible roots; the chain tail is mutated in place
-/// so existing handles keep observing the same (byte-identical) value.
-Status FuseElementwise(lazy::Session* session,
-                       const std::vector<lazy::TaskNodePtr>& roots,
-                       PassStats* stats);
-
 struct OptimizerOptions {
   bool deduplicate = true;
   bool pushdown = true;
   bool redundant = true;
   bool zone_prune = true;
-  bool fuse = true;
 };
 
 /// Register the default pass pipeline with the session's OptimizerPass
 /// registry (named passes "dedup" -> "redundant-elim" -> "pushdown" ->
-/// "zone-prune" -> "fuse" -> "dedup-final", visible in each round's
+/// "zone-prune" -> "dedup-final", visible in each round's
 /// ExecutionReport), replacing any previously registered passes.
 /// Cumulative stats, if provided, must outlive the session.
 void InstallDefaultOptimizer(lazy::Session* session,

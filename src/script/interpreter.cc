@@ -42,6 +42,36 @@ Result<ArithOp> ArithOpFromText(const std::string& op) {
   return Status::Invalid("bad arithmetic op: " + op);
 }
 
+/// The keywords each DataFrame method reads; an unlisted method reads
+/// none. `compute`'s live_df is the rewriter's §3.5 hint.
+const std::vector<std::string>& FrameMethodKwargs(const std::string& method) {
+  static const std::map<std::string, std::vector<std::string>> kRead{
+      {"compute", {"live_df"}},
+      {"drop", {"columns"}},
+      {"drop_duplicates", {"subset"}},
+      {"head", {"n"}},
+      {"merge", {"on", "how"}},
+      {"rename", {"columns"}},
+      {"sort_values", {"by", "ascending"}},
+  };
+  static const std::vector<std::string> kNone;
+  auto it = kRead.find(method);
+  return it == kRead.end() ? kNone : it->second;
+}
+
+/// Refuses any keyword of `expr` that `call` does not read, as read_csv
+/// and read_lfc do: ignoring one (head(n=3), keep="last") would silently
+/// change the answer.
+Status CheckKwargs(const std::string& call, const IRExpr& expr,
+                   const std::vector<std::string>& read) {
+  for (const auto& [name, _] : expr.kwargs) {
+    if (std::find(read.begin(), read.end(), name) == read.end()) {
+      return Status::NotImplemented(call + " kwarg '" + name + "'");
+    }
+  }
+  return Status::OK();
+}
+
 class Interpreter {
  public:
   Interpreter(const IRProgram& program, const ProgramModel& model,
@@ -599,6 +629,7 @@ class Interpreter {
       case Value::Kind::kFrame:
         return EvalFrameCall(recv, method, expr);
       case Value::Kind::kGroupByCol:
+        LAFP_RETURN_NOT_OK(CheckKwargs("groupby." + method, expr, {}));
         return EvalGroupByColCall(recv, method);
       case Value::Kind::kGroupBy:
         return Status::NotImplemented(
@@ -954,6 +985,8 @@ class Interpreter {
   Result<Value> EvalFrameCall(const Value& recv, const std::string& method,
                               const IRExpr& expr) {
     const FatDataFrame& frame = recv.frame;
+    LAFP_RETURN_NOT_OK(
+        CheckKwargs("DataFrame." + method, expr, FrameMethodKwargs(method)));
     auto kwarg = [&](const std::string& name) -> const IRValue* {
       for (const auto& [n, v] : expr.kwargs) {
         if (n == name) return &v;
@@ -963,9 +996,23 @@ class Interpreter {
 
     if (method == "head") {
       size_t n = 5;
-      if (!expr.operands.empty()) {
-        LAFP_ASSIGN_OR_RETURN(Value arg, Load(expr.operands[0]));
-        if (arg.kind == Value::Kind::kInt) n = static_cast<size_t>(arg.i);
+      const IRValue* count = kwarg("n");
+      if (count != nullptr && !expr.operands.empty()) {
+        return Status::TypeError("head got multiple values for 'n'");
+      }
+      if (count == nullptr && !expr.operands.empty()) {
+        count = &expr.operands[0];
+      }
+      if (count != nullptr) {
+        LAFP_ASSIGN_OR_RETURN(Value arg, Load(*count));
+        if (arg.kind != Value::Kind::kInt) {
+          return Status::TypeError("head count must be an integer");
+        }
+        // pandas returns all but the last -n rows; not supported.
+        if (arg.i < 0) {
+          return Status::NotImplemented("head with a negative count");
+        }
+        n = static_cast<size_t>(arg.i);
       }
       LAFP_ASSIGN_OR_RETURN(FatDataFrame out, frame.Head(n));
       return Value::Frame(std::move(out));

@@ -24,12 +24,11 @@ std::string OracleConfig::Name() const {
       break;
   }
   name += exec::BackendKindName(backend);
-  if (dedup || redundant || pushdown || fuse) {
+  if (dedup || redundant || pushdown) {
     name += "+";
     if (dedup) name += "d";
     if (redundant) name += "r";
     if (pushdown) name += "p";
-    if (fuse) name += "f";
   }
   name += " t" + std::to_string(num_threads);
   if (intra_op_threads != 0) {
@@ -59,7 +58,7 @@ std::vector<OracleConfig> SampleConfigs(uint64_t seed, int n) {
     OracleConfig c;
     c.backend = backend;
     c.mode = OracleMode::kLafp;
-    c.dedup = c.redundant = c.pushdown = c.fuse = true;
+    c.dedup = c.redundant = c.pushdown = true;
     c.num_threads = backend == exec::BackendKind::kModin ? 4 : 1;
     configs.push_back(c);
   }
@@ -96,11 +95,10 @@ std::vector<OracleConfig> SampleConfigs(uint64_t seed, int n) {
       }
     }
     if (c.mode != OracleMode::kEager) {
-      unsigned mask = static_cast<unsigned>(rng.Below(16));
+      unsigned mask = static_cast<unsigned>(rng.Below(8));
       c.dedup = (mask & 1) != 0;
       c.redundant = (mask & 2) != 0;
       c.pushdown = (mask & 4) != 0;
-      c.fuse = (mask & 8) != 0;
     }
     c.num_threads = rng.Chance(0.5) ? 1 : 4;
     static const int kIntraOp[] = {0, 1, 8};
@@ -196,7 +194,7 @@ std::vector<OracleConfig> RegressionConfigs() {
        {exec::BackendKind::kPandas, exec::BackendKind::kModin,
         exec::BackendKind::kDask}) {
     const bool dask = backend == exec::BackendKind::kDask;
-    for (unsigned mask : {0u, 1u, 2u, 4u, 8u, 15u}) {
+    for (unsigned mask : {0u, 1u, 2u, 4u, 7u}) {
       OracleConfig c;
       c.backend = backend;
       c.mode = dask ? OracleMode::kLazy : OracleMode::kEager;
@@ -204,7 +202,6 @@ std::vector<OracleConfig> RegressionConfigs() {
       c.dedup = (mask & 1) != 0;
       c.redundant = (mask & 2) != 0;
       c.pushdown = (mask & 4) != 0;
-      c.fuse = (mask & 8) != 0;
       c.num_threads = backend == exec::BackendKind::kModin ? 4 : 1;
       c.partition_rows = 16;  // several partitions even on tiny repros
       configs.push_back(c);
@@ -213,8 +210,7 @@ std::vector<OracleConfig> RegressionConfigs() {
     OracleConfig threads;
     threads.backend = backend;
     threads.mode = dask ? OracleMode::kLazy : OracleMode::kLafp;
-    threads.dedup = threads.redundant = threads.pushdown = threads.fuse =
-        !dask;
+    threads.dedup = threads.redundant = threads.pushdown = !dask;
     threads.num_threads = 4;
     threads.intra_op_threads = 8;
     threads.morsel_rows = 1;
@@ -266,13 +262,11 @@ RunOutcome ExecuteOnce(const std::string& source, const OracleConfig& config,
   // the zone-prune pass can run (it is the only path that attaches prune
   // predicates to native scans); lfc_prune=false checks the unpruned scan.
   if (config.mode != OracleMode::kEager &&
-      (config.dedup || config.redundant || config.pushdown || config.fuse ||
-       config.lfc)) {
+      (config.dedup || config.redundant || config.pushdown || config.lfc)) {
     opt::OptimizerOptions pass_options;
     pass_options.deduplicate = config.dedup;
     pass_options.redundant = config.redundant;
     pass_options.pushdown = config.pushdown;
-    pass_options.fuse = config.fuse;
     pass_options.zone_prune = config.lfc_prune;
     opt::InstallDefaultOptimizer(&session, pass_options);
   }

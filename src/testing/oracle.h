@@ -25,8 +25,6 @@ struct OracleConfig {
   bool dedup = false;
   bool redundant = false;
   bool pushdown = false;
-  /// Elementwise-chain fusion (kFusedMap) pass.
-  bool fuse = false;
   /// ExecutionOptions sweep (DAG scheduler / morsel geometry).
   int num_threads = 1;
   int intra_op_threads = 0;

@@ -21,9 +21,6 @@
 #include "common/thread_pool.h"
 #include "dataframe/kernel_context.h"
 #include "dataframe/ops.h"
-#include "exec/eager_ops.h"
-#include "exec/fused.h"
-#include "exec/op.h"
 
 namespace lafp::df {
 namespace {
@@ -335,199 +332,6 @@ TEST_F(InvarianceTest, AllNullColumn) {
     out += Fingerprint(**Arith(*nulls, ArithOp::kAdd, Scalar::Double(1.0)));
     return out;
   });
-}
-
-// ---------------------------------------------------------------------
-// Fused-vs-unfused byte identity: a kFusedMap node must reproduce the
-// exact bytes of executing the same chain as individual eager ops, at
-// every thread count and morsel size (including 1-row morsels).
-
-exec::OpDesc ArithStep(ArithOp op, Scalar s, bool on_left = false) {
-  exec::OpDesc d;
-  d.kind = exec::OpKind::kArith;
-  d.arith_op = op;
-  d.has_scalar = true;
-  d.scalar = std::move(s);
-  d.scalar_on_left = on_left;
-  return d;
-}
-
-exec::OpDesc CmpStep(CompareOp op, Scalar s) {
-  exec::OpDesc d;
-  d.kind = exec::OpKind::kCompare;
-  d.compare_op = op;
-  d.has_scalar = true;
-  d.scalar = std::move(s);
-  return d;
-}
-
-exec::OpDesc SimpleStep(exec::OpKind kind, int digits = 0) {
-  exec::OpDesc d;
-  d.kind = kind;
-  d.digits = digits;
-  return d;
-}
-
-/// Executes filter+project+steps as a single kFusedMap node.
-Result<exec::EagerValue> RunFused(const DataFrame& df, const ColumnPtr& mask,
-                                  const std::string& col,
-                                  std::vector<exec::OpDesc> steps,
-                                  MemoryTracker* tracker) {
-  exec::OpDesc d;
-  d.kind = exec::OpKind::kFusedMap;
-  d.column = col;
-  d.fused = std::move(steps);
-  std::vector<exec::EagerValue> inputs;
-  inputs.push_back(exec::EagerValue::Frame(df));
-  inputs.push_back(
-      exec::EagerValue::Frame(*DataFrame::Make({"m"}, {mask})));
-  return exec::ExecuteFusedMap(d, inputs, tracker);
-}
-
-/// Executes the same chain as the optimizer would have left it unfused:
-/// one eager op per node (filter, get_column, then each step).
-Result<exec::EagerValue> RunUnfused(const DataFrame& df, const ColumnPtr& mask,
-                                    const std::string& col,
-                                    const std::vector<exec::OpDesc>& steps,
-                                    MemoryTracker* tracker) {
-  exec::OpDesc filter;
-  filter.kind = exec::OpKind::kFilter;
-  std::vector<exec::EagerValue> in;
-  in.push_back(exec::EagerValue::Frame(df));
-  in.push_back(exec::EagerValue::Frame(*DataFrame::Make({"m"}, {mask})));
-  auto cur = exec::ExecuteEagerOp(filter, in, tracker);
-  if (!cur.ok()) return cur;
-  exec::OpDesc get;
-  get.kind = exec::OpKind::kGetColumn;
-  get.column = col;
-  cur = exec::ExecuteEagerOp(get, {*cur}, tracker);
-  for (const auto& step : steps) {
-    if (!cur.ok()) return cur;
-    cur = exec::ExecuteEagerOp(step, {*cur}, tracker);
-  }
-  return cur;
-}
-
-class FusedInvarianceTest : public InvarianceTest {
- protected:
-  /// Asserts fused == unfused byte-for-byte (output or error message)
-  /// across the full thread/morsel sweep.
-  void CheckFusedIdentity(const DataFrame& df, const ColumnPtr& mask,
-                          const std::string& col,
-                          const std::vector<exec::OpDesc>& steps) {
-    CheckInvariant([&] {
-      auto fused = RunFused(df, mask, col, steps, &tracker_);
-      auto unfused = RunUnfused(df, mask, col, steps, &tracker_);
-      EXPECT_EQ(fused.ok(), unfused.ok());
-      if (!fused.ok() || !unfused.ok()) {
-        EXPECT_EQ(fused.status().ToString(), unfused.status().ToString());
-        return fused.status().ToString();
-      }
-      const std::string ff = Fingerprint((*fused).frame);
-      EXPECT_EQ(ff, Fingerprint((*unfused).frame));
-      return ff;
-    });
-  }
-};
-
-TEST_F(FusedInvarianceTest, FilterProjectDoubleChain) {
-  DataFrame df = TestFrame(kRows);
-  ColumnPtr mask =
-      *Compare(*df.column(size_t{0}), CompareOp::kGt, Scalar::Int(-20));
-  CheckFusedIdentity(df, mask, "d",
-                     {ArithStep(ArithOp::kMul, Scalar::Double(1.0000001)),
-                      ArithStep(ArithOp::kAdd, Scalar::Double(2.5)),
-                      SimpleStep(exec::OpKind::kAbs),
-                      SimpleStep(exec::OpKind::kRound, 2),
-                      CmpStep(CompareOp::kLt, Scalar::Double(100.0)),
-                      SimpleStep(exec::OpKind::kBooleanNot)});
-}
-
-TEST_F(FusedInvarianceTest, FilterProjectIntFastPathWrapAndMod) {
-  DataFrame df = TestFrame(kRows);
-  ColumnPtr mask =
-      *Compare(*df.column(size_t{0}), CompareOp::kNe, Scalar::Int(0));
-  CheckFusedIdentity(df, mask, "i",
-                     {ArithStep(ArithOp::kMul, Scalar::Int(INT64_MAX / 3)),
-                      ArithStep(ArithOp::kMod, Scalar::Int(-7)),
-                      ArithStep(ArithOp::kSub, Scalar::Int(INT64_MIN)),
-                      SimpleStep(exec::OpKind::kAbs)});
-}
-
-TEST_F(FusedInvarianceTest, SeriesChainAndScalarOnLeft) {
-  DataFrame df = TestFrame(kRows);
-  // Series variant: single-column frame input, empty `column`.
-  DataFrame series = *DataFrame::Make({"d"}, {df.column(size_t{1})});
-  std::vector<exec::OpDesc> steps = {
-      ArithStep(ArithOp::kSub, Scalar::Double(1.5), /*on_left=*/true),
-      ArithStep(ArithOp::kDiv, Scalar::Double(3.0)),
-      SimpleStep(exec::OpKind::kIsNull)};
-  CheckInvariant([&] {
-    exec::OpDesc d;
-    d.kind = exec::OpKind::kFusedMap;
-    d.fused = steps;
-    auto fused = exec::ExecuteFusedMap(
-        d, {exec::EagerValue::Frame(series)}, &tracker_);
-    auto cur = Result<exec::EagerValue>(exec::EagerValue::Frame(series));
-    for (const auto& step : steps) {
-      cur = exec::ExecuteEagerOp(step, {*cur}, &tracker_);
-      EXPECT_TRUE(cur.ok());
-    }
-    EXPECT_TRUE(fused.ok());
-    const std::string ff = Fingerprint((*fused).frame);
-    EXPECT_EQ(ff, Fingerprint((*cur).frame));
-    return ff;
-  });
-}
-
-TEST_F(FusedInvarianceTest, ZeroStepProjection) {
-  DataFrame df = TestFrame(kRows);
-  ColumnPtr mask =
-      *Compare(*df.column(size_t{1}), CompareOp::kGe, Scalar::Double(0.0));
-  CheckFusedIdentity(df, mask, "d", {});
-  CheckFusedIdentity(df, mask, "k", {});  // string column, no steps
-}
-
-TEST_F(FusedInvarianceTest, EmptyFrame) {
-  DataFrame df = TestFrame(0);
-  ColumnPtr mask =
-      *Compare(*df.column(size_t{0}), CompareOp::kGt, Scalar::Int(0));
-  CheckFusedIdentity(df, mask, "d",
-                     {ArithStep(ArithOp::kMul, Scalar::Double(2.0)),
-                      CmpStep(CompareOp::kNe, Scalar::Double(0.0))});
-}
-
-TEST_F(FusedInvarianceTest, AllNullColumnAndNullScalar) {
-  const size_t n = 60;
-  DataFrame df = *DataFrame::Make(
-      {"d", "i"},
-      {Doubles(std::vector<double>(n, 0.0), std::vector<uint8_t>(n, 0)),
-       Ints([&] {
-         std::vector<int64_t> v(n);
-         for (size_t i = 0; i < n; ++i) v[i] = static_cast<int64_t>(i) - 30;
-         return v;
-       }())});
-  ColumnPtr mask =
-      *Compare(*df.column(size_t{1}), CompareOp::kLt, Scalar::Int(20));
-  // All-null input column.
-  CheckFusedIdentity(df, mask, "d",
-                     {ArithStep(ArithOp::kAdd, Scalar::Double(1.0)),
-                      SimpleStep(exec::OpKind::kIsNull)});
-  // Null scalar mid-chain nullifies everything downstream.
-  CheckFusedIdentity(df, mask, "i",
-                     {ArithStep(ArithOp::kMul, Scalar::Null()),
-                      CmpStep(CompareOp::kNe, Scalar::Double(0.0))});
-}
-
-TEST_F(FusedInvarianceTest, StringChainFallsBackIdentically) {
-  DataFrame df = TestFrame(kRows);
-  ColumnPtr mask =
-      *Compare(*df.column(size_t{0}), CompareOp::kGt, Scalar::Int(0));
-  // Strings are not lane-representable: the fused node must fall back to
-  // composing the ordinary kernels, reproducing output and errors alike.
-  CheckFusedIdentity(df, mask, "k",
-                     {ArithStep(ArithOp::kAdd, Scalar::String("!"))});
-  CheckFusedIdentity(df, mask, "k", {SimpleStep(exec::OpKind::kAbs)});
 }
 
 // Sanity check on the geometry primitive itself: chunk boundaries must

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/trace.h"
 #include "lazy/fat_dataframe.h"
 #include "lazy/result_cache.h"
 #include "optimizer/passes.h"
@@ -218,6 +219,32 @@ TEST_F(MultiSessionTest, GlobalCacheFirstTouchIsRaceFree) {
   }
   for (auto& t : threads) t.join();
   for (int i = 1; i < kThreads; ++i) EXPECT_EQ(seen[i], seen[0]);
+}
+
+TEST_F(MultiSessionTest, OverlappingTracedSessionsShareTheTracer) {
+  // A traced session switches the process tracer on and the last traced
+  // session to end switches it off: the first of two overlapping ones
+  // leaves tracing on for the other. Sessions begin and end on different
+  // threads, so TSan checks the shared count.
+  trace::Tracer* tracer = trace::Tracer::Global();
+  ASSERT_FALSE(tracer->enabled()) << "run without LAFP_TRACE";
+  std::stringstream output;
+  SessionOptions opts;
+  opts.mode = ExecutionMode::kLazy;
+  opts.output = &output;
+  opts.exec.trace = true;
+  std::unique_ptr<Session> first, second;
+  std::thread([&] { first = std::make_unique<Session>(opts); }).join();
+  second = std::make_unique<Session>(opts);
+  std::thread([&] { first.reset(); }).join();
+  EXPECT_TRUE(tracer->enabled());
+
+  const size_t before = tracer->Snapshot().size();
+  script::RunOptions run_opts;
+  ASSERT_TRUE(script::RunProgram(Program(0), second.get(), run_opts).ok());
+  EXPECT_GT(tracer->Snapshot().size(), before);
+  second.reset();
+  EXPECT_FALSE(tracer->enabled());
 }
 
 }  // namespace

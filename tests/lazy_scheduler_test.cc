@@ -328,7 +328,7 @@ TEST_F(LazySchedulerTest, OptimizerPassRegistry) {
   std::stringstream output;
   auto session = MakeSession(2, &output);
   opt::InstallDefaultOptimizer(session.get());
-  ASSERT_EQ(session->optimizer_passes().size(), 6u);
+  ASSERT_EQ(session->optimizer_passes().size(), 5u);
 
   auto df = FatDataFrame::ReadCsv(session.get(), csv_path_);
   ASSERT_TRUE(df.ok());
@@ -340,13 +340,12 @@ TEST_F(LazySchedulerTest, OptimizerPassRegistry) {
   ASSERT_TRUE(eager.ok()) << eager.status().ToString();
 
   const ExecutionReport& report = session->last_report();
-  ASSERT_EQ(report.passes.size(), 6u);
+  ASSERT_EQ(report.passes.size(), 5u);
   EXPECT_EQ(report.passes[0].name, "dedup");
   EXPECT_EQ(report.passes[1].name, "redundant-elim");
   EXPECT_EQ(report.passes[2].name, "pushdown");
   EXPECT_EQ(report.passes[3].name, "zone-prune");
-  EXPECT_EQ(report.passes[4].name, "fuse");
-  EXPECT_EQ(report.passes[5].name, "dedup-final");
+  EXPECT_EQ(report.passes[4].name, "dedup-final");
   // Dedup merged the duplicate head: read + head + concat only.
   EXPECT_EQ(report.nodes_executed, 3);
 

@@ -285,6 +285,70 @@ TEST_P(InterpreterTest, MissingColumnSurfacesKeyError) {
   EXPECT_TRUE(out.status().IsKeyError()) << out.status().ToString();
 }
 
+// Keywords are read or refused, never dropped: an ignored keyword gives a
+// silently wrong answer. Checked in eager mode and on LaFP.
+TEST_P(InterpreterTest, HeadReadsNKeyword) {
+  auto program = [&](const std::string& call) {
+    return "import lazyfatpandas.pandas as pd\n"
+           "df = pd.read_csv(\"" + csv_path_ + "\")\n"
+           "print(df." + call + ")\n";
+  };
+  for (bool lafp : {false, true}) {
+    const ExecutionMode mode =
+        lafp ? ExecutionMode::kLazy : ExecutionMode::kEager;
+    auto keyword = Run(program("head(n=3)"), lafp, mode, lafp, lafp);
+    auto positional = Run(program("head(3)"), lafp, mode, lafp, lafp);
+    ASSERT_TRUE(keyword.ok()) << keyword.status().ToString();
+    ASSERT_TRUE(positional.ok()) << positional.status().ToString();
+    EXPECT_EQ(*keyword, *positional) << (lafp ? "lafp" : "eager");
+  }
+}
+
+TEST_P(InterpreterTest, UnreadKeywordFailsCleanly) {
+  const std::string read =
+      "import lazyfatpandas.pandas as pd\n"
+      "df = pd.read_csv(\"" + csv_path_ + "\")\n";
+  for (bool lafp : {false, true}) {
+    const ExecutionMode mode =
+        lafp ? ExecutionMode::kLazy : ExecutionMode::kEager;
+    auto dedup = Run(read +
+                         "d = df.drop_duplicates(subset=[\"vendor\"], "
+                         "keep=\"last\")\n"
+                         "print(d)\n",
+                     lafp, mode, lafp, lafp);
+    EXPECT_TRUE(dedup.status().IsNotImplemented())
+        << dedup.status().ToString();
+    EXPECT_NE(dedup.status().message().find("drop_duplicates kwarg 'keep'"),
+              std::string::npos)
+        << dedup.status().ToString();
+    auto agg = Run(read +
+                       "g = df.groupby([\"vendor\"])[\"tip\"].sum("
+                       "min_count=1)\n"
+                       "print(g)\n",
+                   lafp, mode, lafp, lafp);
+    EXPECT_TRUE(agg.status().IsNotImplemented()) << agg.status().ToString();
+    EXPECT_NE(agg.status().message().find("sum kwarg 'min_count'"),
+              std::string::npos)
+        << agg.status().ToString();
+  }
+}
+
+TEST_P(InterpreterTest, NegativeOrNonIntegerHeadFailsCleanly) {
+  const std::string read =
+      "import lazyfatpandas.pandas as pd\n"
+      "df = pd.read_csv(\"" + csv_path_ + "\")\n";
+  for (bool lafp : {false, true}) {
+    const ExecutionMode mode =
+        lafp ? ExecutionMode::kLazy : ExecutionMode::kEager;
+    auto negative = Run(read + "print(df.head(-7))\n", lafp, mode, lafp, lafp);
+    EXPECT_TRUE(negative.status().IsNotImplemented())
+        << negative.status().ToString();
+    auto fraction = Run(read + "print(df.head(2.5))\n", lafp, mode, lafp, lafp);
+    EXPECT_EQ(fraction.status().code(), StatusCode::kTypeError)
+        << fraction.status().ToString();
+  }
+}
+
 TEST_P(InterpreterTest, RewrittenProgramReadsFewerColumns) {
   // Observable effect of the §3.1 rewrite: head() after pruning shows
   // only the used columns.

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/trace.h"
 #include "serve/http.h"
 #include "serve/server.h"
 
@@ -322,6 +323,27 @@ TEST_F(ServeSmokeTest, TraceParameterAppendsReport) {
   EXPECT_NE(BodyOf(response).find("--- trace ---"), std::string::npos)
       << response;
   service.Stop();
+}
+
+// A traced request switches the process tracer on for its own session
+// only: an untraced request after it records no events.
+TEST_F(ServeSmokeTest, UntracedRequestAfterTracedOneRecordsNoEvents) {
+  trace::Tracer* tracer = trace::Tracer::Global();
+  ASSERT_FALSE(tracer->enabled()) << "run without LAFP_TRACE";
+  ServeOptions options;
+  options.cache_bytes = 0;  // the second request executes in full
+  QueryService service(options);
+  HttpRequest traced{"POST", "/run", {{"trace", "1"}}, {}, Program()};
+  HttpResponse first = service.Dispatch(traced, -1);
+  EXPECT_EQ(first.status, 200) << first.body;
+  EXPECT_NE(first.body.find("--- trace ---"), std::string::npos)
+      << first.body;
+
+  const size_t events = tracer->Snapshot().size();
+  HttpRequest plain{"POST", "/run", {}, {}, Program()};
+  EXPECT_EQ(service.Dispatch(plain, -1).status, 200);
+  EXPECT_EQ(tracer->Snapshot().size(), events);
+  EXPECT_FALSE(tracer->enabled());
 }
 
 // The request reader must be segmentation-independent: a request split
