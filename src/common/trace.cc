@@ -194,15 +194,17 @@ void Tracer::Clear() {
   }
 }
 
-std::vector<Event> Tracer::SnapshotSubtree(uint64_t root_span_id) const {
-  std::vector<Event> events = Snapshot();
-  if (root_span_id == 0) return {};
-  // Membership by parent link. Events are sorted by start time and a
-  // parent span *starts* before its children, but it is *recorded* at
-  // destruction — so a single forward pass over start-ordered events sees
-  // every child after its parent's start, which is all membership needs:
-  // iterate to a fixed point to stay robust against clock-equal starts.
-  std::unordered_set<uint64_t> members{root_span_id};
+namespace {
+
+/// Span ids of the subtree under `root` in `events`. Events are sorted by
+/// start time and a parent span *starts* before its children, but it is
+/// *recorded* at destruction — so a single forward pass over start-ordered
+/// events sees every child after its parent's start, which is all
+/// membership needs: iterate to a fixed point to stay robust against
+/// clock-equal starts.
+std::unordered_set<uint64_t> SubtreeMembers(const std::vector<Event>& events,
+                                            uint64_t root) {
+  std::unordered_set<uint64_t> members{root};
   bool grew = true;
   while (grew) {
     grew = false;
@@ -214,14 +216,42 @@ std::vector<Event> Tracer::SnapshotSubtree(uint64_t root_span_id) const {
       }
     }
   }
+  return members;
+}
+
+/// A member span, or an instant parented inside the subtree.
+bool InSubtree(const Event& e, const std::unordered_set<uint64_t>& members) {
+  return members.count(e.span_id != 0 ? e.span_id : e.parent_id) > 0;
+}
+
+}  // namespace
+
+std::vector<Event> Tracer::SnapshotSubtree(uint64_t root_span_id) const {
+  std::vector<Event> events = Snapshot();
+  if (root_span_id == 0) return {};
+  const std::unordered_set<uint64_t> members =
+      SubtreeMembers(events, root_span_id);
   std::vector<Event> out;
   for (Event& e : events) {
-    const bool span_member = e.span_id != 0 && members.count(e.span_id) > 0;
-    const bool instant_member =
-        e.span_id == 0 && members.count(e.parent_id) > 0;
-    if (span_member || instant_member) out.push_back(std::move(e));
+    if (InSubtree(e, members)) out.push_back(std::move(e));
   }
   return out;
+}
+
+void Tracer::EraseSubtree(uint64_t root_span_id) {
+  if (root_span_id == 0) return;
+  const std::unordered_set<uint64_t> members =
+      SubtreeMembers(Snapshot(), root_span_id);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    std::vector<Event>& events = shard->events;
+    events.erase(std::remove_if(events.begin(), events.end(),
+                                [&](const Event& e) {
+                                  return InSubtree(e, members);
+                                }),
+                 events.end());
+  }
 }
 
 std::string Tracer::EventsToChromeJson(const std::vector<Event>& events) {

@@ -111,6 +111,10 @@ class Tracer {
   /// EXPLAIN ANALYZE-style report limited to one span subtree.
   std::string RenderReportForRoot(uint64_t root_span_id) const;
 
+  /// Drop the events SnapshotSubtree(root_span_id) would return. For a
+  /// finished subtree: events recorded into it meanwhile may stay.
+  void EraseSubtree(uint64_t root_span_id);
+
   /// Drop every recorded event (shards stay registered).
   void Clear();
 

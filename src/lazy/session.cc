@@ -110,6 +110,7 @@ void Session::TraceHold::Acquire() {
     tracer->set_enabled(true);
   }
   held_ = true;
+  session_only_ = !tracer_was_on;
 }
 
 Session::TraceHold::~TraceHold() {

@@ -307,6 +307,12 @@ class Session {
   uint64_t trace_root() const {
     return session_span_ != nullptr ? session_span_->id() : 0;
   }
+  /// True when this session traces (ExecutionOptions::trace) and only
+  /// traced sessions hold the tracer on: neither LAFP_TRACE nor
+  /// Tracer::set_enabled had it on when the first of them began. Nothing
+  /// else then reads the events under trace_root(), so the caller that
+  /// renders them may erase them once the session has ended.
+  bool trace_is_session_only() const { return trace_hold_.session_only(); }
 
   /// Create a node; in eager mode it executes immediately (and its input
   /// edges are dropped so intermediate results can be garbage collected,
@@ -391,9 +397,11 @@ class Session {
     TraceHold& operator=(const TraceHold&) = delete;
     ~TraceHold();
     void Acquire();
+    bool session_only() const { return session_only_; }
 
    private:
     bool held_ = false;
+    bool session_only_ = false;
   };
   TraceHold trace_hold_;
   SessionOptions options_;

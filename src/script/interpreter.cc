@@ -659,6 +659,9 @@ class Interpreter {
       }
       case Value::Kind::kStrAccessor: {
         if (method == "contains") {
+          // Reads no keyword: case=, regex=, na= would each change the
+          // answer.
+          LAFP_RETURN_NOT_OK(CheckKwargs("str.contains", expr, {}));
           LAFP_ASSIGN_OR_RETURN(Value needle, Load(expr.operands.at(0)));
           if (needle.kind != Value::Kind::kStr) {
             return Status::TypeError("str.contains expects a string");
@@ -778,6 +781,7 @@ class Interpreter {
         return Value::Frame(std::move(frame));
       }
       if (method == "to_datetime") {
+        LAFP_RETURN_NOT_OK(CheckKwargs(module + ".to_datetime", expr, {}));
         LAFP_ASSIGN_OR_RETURN(Value arg, Load(expr.operands.at(0)));
         if (arg.kind != Value::Kind::kFrame) {
           return Status::TypeError("to_datetime expects a series");
@@ -786,6 +790,7 @@ class Interpreter {
         return Value::Frame(std::move(out));
       }
       if (method == "concat") {
+        LAFP_RETURN_NOT_OK(CheckKwargs(module + ".concat", expr, {}));
         LAFP_ASSIGN_OR_RETURN(Value arg, Load(expr.operands.at(0)));
         if (arg.kind != Value::Kind::kList) {
           return Status::TypeError("pd.concat expects a list");

@@ -236,9 +236,10 @@ HttpResponse QueryService::HandleRun(const HttpRequest& request,
   } else if (backend_param == "dask") {
     backend = exec::BackendKind::kDask;
   } else if (backend_param == "shard") {
-    // Multi-process execution per request: the session forks its own
-    // worker pool (count from LAFP_SHARDS, default 2) and reaps it when
-    // the session ends.
+    // Multi-process execution per request: the session leases its
+    // workers (count from LAFP_SHARDS, default 2) from the process-wide
+    // pool and returns the clean ones when it ends, so concurrent
+    // requests run on disjoint workers and a worker is forked once.
     backend = exec::BackendKind::kShard;
   } else if (!backend_param.empty()) {
     return HttpResponse{400, "text/plain; charset=utf-8",
@@ -277,6 +278,16 @@ HttpResponse QueryService::HandleRun(const HttpRequest& request,
     opts.cache.cache = cache_;
   }
 
+  // A traced request's events are read once, into its response. Unless
+  // the tracer was on before (LAFP_TRACE, set_enabled), they are erased
+  // after the session, whose span is recorded when it ends; otherwise a
+  // long-running server would keep every traced request's events.
+  struct EraseTraceAfterSession {
+    uint64_t root = 0;
+    ~EraseTraceAfterSession() {
+      if (root != 0) trace::Tracer::Global()->EraseSubtree(root);
+    }
+  } erase_trace;
   lazy::Session session(opts);
   if (opts.mode == lazy::ExecutionMode::kLazy) {
     opt::InstallDefaultOptimizer(&session);
@@ -316,6 +327,9 @@ HttpResponse QueryService::HandleRun(const HttpRequest& request,
     response.body += "\n--- trace ---\n";
     response.body +=
         trace::Tracer::Global()->RenderReportForRoot(session.trace_root());
+    if (session.trace_is_session_only()) {
+      erase_trace.root = session.trace_root();
+    }
   }
   return response;
 }

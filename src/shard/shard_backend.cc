@@ -1,13 +1,8 @@
 #include "shard/shard_backend.h"
 
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
-#include <cstring>
 #include <deque>
 #include <utility>
 
@@ -17,7 +12,6 @@
 #include "common/trace.h"
 #include "exec/partition.h"
 #include "io/columnar.h"
-#include "shard/worker.h"
 
 namespace lafp::shard {
 
@@ -27,7 +21,8 @@ using exec::BackendValue;
 using exec::EagerValue;
 using exec::OpDesc;
 
-/// Upper bound on worker processes; LAFP_SHARDS beyond this clamps.
+/// Upper bound on the workers of one lease; LAFP_SHARDS beyond this
+/// clamps.
 constexpr int kMaxShards = 64;
 
 /// Coordinator-side handle to a sharded frame. Destruction queues the
@@ -119,6 +114,13 @@ metrics::Counter* RestartCounter() {
   return c;
 }
 
+/// Process-wide, so every lease and every respawn stamps a generation
+/// no other one used.
+uint64_t NextGeneration() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 metrics::Counter* RetryCounter() {
   static auto* c =
       metrics::Registry::Global()->GetCounter("shard.scan_retries");
@@ -130,82 +132,60 @@ metrics::Counter* RetryCounter() {
 // ---------------------------------------------------------------------------
 // Cluster
 
-Result<std::unique_ptr<Cluster>> Cluster::Spawn(int num_workers) {
+Result<std::shared_ptr<Cluster>> Cluster::Lease(int num_workers) {
   if (num_workers < 1 || num_workers > kMaxShards) {
     return Status::Invalid("shard: worker count must be in [1, " +
                            std::to_string(kMaxShards) + "], got " +
                            std::to_string(num_workers));
   }
-  std::unique_ptr<Cluster> cluster(new Cluster());
+  std::shared_ptr<Cluster> cluster(new Cluster());
   cluster->workers_.resize(static_cast<size_t>(num_workers));
+  WorkerPool* pool = WorkerPool::Get();
+  std::vector<WorkerProcess> idle =
+      pool->Take(static_cast<size_t>(num_workers));
   for (int w = 0; w < num_workers; ++w) {
-    LAFP_RETURN_NOT_OK(cluster->SpawnWorker(w));
+    if (static_cast<size_t>(w) < idle.size()) {
+      cluster->Occupy(w, idle[static_cast<size_t>(w)]);
+      continue;
+    }
+    LAFP_ASSIGN_OR_RETURN(WorkerProcess spawned, pool->Spawn());
+    cluster->Occupy(w, spawned);
   }
   return cluster;
 }
 
 Cluster::~Cluster() {
-  for (auto& worker : workers_) {
-    if (!worker.alive) continue;
-    // Workers hold only process-local state; SIGKILL is a clean teardown
-    // and never leaves a query half-applied (results only exist once the
-    // coordinator has the reply).
-    ::kill(worker.pid, SIGKILL);
-    ::close(worker.fd);
-    ::waitpid(worker.pid, nullptr, 0);
-    worker.alive = false;
-  }
+  for (int w = 0; w < num_workers(); ++w) MarkDead(w);
 }
 
-Status Cluster::SpawnWorker(int w) {
-  int sv[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-    return Status::IOError(std::string("shard: socketpair failed: ") +
-                           std::strerror(errno));
-  }
-  pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(sv[0]);
-    ::close(sv[1]);
-    return Status::IOError(std::string("shard: fork failed: ") +
-                           std::strerror(errno));
-  }
-  if (pid == 0) {
-    // Child: keep only our end of our socketpair; sibling descriptors
-    // must close so a sibling's EOF-based shutdown is not held open.
-    ::close(sv[0]);
-    for (const auto& other : workers_) {
-      if (other.fd >= 0) ::close(other.fd);
-    }
-    WorkerMain(sv[1], w);  // never returns
-  }
-  ::close(sv[1]);
+void Cluster::Occupy(int w, WorkerProcess process) {
   Worker& slot = workers_[static_cast<size_t>(w)];
-  slot.pid = pid;
-  slot.fd = sv[0];
+  slot.pid = process.pid;
+  slot.fd = process.fd;
   slot.alive = true;
-  ++slot.generation;
-  if (slot.generation > 1) RestartCounter()->Increment();
-  return Status::OK();
+  slot.in_flight = false;
+  slot.generation = NextGeneration();
 }
 
 void Cluster::MarkDead(int w) {
   Worker& worker = workers_[static_cast<size_t>(w)];
   if (!worker.alive) return;
-  ::close(worker.fd);
-  worker.fd = -1;
   // The stream is broken (or poisoned by a failed exchange); make death
   // synchronous so a later EnsureAlive starts from a known-clean slate.
-  ::kill(worker.pid, SIGKILL);
-  ::waitpid(worker.pid, nullptr, 0);
+  WorkerPool::Get()->Kill({worker.pid, worker.fd});
+  worker.fd = -1;
   worker.alive = false;
+  worker.in_flight = false;
 }
 
 void Cluster::KillWorker(int w) { MarkDead(w); }
 
 Status Cluster::EnsureAlive(int w) {
   if (workers_[static_cast<size_t>(w)].alive) return Status::OK();
-  return SpawnWorker(w);
+  LAFP_ASSIGN_OR_RETURN(WorkerProcess spawned, WorkerPool::Get()->Spawn());
+  Occupy(w, spawned);
+  RestartCounter()->Increment();
+  return Status::OK();
 }
 
 Status Cluster::Send(int w, MsgType type, std::string_view payload) {
@@ -224,7 +204,11 @@ Status Cluster::Send(int w, MsgType type, std::string_view payload) {
   CallCounter()->Increment();
   BytesCounter()->Add(static_cast<int64_t>(payload.size()));
   Status s = SendMessage(worker.fd, type, payload);
-  if (!s.ok()) MarkDead(w);
+  if (!s.ok()) {
+    MarkDead(w);
+  } else {
+    worker.in_flight = true;
+  }
   return s;
 }
 
@@ -243,6 +227,7 @@ Result<Message> Cluster::Recv(int w) {
     return Status::IOError("shard worker " + std::to_string(w) +
                            " died mid-query: " + msg.status().message());
   }
+  worker.in_flight = false;
   BytesCounter()->Add(static_cast<int64_t>(msg->payload.size()));
   return msg;
 }
@@ -252,36 +237,73 @@ void Cluster::QueueFree(int worker, uint64_t generation, uint64_t handle) {
   pending_frees_.push_back({worker, generation, handle});
 }
 
-void Cluster::FlushFrees() {
+std::vector<Cluster::PendingFree> Cluster::TakePendingFrees() {
   std::vector<PendingFree> pending;
-  {
-    std::lock_guard<std::mutex> lock(free_mu_);
-    pending.swap(pending_frees_);
-  }
-  if (pending.empty()) return;
-  // Group by worker; drop frees whose worker incarnation is gone (the
-  // frame died with the process). Raw SendMessage/RecvMessage on purpose:
-  // background bookkeeping must not consume fault-injection budgets armed
-  // for the query protocol.
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    Worker& worker = workers_[w];
-    WireWriter payload;
-    uint32_t n = 0;
-    for (const auto& f : pending) {
-      if (f.worker != static_cast<int>(w)) continue;
-      if (!worker.alive || f.generation != worker.generation) continue;
-      payload.U64(f.handle);
-      ++n;
+  std::lock_guard<std::mutex> lock(free_mu_);
+  pending.swap(pending_frees_);
+  return pending;
+}
+
+std::vector<uint64_t> Cluster::FreesFor(
+    const std::vector<PendingFree>& pending, int w) const {
+  // A free whose worker incarnation is gone is dropped: the frame died
+  // with the process.
+  const Worker& worker = workers_[static_cast<size_t>(w)];
+  std::vector<uint64_t> handles;
+  for (const auto& f : pending) {
+    if (f.worker == w && worker.alive && f.generation == worker.generation) {
+      handles.push_back(f.handle);
     }
-    if (n == 0) continue;
-    WireWriter msg;
-    msg.U32(n);
-    msg.Raw(std::string(payload.Take()));
-    if (!SendMessage(worker.fd, MsgType::kFreeFrames, msg.Take()).ok()) {
-      MarkDead(static_cast<int>(w));
+  }
+  return handles;
+}
+
+void Cluster::FlushFrees() {
+  const std::vector<PendingFree> pending = TakePendingFrees();
+  if (pending.empty()) return;
+  // Raw SendMessage/RecvMessage on purpose: background bookkeeping must
+  // not consume fault-injection budgets armed for the query protocol.
+  for (int w = 0; w < num_workers(); ++w) {
+    const std::vector<uint64_t> handles = FreesFor(pending, w);
+    if (handles.empty()) continue;
+    const int fd = workers_[static_cast<size_t>(w)].fd;
+    if (!SendMessage(fd, MsgType::kFreeFrames, EncodeFreeFrames(handles))
+             .ok() ||
+        !RecvResidentFrames(fd).ok()) {
+      MarkDead(w);
+    }
+  }
+}
+
+void Cluster::EndLease(bool frames_alive) {
+  const std::vector<PendingFree> pending = TakePendingFrees();
+  // Every worker gets its last frees at once, then the replies are read:
+  // one round trip for the whole lease.
+  std::vector<bool> asked(workers_.size(), false);
+  for (int w = 0; w < num_workers(); ++w) {
+    Worker& worker = workers_[static_cast<size_t>(w)];
+    if (!worker.alive) continue;
+    if (frames_alive || worker.in_flight ||
+        !SendMessage(worker.fd, MsgType::kFreeFrames,
+                     EncodeFreeFrames(FreesFor(pending, w)))
+             .ok()) {
+      MarkDead(w);
       continue;
     }
-    if (!RecvMessage(worker.fd).ok()) MarkDead(static_cast<int>(w));
+    asked[static_cast<size_t>(w)] = true;
+  }
+  WorkerPool* pool = WorkerPool::Get();
+  for (int w = 0; w < num_workers(); ++w) {
+    if (!asked[static_cast<size_t>(w)]) continue;
+    Worker& worker = workers_[static_cast<size_t>(w)];
+    Result<uint64_t> resident = RecvResidentFrames(worker.fd);
+    if (!resident.ok() || *resident != 0) {
+      MarkDead(w);
+      continue;
+    }
+    pool->Give({worker.pid, worker.fd});
+    worker.fd = -1;
+    worker.alive = false;
   }
 }
 
@@ -291,22 +313,34 @@ void Cluster::FlushFrees() {
 ShardBackend::ShardBackend(MemoryTracker* tracker,
                            const exec::BackendConfig& config)
     : PartitionedBackend(tracker, config) {
-  // Fork the workers before the session starts threads of its own: a
-  // child forked while another thread holds an allocator lock inherits it
-  // locked. glibc's malloc guards against that; ASan's allocator does
-  // not. A failed spawn is retried, and reported, by the first Execute.
+  // Lease before the session starts threads of its own, since a short
+  // pool forks here: a child forked while another thread holds an
+  // allocator lock inherits it locked. glibc's malloc guards against
+  // that; ASan's allocator does not. A failed lease is retried, and
+  // reported, by the first Execute.
   (void)EnsureCluster();
 }
 
-ShardBackend::~ShardBackend() = default;
+ShardBackend::~ShardBackend() {
+  // Every other reference to the cluster is a ShardFrame of this lease.
+  if (cluster_ != nullptr) cluster_->EndLease(cluster_.use_count() > 1);
+}
+
+std::vector<pid_t> ShardBackend::WorkerPids() {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<pid_t> pids;
+  for (int w = 0; cluster_ != nullptr && w < cluster_->num_workers(); ++w) {
+    pids.push_back(cluster_->pid(w));
+  }
+  return pids;
+}
 
 Status ShardBackend::EnsureCluster() {
   if (cluster_ != nullptr) return Status::OK();
   int n = config_.shards;
   if (n <= 0) n = 2;
   n = std::min(n, kMaxShards);
-  LAFP_ASSIGN_OR_RETURN(std::unique_ptr<Cluster> cluster, Cluster::Spawn(n));
-  cluster_ = std::move(cluster);
+  LAFP_ASSIGN_OR_RETURN(cluster_, Cluster::Lease(n));
   return Status::OK();
 }
 
@@ -449,64 +483,93 @@ Result<exec::BackendFramePtr> ShardBackend::Scan(const OpDesc& desc) {
   for (int w = 0; w < nw; ++w) calls.push_back(make_call(w));
   std::vector<Message> replies;
   std::vector<Status> statuses;
-  LAFP_RETURN_NOT_OK(RunCalls(calls, &replies, &statuses));
+  Status status = RunCalls(calls, &replies, &statuses);
   // Scans are idempotent (they reference only the on-disk source), so a
   // worker lost mid-scan gets respawned and retried exactly once — the
   // transparent half of the failure contract.
-  for (size_t i = 0; i < calls.size(); ++i) {
+  for (size_t i = 0; status.ok() && i < calls.size(); ++i) {
     if (statuses[i].ok()) continue;
     const int w = calls[i].worker;
     RetryCounter()->Increment();
-    Status respawn = cluster_->EnsureAlive(w);
-    if (!respawn.ok()) return statuses[i];
-    LAFP_ASSIGN_OR_RETURN(std::vector<Message> retry, RunAll({make_call(w)}));
-    replies[i] = std::move(retry[0]);
+    if (!cluster_->EnsureAlive(w).ok()) {
+      status = statuses[i];
+      break;
+    }
+    Result<std::vector<Message>> retry = RunAll({make_call(w)});
+    if (!retry.ok()) {
+      status = retry.status();
+      break;
+    }
+    replies[i] = std::move((*retry)[0]);
     statuses[i] = Status::OK();
   }
+  // Every handle a worker reports is claimed before anything is checked,
+  // so a scan that fails frees what the other workers stored.
+  std::vector<std::pair<uint64_t, ShardPartition>> claimed;
   uint64_t total = 0;
   bool total_known = false;
-  std::vector<ShardPartition> parts;
-  std::vector<bool> seen;
+  auto fail = [&status](Status s) {
+    if (status.ok()) status = std::move(s);
+  };
   for (size_t i = 0; i < replies.size(); ++i) {
-    const int w = calls[i].worker;
-    if (replies[i].type != MsgType::kScanResult) {
-      return Status::IOError("shard: scan reply had unexpected type");
+    if (!statuses[i].ok() || replies[i].type != MsgType::kScanResult) {
+      fail(statuses[i].ok()
+               ? Status::IOError("shard: scan reply had unexpected type")
+               : statuses[i]);
+      continue;
     }
+    const int w = calls[i].worker;
     WireReader r(replies[i].payload);
     uint64_t wtotal = 0;
     uint32_t nlocal = 0;
-    if (!r.U64(&wtotal) || !r.U32(&nlocal)) return r.Error("scan result");
-    if (!total_known) {
-      total = wtotal;
-      total_known = true;
-      if (total == 0 || total > (1u << 22)) {
-        return Status::IOError("shard: implausible scan partition count");
-      }
-      parts.resize(static_cast<size_t>(total));
-      seen.assign(static_cast<size_t>(total), false);
-    } else if (wtotal != total) {
-      return Status::ExecutionError(
-          "shard: workers disagreed on scan partition count");
+    if (!r.U64(&wtotal) || !r.U32(&nlocal)) {
+      fail(r.Error("scan result"));
+      continue;
     }
     for (uint32_t j = 0; j < nlocal; ++j) {
       uint64_t g = 0, handle = 0, rows = 0;
       if (!r.U64(&g) || !r.U64(&handle) || !r.U64(&rows)) {
-        return r.Error("scan partition entry");
+        fail(r.Error("scan partition entry"));
+        break;
       }
-      if (g >= total || seen[static_cast<size_t>(g)]) {
-        return Status::ExecutionError(
-            "shard: scan produced an inconsistent partition assignment");
-      }
-      seen[static_cast<size_t>(g)] = true;
-      parts[static_cast<size_t>(g)] = {rows, w, cluster_->generation(w),
-                                       handle};
+      claimed.push_back({g, {rows, w, cluster_->generation(w), handle}});
+    }
+    if (!total_known) {
+      total = wtotal;
+      total_known = true;
+    } else if (wtotal != total) {
+      fail(Status::ExecutionError(
+          "shard: workers disagreed on scan partition count"));
     }
   }
-  for (size_t g = 0; g < parts.size(); ++g) {
-    if (!seen[g]) {
-      return Status::ExecutionError("shard: scan partition " +
-                                    std::to_string(g) + " was never claimed");
+  if (total == 0 || total > (1u << 22)) {
+    fail(Status::IOError("shard: implausible scan partition count"));
+  }
+  std::vector<ShardPartition> parts;
+  if (status.ok()) {
+    parts.resize(static_cast<size_t>(total));
+    std::vector<bool> seen(static_cast<size_t>(total), false);
+    for (const auto& [g, part] : claimed) {
+      if (g >= total || seen[static_cast<size_t>(g)]) {
+        fail(Status::ExecutionError(
+            "shard: scan produced an inconsistent partition assignment"));
+        break;
+      }
+      seen[static_cast<size_t>(g)] = true;
+      parts[static_cast<size_t>(g)] = part;
     }
+    for (size_t g = 0; g < seen.size() && status.ok(); ++g) {
+      if (!seen[g]) {
+        fail(Status::ExecutionError("shard: scan partition " +
+                                    std::to_string(g) + " was never claimed"));
+      }
+    }
+  }
+  if (!status.ok()) {
+    for (const auto& [g, part] : claimed) {
+      cluster_->QueueFree(part.worker, part.generation, part.handle);
+    }
+    return status;
   }
   return exec::BackendFramePtr(
       std::make_shared<ShardFrame>(cluster_, std::move(parts)));

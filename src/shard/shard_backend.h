@@ -10,20 +10,25 @@
 #include <vector>
 
 #include "exec/partitioned.h"
+#include "shard/pool.h"
 #include "shard/wire.h"
 
 namespace lafp::shard {
 
-/// Coordinator-side handle to one fork()ed worker process pool connected
-/// over AF_UNIX socketpairs. Single-threaded protocol: at most one
-/// request is in flight per worker (the backend serializes queries, and
-/// RunCalls pipelines across workers, never within one). A worker that
-/// dies — killed by fault injection, crashed, or poisoned by a failed
-/// exchange — is reaped, its generation bumps, and every partition handle
-/// minted under the old generation becomes invalid.
+/// A session's lease over N pooled worker processes (shard/pool.h),
+/// each connected over an AF_UNIX socketpair. Single-threaded protocol:
+/// at most one request is in flight per worker (the backend serializes
+/// queries, and RunCalls pipelines across workers, never within one). A
+/// worker that dies — killed by fault injection, crashed, or poisoned by
+/// a failed exchange — is reaped and respawned under a fresh generation,
+/// and every partition handle minted under the old one becomes invalid.
 class Cluster {
  public:
-  static Result<std::unique_ptr<Cluster>> Spawn(int num_workers);
+  /// Leases `num_workers` idle workers from the process pool and forks
+  /// only those it is short of. Every slot gets a fresh generation, so a
+  /// handle of another lease never validates here.
+  static Result<std::shared_ptr<Cluster>> Lease(int num_workers);
+  /// Kills whatever the lease still holds (EndLease did not run).
   ~Cluster();
 
   Cluster(const Cluster&) = delete;
@@ -32,8 +37,9 @@ class Cluster {
   int num_workers() const { return static_cast<int>(workers_.size()); }
   bool alive(int w) const { return workers_[w].alive; }
   uint64_t generation(int w) const { return workers_[w].generation; }
+  pid_t pid(int w) const { return workers_[w].alive ? workers_[w].pid : -1; }
 
-  /// Respawn worker `w` if it is down (bumps its generation).
+  /// Respawn worker `w` if it is down (fresh generation).
   Status EnsureAlive(int w);
 
   /// Sends one framed request. Fault points "shard.worker_kill" (SIGKILLs
@@ -61,6 +67,13 @@ class Cluster {
   /// Drain queued frees (best-effort; coordinator thread only).
   void FlushFrees();
 
+  /// Ends the lease. A worker goes back to the pool only when no frame
+  /// of the lease is alive (`frames_alive` is false), its last exchange
+  /// completed, and the reply to its final kFreeFrames reports no frame
+  /// resident; every other worker is killed. Like FlushFrees it uses the
+  /// raw transport: no fault point, no `shard.calls`.
+  void EndLease(bool frames_alive);
+
  private:
   Cluster() = default;
 
@@ -68,20 +81,28 @@ class Cluster {
     pid_t pid = -1;
     int fd = -1;
     bool alive = false;
+    /// A request was sent and its reply not yet read.
+    bool in_flight = false;
     uint64_t generation = 0;
   };
-
-  Status SpawnWorker(int w);
-  void MarkDead(int w);
-
-  std::vector<Worker> workers_;
-  uint64_t next_handle_ = 1;
 
   struct PendingFree {
     int worker;
     uint64_t generation;
     uint64_t handle;
   };
+
+  /// Puts a pooled or freshly forked worker in slot `w`.
+  void Occupy(int w, WorkerProcess process);
+  void MarkDead(int w);
+  std::vector<PendingFree> TakePendingFrees();
+  /// The queued frees `pending` holds for worker `w`'s live incarnation.
+  std::vector<uint64_t> FreesFor(const std::vector<PendingFree>& pending,
+                                 int w) const;
+
+  std::vector<Worker> workers_;
+  uint64_t next_handle_ = 1;
+
   std::mutex free_mu_;
   std::vector<PendingFree> pending_frees_;
 };
@@ -99,9 +120,11 @@ struct ShardPartition {
 
 /// Shared-nothing multi-process backend (paper §2.6 taken across process
 /// boundaries): the partitioned planner (exec/partitioned.h) over a store
-/// of generation-stamped partition handles on N forked single-threaded
-/// workers. Scans partition across the workers (global unit index mod N),
-/// per-partition ops run where their partition lives (kExecOp; group-by
+/// of generation-stamped partition handles on N single-threaded worker
+/// processes, leased from the process pool when the backend is built and
+/// returned when it is destroyed. Scans partition across the workers
+/// (global unit index mod N), per-partition ops run where their
+/// partition lives (kExecOp; group-by
 /// phase one replies with its partial, which the coordinator folds in
 /// global partition order), and broadcasts ship one copy per worker.
 /// Frames cross the socket as LFC bytes (io::EncodeLfc / DecodeLfc).
@@ -111,6 +134,7 @@ struct ShardPartition {
 class ShardBackend : public exec::PartitionedBackend {
  public:
   ShardBackend(MemoryTracker* tracker, const exec::BackendConfig& config);
+  /// Ends the lease (Cluster::EndLease).
   ~ShardBackend() override;
 
   const char* name() const override { return "shard"; }
@@ -123,6 +147,10 @@ class ShardBackend : public exec::PartitionedBackend {
       const exec::BackendValue& value) override;
   Result<exec::BackendValue> FromEager(
       const exec::EagerValue& value) override;
+
+  /// Pids of the leased workers (-1 for a dead slot); empty before the
+  /// lease.
+  std::vector<pid_t> WorkerPids();
 
  private:
   struct WorkerCall {

@@ -80,6 +80,23 @@ Result<Message> RecvMessage(int fd) {
   return msg;
 }
 
+std::string EncodeFreeFrames(const std::vector<uint64_t>& handles) {
+  WireWriter w;
+  w.U32(static_cast<uint32_t>(handles.size()));
+  for (uint64_t handle : handles) w.U64(handle);
+  return w.Take();
+}
+
+Result<uint64_t> RecvResidentFrames(int fd) {
+  LAFP_ASSIGN_OR_RETURN(Message reply, RecvMessage(fd));
+  WireReader r(reply.payload);
+  uint64_t resident = 0;
+  if (reply.type != MsgType::kOk || !r.U64(&resident)) {
+    return Status::IOError("shard wire: malformed free reply");
+  }
+  return resident;
+}
+
 std::string EncodeErrorPayload(const Status& status) {
   WireWriter w;
   w.U32(static_cast<uint32_t>(status.code()));

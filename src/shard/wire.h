@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -38,7 +39,8 @@
 ///
 /// Reply payloads (worker -> coordinator); every request except
 /// kShutdown gets exactly one reply:
-///   kOk:         u64 rows (of the stored/affected frame; 0 for frees)
+///   kOk:         u64 rows (of the stored frame); for kFreeFrames, the
+///                number of frames the worker still holds
 ///   kFrameData:  frame bytes (kGetFrame, returning kExecOp)
 ///   kScanResult: u64 total_partitions | u32 nlocal
 ///                | nlocal x (u64 global_index, u64 handle, u64 rows)
@@ -93,6 +95,13 @@ using exec::DecodeOpDesc;
 using exec::DecodeScalar;
 using exec::EncodeOpDesc;
 using exec::EncodeScalar;
+
+/// kFreeFrames request naming `handles` (none: a resident-count probe).
+std::string EncodeFreeFrames(const std::vector<uint64_t>& handles);
+
+/// Reads a kFreeFrames reply: the number of frames the worker still
+/// holds.
+Result<uint64_t> RecvResidentFrames(int fd);
 
 /// kError payload codec. Unknown status codes decode as kExecutionError.
 std::string EncodeErrorPayload(const Status& status);

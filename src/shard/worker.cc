@@ -12,6 +12,7 @@
 #include "common/fault.h"
 #include "common/macros.h"
 #include "common/memory_tracker.h"
+#include "common/trace.h"
 #include "exec/eager_ops.h"
 #include "exec/partitioned.h"
 #include "io/columnar.h"
@@ -25,7 +26,6 @@ namespace {
 /// dataframes. Coordinator-assigned handles count up from 1; handles the
 /// worker mints during scans live above kWorkerHandleBase.
 struct WorkerState {
-  int worker_index = 0;
   MemoryTracker tracker{0};  // workers budget independently of the parent
   std::unordered_map<uint64_t, df::DataFrame> frames;
   uint64_t next_scan_handle = kWorkerHandleBase;
@@ -45,7 +45,9 @@ Result<df::DataFrame> LookupFrame(WorkerState* st, uint64_t handle) {
 /// it (idx % num_workers == worker_index), so the union across workers is
 /// exactly the single-process partitioning. Every worker row-scans the
 /// whole CSV (the text format has no random access) but parses only the
-/// ranges it owns; LFC chunks are only decoded by their owner.
+/// ranges it owns; LFC chunks are only decoded by their owner. A scan
+/// that fails part-way drops the units it already stored: the
+/// coordinator never learns their handles.
 Result<Message> HandleScan(WorkerState* st, const Message& req) {
   WireReader r(req.payload);
   exec::OpDesc desc;
@@ -64,25 +66,32 @@ Result<Message> HandleScan(WorkerState* st, const Message& req) {
       auto units, exec::ScanUnits::Open(desc, static_cast<size_t>(partition_rows),
                                         &st->tracker));
   WireWriter owned;
-  uint32_t nlocal = 0;
+  std::vector<uint64_t> stored;
   uint64_t total = 0;
-  while (true) {
-    LAFP_ASSIGN_OR_RETURN(std::optional<exec::ScanUnit> unit, units->Next());
-    if (!unit.has_value()) break;
-    if (total % num_workers == worker_index) {
-      LAFP_ASSIGN_OR_RETURN(df::DataFrame part, units->Read(*unit));
-      const uint64_t handle = st->next_scan_handle++;
-      owned.U64(total);
-      owned.U64(handle);
-      owned.U64(part.num_rows());
-      st->frames[handle] = std::move(part);
-      ++nlocal;
+  Status scanned = [&]() -> Status {
+    while (true) {
+      LAFP_ASSIGN_OR_RETURN(std::optional<exec::ScanUnit> unit,
+                            units->Next());
+      if (!unit.has_value()) return Status::OK();
+      if (total % num_workers == worker_index) {
+        LAFP_ASSIGN_OR_RETURN(df::DataFrame part, units->Read(*unit));
+        const uint64_t handle = st->next_scan_handle++;
+        owned.U64(total);
+        owned.U64(handle);
+        owned.U64(part.num_rows());
+        st->frames[handle] = std::move(part);
+        stored.push_back(handle);
+      }
+      ++total;
     }
-    ++total;
+  }();
+  if (!scanned.ok()) {
+    for (uint64_t handle : stored) st->frames.erase(handle);
+    return scanned;
   }
   WireWriter w;
   w.U64(total);
-  w.U32(nlocal);
+  w.U32(static_cast<uint32_t>(stored.size()));
   w.Raw(owned.Take());
   return Message{MsgType::kScanResult, w.Take()};
 }
@@ -170,8 +179,10 @@ Result<Message> HandleFreeFrames(WorkerState* st, const Message& req) {
     if (!r.U64(&handle)) return r.Error("free handle");
     st->frames.erase(handle);  // freeing an unknown handle is a no-op
   }
+  // The count left lets the coordinator pool only a worker that holds
+  // nothing.
   WireWriter w;
-  w.U64(0);
+  w.U64(st->frames.size());
   return Message{MsgType::kOk, w.Take()};
 }
 
@@ -195,14 +206,16 @@ Result<Message> Dispatch(WorkerState* st, const Message& req) {
 
 }  // namespace
 
-void WorkerMain(int fd, int worker_index) {
+void WorkerMain(int fd) {
   // The fork copied the coordinator's fault state (thread-local injector
   // pointer and the global registry). Worker-side execution must not
   // consume coordinator fault budgets, so the copy is cleared before any
   // FaultPoint can run.
   FaultInjector::ResetForkedChild();
+  // A worker forked while the coordinator traced would record every span
+  // of every later lease into a tracer nothing reads.
+  trace::Tracer::Global()->set_enabled(false);
   WorkerState state;
-  state.worker_index = worker_index;
   for (;;) {
     Result<Message> req = RecvMessage(fd);
     // EOF means the coordinator went away (shutdown or crash); exiting

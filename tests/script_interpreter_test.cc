@@ -2,15 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/macros.h"
 #include "optimizer/passes.h"
 #include "script/analyze.h"
+#include "shard/pool.h"
 
 namespace lafp::script {
 namespace {
@@ -333,6 +338,35 @@ TEST_P(InterpreterTest, UnreadKeywordFailsCleanly) {
   }
 }
 
+// str.contains, pd.concat and pd.to_datetime read no keyword, so each
+// one they are given is refused: dropping case=False matched only the
+// exact-case rows.
+TEST_P(InterpreterTest, KeywordsOfContainsConcatToDatetimeFailCleanly) {
+  const std::string read =
+      "import lazyfatpandas.pandas as pd\n"
+      "df = pd.read_csv(\"" + csv_path_ + "\")\n";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"m = df[df.vendor.str.contains(\"ACME\", case=False)]\nprint(m)\n",
+       "str.contains kwarg 'case'"},
+      {"both = pd.concat([df, df], ignore_index=True)\nprint(len(both))\n",
+       "pd.concat kwarg 'ignore_index'"},
+      {"t = pd.to_datetime(df.pickup_datetime, dayfirst=True)\nprint(t)\n",
+       "pd.to_datetime kwarg 'dayfirst'"},
+  };
+  for (bool lafp : {false, true}) {
+    const ExecutionMode mode =
+        lafp ? ExecutionMode::kLazy : ExecutionMode::kEager;
+    for (const auto& [program, refusal] : cases) {
+      auto out = Run(read + program, lafp, mode, lafp, lafp);
+      EXPECT_TRUE(out.status().IsNotImplemented())
+          << (lafp ? "lafp: " : "eager: ") << program
+          << out.status().ToString();
+      EXPECT_NE(out.status().message().find(refusal), std::string::npos)
+          << out.status().ToString();
+    }
+  }
+}
+
 TEST_P(InterpreterTest, NegativeOrNonIntegerHeadFailsCleanly) {
   const std::string read =
       "import lazyfatpandas.pandas as pd\n"
@@ -368,6 +402,36 @@ TEST_P(InterpreterTest, RewrittenProgramReadsFewerColumns) {
   EXPECT_EQ(analyzed.stats.reads_pruned, 1);
   EXPECT_NE(analyzed.regenerated_source.find("usecols="),
             std::string::npos);
+}
+
+// Sessions on Pandas, Modin and Dask start no worker process: the shard
+// worker pool exists from the first Shard lease on. No test in this
+// binary runs Shard.
+TEST(NoShardTest, OtherBackendsCreateNoWorkerPool) {
+  const std::string dir = ::testing::TempDir() + "no_shard_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream out(dir + "/t.csv");
+    out << "a,b\n1,2\n3,4\n";
+  }
+  for (BackendKind backend :
+       {BackendKind::kPandas, BackendKind::kModin, BackendKind::kDask}) {
+    SessionOptions opts;
+    opts.backend = backend;
+    opts.mode = ExecutionMode::kLazy;
+    std::stringstream output;
+    opts.output = &output;
+    Session session(opts);
+    RunOptions run_opts;
+    EXPECT_TRUE(RunProgram("import lazyfatpandas.pandas as pd\n"
+                           "df = pd.read_csv(\"" + dir + "/t.csv\")\n"
+                           "print(len(df))\n",
+                           &session, run_opts)
+                    .ok());
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(shard::WorkerPool::IfCreated(), nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, InterpreterTest,

@@ -9,6 +9,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -71,11 +72,20 @@ class Client {
     char buf[4096];
     while (true) {
       ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
+      if (r == 0) eof_ = true;
       if (r <= 0) break;
       out.append(buf, static_cast<size_t>(r));
     }
     return out;
   }
+
+  /// Bounds each read, so a connection the server never closes ends
+  /// ReadAll without eof().
+  void set_receive_timeout(int seconds) {
+    timeval tv{seconds, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+  bool eof() const { return eof_; }
 
   void Close() {
     if (fd_ >= 0) ::close(fd_);
@@ -85,6 +95,7 @@ class Client {
  private:
   int fd_ = -1;
   bool connected_ = false;
+  bool eof_ = false;
 };
 
 int StatusOf(const std::string& response) {
@@ -344,6 +355,46 @@ TEST_F(ServeSmokeTest, UntracedRequestAfterTracedOneRecordsNoEvents) {
   EXPECT_EQ(service.Dispatch(plain, -1).status, 200);
   EXPECT_EQ(tracer->Snapshot().size(), events);
   EXPECT_FALSE(tracer->enabled());
+}
+
+// A traced request's events go once its report is rendered: four of
+// them leave the tracer as they found it, where a long-running server
+// used to keep every traced request's events for good.
+TEST_F(ServeSmokeTest, TracedRequestsLeaveNoEventsBehind) {
+  trace::Tracer* tracer = trace::Tracer::Global();
+  ASSERT_FALSE(tracer->enabled()) << "run without LAFP_TRACE";
+  ServeOptions options;
+  options.cache_bytes = 0;  // every request executes in full
+  QueryService service(options);
+  const size_t before = tracer->Snapshot().size();
+  HttpRequest traced{"POST", "/run", {{"trace", "1"}}, {}, Program()};
+  for (int i = 1; i <= 4; ++i) {
+    HttpResponse response = service.Dispatch(traced, -1);
+    EXPECT_EQ(response.status, 200) << response.body;
+    EXPECT_NE(response.body.find("--- trace ---"), std::string::npos)
+        << response.body;
+    EXPECT_EQ(tracer->Snapshot().size(), before) << "after request " << i;
+  }
+}
+
+// A Shard request over a real socket ends with its connection closed:
+// the workers its session forked, pooled after it, keep no copy of the
+// client's socket, so the client reads the response and then EOF.
+TEST_F(ServeSmokeTest, ShardRequestClosesItsConnection) {
+  ServeOptions options;
+  options.port = 0;
+  QueryService service(options);
+  ASSERT_TRUE(service.Start().ok());
+  for (int i = 0; i < 2; ++i) {
+    Client client(service.port());
+    ASSERT_TRUE(client.connected());
+    client.set_receive_timeout(10);
+    client.Send("POST", "/run?backend=shard", Program());
+    const std::string response = client.ReadAll();
+    EXPECT_EQ(StatusOf(response), 200) << response;
+    EXPECT_TRUE(client.eof()) << "request " << i;
+  }
+  service.Stop();
 }
 
 // The request reader must be segmentation-independent: a request split

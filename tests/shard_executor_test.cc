@@ -1,22 +1,37 @@
 // Shared-nothing shard executor: byte-identity against the single-process
 // Pandas reference across worker counts, worker-death recovery, coordinator
-// cancellation fan-out, and degenerate (zero-row / all-null) partition
-// exchange. Workers are real forked processes talking the LFSH wire
-// protocol, so every assertion here crosses a process boundary.
+// cancellation fan-out, degenerate (zero-row / all-null) partition
+// exchange, and the worker pool's lease rules. Workers are real forked
+// processes talking the LFSH wire protocol, so every assertion here
+// crosses a process boundary.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/cancellation.h"
 #include "common/macros.h"
 #include "common/metrics.h"
+#include "common/wire.h"
 #include "io/columnar.h"
 #include "io/csv.h"
 #include "lazy/fat_dataframe.h"
+#include "shard/pool.h"
+#include "shard/shard_backend.h"
 
 namespace lafp::lazy {
 namespace {
@@ -354,6 +369,311 @@ TEST_F(ShardExecutorTest, CategoryFrameKeepsDtypeAndDictionary) {
   ASSERT_EQ(col.type(), df::DataType::kCategory);
   EXPECT_EQ(*col.dictionary(), (df::Dictionary{"b", "a", "", "c"}));
   EXPECT_EQ(fetched->frame.ToString(10), frame.ToString(10));
+}
+
+// ---------------------------------------------------------------------------
+// The worker pool: sessions lease workers and return the clean ones.
+
+/// The counter's change over `run`.
+template <typename Fn>
+int64_t CounterDelta(const std::string& name, Fn run) {
+  metrics::Registry* registry = metrics::Registry::Global();
+  auto before = registry->Scrape();
+  run();
+  auto after = registry->Scrape();
+  return after[name] - before[name];
+}
+
+std::vector<pid_t> WorkerPidsOf(Session* session) {
+  auto* backend = dynamic_cast<shard::ShardBackend*>(session->backend());
+  return backend != nullptr ? backend->WorkerPids() : std::vector<pid_t>{};
+}
+
+/// Idle pooled workers by pid, with the frame count each reports.
+std::map<pid_t, uint64_t> IdleWorkers() {
+  std::map<pid_t, uint64_t> idle;
+  for (const shard::IdleWorker& w : shard::WorkerPool::Get()->ProbeIdle()) {
+    idle[w.pid] = w.resident_frames;
+  }
+  return idle;
+}
+
+bool Reaped(pid_t pid) { return ::kill(pid, 0) != 0 && errno == ESRCH; }
+
+// A session with as many workers as an earlier one, or fewer, forks none:
+// it runs on the earlier session's workers, and its answer is the
+// reference's. Every worker the pool holds between sessions holds no
+// frame.
+TEST_F(ShardExecutorTest, LaterSessionsRunOnPooledWorkers) {
+  const std::string reference = Reference();
+  {
+    auto first = MakeSession(BackendKind::kShard, 4);
+    auto out = RunPipeline(first.get());
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+  }
+  for (int shards : {4, 2, 1}) {
+    Result<std::string> out = std::string();
+    std::vector<pid_t> pids;
+    const int64_t spawns = CounterDelta("shard.worker_spawns", [&] {
+      auto session = MakeSession(BackendKind::kShard, shards);
+      pids = WorkerPidsOf(session.get());
+      out = RunPipeline(session.get());
+    });
+    EXPECT_EQ(spawns, 0) << "shards=" << shards;
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(*out, reference) << "shards=" << shards;
+    const auto idle = IdleWorkers();
+    for (pid_t pid : pids) {
+      ASSERT_EQ(idle.count(pid), 1u) << "worker " << pid << " not pooled";
+    }
+    for (const auto& [pid, resident] : idle) {
+      EXPECT_EQ(resident, 0u) << "worker " << pid;
+    }
+  }
+}
+
+// A lease that ends with a frame still alive, or with a worker killed
+// mid-query, returns nothing that could be stale: the live frame's
+// workers are killed and reaped, the dead worker is not pooled, and the
+// next session on the pool answers as the reference does.
+TEST_F(ShardExecutorTest, LeaseEndingUncleanReturnsNothingStale) {
+  const std::string reference = Reference();
+  auto frame = *df::DataFrame::Make(
+      {"x"}, {*df::Column::MakeInt({1, 2, 3, 4, 5}, {}, &tracker_)});
+  exec::BackendConfig config;
+  config.shards = 2;
+  config.partition_rows = 2;
+  auto backend = exec::MakeBackend(BackendKind::kShard, &tracker_, config);
+  auto placed = backend->FromEager(exec::EagerValue::Frame(frame));
+  ASSERT_TRUE(placed.ok()) << placed.status().ToString();
+  const std::vector<pid_t> holders =
+      dynamic_cast<shard::ShardBackend*>(backend.get())->WorkerPids();
+  backend.reset();  // the lease ends while `placed` names its frame
+  auto idle = IdleWorkers();
+  for (pid_t pid : holders) {
+    EXPECT_EQ(idle.count(pid), 0u) << "worker " << pid << " was pooled";
+    EXPECT_TRUE(Reaped(pid)) << "worker " << pid;
+  }
+  placed = exec::BackendValue{};  // its frees go to a lease that is over
+
+  int killed = 0;
+  for (int nth : {1, 4, 7}) {
+    auto session = MakeSession(
+        BackendKind::kShard, 2, "shard.worker_kill:nth=" + std::to_string(nth));
+    const std::vector<pid_t> leased = WorkerPidsOf(session.get());
+    auto out = RunPipeline(session.get());
+    if (out.ok()) {
+      EXPECT_EQ(*out, reference) << "nth=" << nth;
+    }
+    session.reset();
+    idle = IdleWorkers();
+    for (pid_t pid : leased) {
+      if (idle.count(pid) == 0) {
+        EXPECT_TRUE(Reaped(pid)) << "worker " << pid;
+        ++killed;
+      }
+    }
+    for (const auto& [pid, resident] : idle) {
+      EXPECT_EQ(resident, 0u) << "nth=" << nth << " worker " << pid;
+    }
+    auto after = RunPipeline(MakeSession(BackendKind::kShard, 2).get());
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_EQ(*after, reference) << "after nth=" << nth;
+  }
+  EXPECT_EQ(killed, 3);  // one per killed worker, never pooled
+}
+
+// The kFreeFrames reply counts the frames the worker still holds: the
+// count the pool reads before it takes a worker back.
+TEST_F(ShardExecutorTest, FreeFramesReplyCountsResidentFrames) {
+  shard::WorkerPool* pool = shard::WorkerPool::Get();
+  auto worker = pool->Spawn();
+  ASSERT_TRUE(worker.ok()) << worker.status().ToString();
+  auto frame = *df::DataFrame::Make(
+      {"x"}, {*df::Column::MakeInt({1, 2, 3}, {}, &tracker_)});
+  const std::string bytes = *io::EncodeLfc(frame);
+  for (uint64_t handle : {1, 2}) {
+    WireWriter put;
+    put.U64(handle);
+    put.Raw(bytes);
+    ASSERT_TRUE(
+        shard::SendMessage(worker->fd, shard::MsgType::kPutFrame, put.Take())
+            .ok());
+    auto reply = shard::RecvMessage(worker->fd);
+    ASSERT_TRUE(reply.ok() && reply->type == shard::MsgType::kOk);
+  }
+  auto resident_after_freeing = [&](std::vector<uint64_t> handles) {
+    EXPECT_TRUE(shard::SendMessage(worker->fd, shard::MsgType::kFreeFrames,
+                                   shard::EncodeFreeFrames(handles))
+                    .ok());
+    auto resident = shard::RecvResidentFrames(worker->fd);
+    return resident.ok() ? static_cast<int64_t>(*resident) : -1;
+  };
+  EXPECT_EQ(resident_after_freeing({1}), 1);
+  EXPECT_EQ(resident_after_freeing({}), 1);
+  EXPECT_EQ(resident_after_freeing({2}), 0);
+  pool->Kill(*worker);
+}
+
+// An idle worker that dies (the OOM killer, say) is not leased: the next
+// lease forks a replacement, and a request to it succeeds. Placing a
+// frame is not retried the way a scan is, so it would fail on the dead
+// worker.
+TEST_F(ShardExecutorTest, WorkerDeadWhileIdleIsNotLeased) {
+  MakeSession(BackendKind::kShard, 2).reset();
+  const auto idle = IdleWorkers();
+  ASSERT_GE(idle.size(), 2u);
+  const pid_t victim = idle.begin()->first;
+  ASSERT_EQ(::kill(victim, SIGKILL), 0);
+  siginfo_t info{};
+  ASSERT_EQ(::waitid(P_PID, victim, &info, WEXITED | WNOWAIT), 0);
+
+  auto frame = *df::DataFrame::Make(
+      {"x"}, {*df::Column::MakeInt({1, 2, 3, 4, 5}, {}, &tracker_)});
+  exec::BackendConfig config;
+  config.shards = static_cast<int>(idle.size());
+  config.partition_rows = 1;
+  std::vector<pid_t> leased;
+  const int64_t spawns = CounterDelta("shard.worker_spawns", [&] {
+    auto backend = exec::MakeBackend(BackendKind::kShard, &tracker_, config);
+    leased = dynamic_cast<shard::ShardBackend*>(backend.get())->WorkerPids();
+    auto placed = backend->FromEager(exec::EagerValue::Frame(frame));
+    ASSERT_TRUE(placed.ok()) << placed.status().ToString();
+    auto fetched = backend->Materialize(*placed);
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+    EXPECT_EQ(fetched->frame.ToString(10), frame.ToString(10));
+  });
+  EXPECT_EQ(spawns, 1);
+  EXPECT_EQ(std::count(leased.begin(), leased.end(), victim), 0);
+  EXPECT_TRUE(Reaped(victim));
+}
+
+// Four sessions at once lease disjoint workers, and each answers as the
+// serial reference does.
+TEST_F(ShardExecutorTest, ConcurrentSessionsLeaseDisjointWorkers) {
+  constexpr int kSessions = 4;
+  constexpr int kShards = 2;
+  const std::string reference = Reference();
+  // Grow the pool to the peak demand first: a fork while other threads
+  // allocate can hang the child under ASan.
+  MakeSession(BackendKind::kShard, kSessions * kShards).reset();
+  std::vector<std::string> outs(kSessions);
+  std::vector<std::vector<pid_t>> pids(kSessions);
+  const int64_t spawns = CounterDelta("shard.worker_spawns", [&] {
+    std::latch all_leased(kSessions);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kSessions; ++i) {
+      threads.emplace_back([&, i] {
+        std::stringstream output;
+        SessionOptions opts;
+        opts.backend = BackendKind::kShard;
+        opts.backend_config.shards = kShards;
+        opts.backend_config.partition_rows = 64;
+        opts.tracker = &tracker_;
+        opts.output = &output;
+        Session session(opts);
+        pids[i] = WorkerPidsOf(&session);
+        all_leased.arrive_and_wait();  // every lease is held at once
+        auto out = RunPipeline(&session);
+        outs[i] = out.ok() ? *out : out.status().ToString();
+      });
+    }
+    for (auto& t : threads) t.join();
+  });
+  EXPECT_EQ(spawns, 0);
+  std::set<pid_t> distinct;
+  for (int i = 0; i < kSessions; ++i) {
+    EXPECT_EQ(outs[i], reference) << "session " << i;
+    ASSERT_EQ(pids[i].size(), static_cast<size_t>(kShards));
+    distinct.insert(pids[i].begin(), pids[i].end());
+  }
+  EXPECT_EQ(distinct.size(), static_cast<size_t>(kSessions * kShards));
+  EXPECT_EQ(distinct.count(-1), 0u);
+}
+
+// A process that exits kills and reaps its idle workers: none is left
+// running, or as a zombie, once the process is gone.
+TEST_F(ShardExecutorTest, NoWorkerOutlivesItsProcess) {
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  std::fflush(nullptr);  // the child's exit must not flush them again
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(pipe_fds[0]);
+    SessionOptions opts;
+    opts.backend = BackendKind::kShard;
+    opts.backend_config.shards = 2;
+    opts.backend_config.partition_rows = 64;
+    opts.exec.num_threads = 1;  // the forked child starts no thread
+    opts.tracker = &tracker_;
+    opts.output = &output_;
+    auto session = std::make_unique<Session>(opts);
+    const std::vector<pid_t> pids = WorkerPidsOf(session.get());
+    const bool ok = RunPipeline(session.get()).ok();
+    session.reset();  // both workers go back to the pool, idle
+    const ssize_t n = static_cast<ssize_t>(pids.size() * sizeof(pid_t));
+    const bool sent = ::write(pipe_fds[1], pids.data(), pids.size() *
+                                                          sizeof(pid_t)) == n;
+    ::close(pipe_fds[1]);
+    std::exit(ok && sent ? 0 : 1);
+  }
+  ::close(pipe_fds[1]);
+  std::vector<pid_t> pids(2, -1);
+  const ssize_t want = static_cast<ssize_t>(pids.size() * sizeof(pid_t));
+  const ssize_t got = ::read(pipe_fds[0], pids.data(), want);
+  ::close(pipe_fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  ASSERT_EQ(got, want);
+  for (pid_t pid : pids) {
+    ASSERT_GT(pid, 0);
+    EXPECT_TRUE(Reaped(pid)) << "worker " << pid << " outlived its process";
+  }
+}
+
+// A scan whose later unit fails drops the units it already stored, and
+// the other worker's units are freed too: both workers end the session
+// holding no frame and go back to the pool. The file opens cleanly (the
+// footer checksum covers only the footer); the decode of its last chunk
+// finds a dictionary code past the dictionary.
+TEST_F(ShardExecutorTest, FailedScanLeavesNoFrameResident) {
+  std::vector<std::string> labels;
+  for (int i = 0; i < 700; ++i) labels.push_back("g" + std::to_string(i % 4));
+  auto frame = *df::DataFrame::Make(
+      {"label"}, {*df::Column::MakeString(labels, {}, &tracker_)});
+  const std::string path = dir_ + "/bad_code.lfc";
+  io::LfcWriteOptions write_options;
+  write_options.chunk_rows = 64;
+  ASSERT_TRUE(io::WriteLfcFile(frame, path, write_options).ok());
+  {
+    // One all-valid string column: its u32 codes follow the 8-byte magic
+    // in row order, so the last row's code is the file's bytes 8 + 4*699.
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(8 + 4 * 699);
+    const uint32_t bad_code = 0xffffffffu;
+    file.write(reinterpret_cast<const char*>(&bad_code), sizeof(bad_code));
+  }
+  ASSERT_TRUE(io::ReadLfcInfo(path).ok());
+
+  std::vector<pid_t> pids;
+  {
+    auto session = MakeSession(BackendKind::kShard, 2);
+    pids = WorkerPidsOf(session.get());
+    auto scanned = FatDataFrame::ReadLfc(session.get(), path);
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+    auto out = scanned->ToEager();
+    ASSERT_FALSE(out.ok());
+    EXPECT_NE(out.status().message().find("dictionary code out of range"),
+              std::string::npos)
+        << out.status().ToString();
+  }
+  const auto idle = IdleWorkers();
+  for (pid_t pid : pids) {
+    ASSERT_EQ(idle.count(pid), 1u) << "worker " << pid << " not pooled";
+    EXPECT_EQ(idle.at(pid), 0u) << "worker " << pid;
+  }
 }
 
 }  // namespace
