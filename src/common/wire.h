@@ -2,6 +2,7 @@
 #define LAFP_COMMON_WIRE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -37,16 +38,31 @@ class WireWriter {
 /// Bounds-checked payload decoder: every getter returns false instead of
 /// reading past the end, so a truncated or hostile payload can never walk
 /// off the buffer. `Error(what)` converts exhaustion into a clean Status.
+/// Inline, so a loop over many small fields (an LFC dictionary's entries)
+/// compiles to a bounds check and a copy per field.
 class WireReader {
  public:
   explicit WireReader(std::string_view data) : data_(data) {}
 
-  bool U8(uint8_t* out);
-  bool U32(uint32_t* out);
-  bool U64(uint64_t* out);
-  bool I64(int64_t* out);
-  bool F64(double* out);
-  bool Str(std::string* out);
+  bool U8(uint8_t* out) { return ReadPod(out, 1); }
+  bool U32(uint32_t* out) { return ReadPod(out, 4); }
+  bool U64(uint64_t* out) { return ReadPod(out, 8); }
+  bool I64(int64_t* out) { return ReadPod(out, 8); }
+  bool F64(double* out) { return ReadPod(out, 8); }
+  bool Str(std::string* out) {
+    std::string_view view;
+    if (!Str(&view)) return false;
+    out->assign(view);
+    return true;
+  }
+  /// A string's bytes in place, valid while the reader's data is.
+  bool Str(std::string_view* out) {
+    uint32_t len = 0;
+    if (!U32(&len) || remaining() < len) return false;
+    *out = data_.substr(pos_, len);
+    pos_ += len;
+    return true;
+  }
 
   size_t remaining() const { return data_.size() - pos_; }
   bool Done() const { return pos_ == data_.size(); }
@@ -59,7 +75,13 @@ class WireReader {
   }
 
  private:
-  bool ReadPod(void* out, size_t n);
+  bool ReadPod(void* out, size_t n) {
+    if (remaining() < n) return false;
+    std::memcpy(out, data_.data() + pos_, n);
+    pos_ += n;
+    return true;
+  }
+
   std::string_view data_;
   size_t pos_ = 0;
 };

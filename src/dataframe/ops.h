@@ -104,6 +104,12 @@ Result<DataFrame> SortValues(const DataFrame& df,
                              const std::vector<std::string>& by,
                              const std::vector<bool>& ascending);
 
+/// Head(SortValues(df, by, ascending), n), byte for byte, in
+/// O(rows·log n): a bounded heap over row indices keeps the first n rows
+/// of the stable order, and one TakeRows gathers them.
+Result<DataFrame> TopK(const DataFrame& df, const std::vector<std::string>& by,
+                       const std::vector<bool>& ascending, size_t n);
+
 /// First occurrence of each distinct key tuple. Empty subset = all columns.
 Result<DataFrame> DropDuplicates(const DataFrame& df,
                                  const std::vector<std::string>& subset);

@@ -241,11 +241,12 @@ Result<EagerValue> ReduceCombiner::Finish() {
 
 namespace {
 
-/// head(n): the prefix of each partition until n rows are in hand. The
-/// first partition is always kept, so head(0) still carries its schema.
+/// head(n): phase one is head(n) itself, so a partition ships at most n
+/// rows; the fold keeps the prefix until n rows are in hand. The first
+/// partition is always kept, so head(0) still carries its schema.
 class HeadCombiner : public Combiner {
  public:
-  explicit HeadCombiner(size_t n) : n_(n) {}
+  explicit HeadCombiner(const OpDesc& desc) : n_(desc.n) { phase_one_ = desc; }
 
   Status AddPartial(DataFrame partition) override {
     LAFP_ASSIGN_OR_RETURN(DataFrame prefix, df::Head(partition, n_ - rows_));
@@ -294,7 +295,10 @@ class RunningCombiner : public Combiner {
   std::optional<DataFrame> running_;
 };
 
-/// drop_duplicates and unique: phase one and merge are the op itself.
+/// drop_duplicates, unique and top_k: phase one and merge are the op
+/// itself. For top_k the running frame holds the first n rows, in order,
+/// of the partitions so far, and it precedes the next partial: rows with
+/// equal keys keep their input order.
 class DedupCombiner : public RunningCombiner {
  public:
   explicit DedupCombiner(const OpDesc& desc) { phase_one_ = merge_ = desc; }
@@ -353,13 +357,14 @@ std::unique_ptr<Combiner> CombinerFor(const OpDesc& desc) {
     case OpKind::kReduce:
       return std::make_unique<ReduceCombiner>(desc.agg_func);
     case OpKind::kHead:
-      return std::make_unique<HeadCombiner>(desc.n);
+      return std::make_unique<HeadCombiner>(desc);
     case OpKind::kValueCounts:
       return std::make_unique<ValueCountsCombiner>();
     case OpKind::kDescribe:
       return std::make_unique<DescribeCombiner>();
     case OpKind::kDropDuplicates:
     case OpKind::kUnique:
+    case OpKind::kTopK:
       return std::make_unique<DedupCombiner>(desc);
     default:
       return nullptr;

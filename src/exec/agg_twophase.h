@@ -35,8 +35,8 @@ class Combiner {
   virtual Status AddPartial(df::DataFrame partial) = 0;
 
   /// True once the first `partitions` partitions, holding `rows` rows,
-  /// decide the result (head's prefix): an engine fetches or pulls no
-  /// more.
+  /// decide the result (head's prefix): an engine runs phase one on or
+  /// pulls no more.
   virtual bool Enough(size_t /*partitions*/, uint64_t /*rows*/) const {
     return false;
   }
@@ -49,8 +49,8 @@ class Combiner {
 };
 
 /// The combiner of a decomposable op: group-by (without nunique), reduce,
-/// head, value_counts, describe, drop_duplicates and unique. Null for any
-/// other op. An op with a combiner has the combine strategy.
+/// head, value_counts, describe, drop_duplicates, unique and top_k. Null
+/// for any other op. An op with a combiner has the combine strategy.
 std::unique_ptr<Combiner> CombinerFor(const OpDesc& desc);
 
 /// Two-phase group-by: phase one is an ordinary kGroupByAgg over partial

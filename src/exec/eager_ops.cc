@@ -263,6 +263,12 @@ Result<EagerValue> ExecuteEagerOp(const OpDesc& desc,
           df::SortValues(inputs[0].frame, desc.columns, desc.ascending));
       return EagerValue::Frame(std::move(frame));
     }
+    case OpKind::kTopK: {
+      LAFP_ASSIGN_OR_RETURN(DataFrame frame,
+                            df::TopK(inputs[0].frame, desc.columns,
+                                     desc.ascending, desc.n));
+      return EagerValue::Frame(std::move(frame));
+    }
     case OpKind::kDropDuplicates: {
       LAFP_ASSIGN_OR_RETURN(
           DataFrame frame,

@@ -1,6 +1,8 @@
 #include "exec/modin_backend.h"
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "common/macros.h"
@@ -138,10 +140,12 @@ Result<BackendFramePtr> ModinBackend::Scan(const OpDesc& desc) {
 }
 
 Result<std::vector<df::DataFrame>> ModinBackend::RunReturn(
-    const OpDesc& desc, const std::vector<BackendValue>& inputs) {
+    const OpDesc& desc, const std::vector<BackendValue>& inputs,
+    size_t limit) {
   LAFP_ASSIGN_OR_RETURN(const PartitionedFrame* primary,
                         PartsOf(*inputs[0].frame));
-  std::vector<df::DataFrame> results(primary->num_partitions());
+  std::vector<df::DataFrame> results(
+      std::min(primary->num_partitions(), limit));
   LAFP_RETURN_NOT_OK(RunPartitions(
       work_pool_, results.size(), Traits(desc.kind).name,
       [&](int i) -> Status {
@@ -175,18 +179,19 @@ Result<std::vector<df::DataFrame>> ModinBackend::RunReturn(
 
 Result<BackendFramePtr> ModinBackend::RunKeep(
     const OpDesc& desc, const std::vector<BackendValue>& inputs) {
-  LAFP_ASSIGN_OR_RETURN(std::vector<df::DataFrame> results,
-                        RunReturn(desc, inputs));
+  LAFP_ASSIGN_OR_RETURN(
+      std::vector<df::DataFrame> results,
+      RunReturn(desc, inputs, std::numeric_limits<size_t>::max()));
   PartitionedFrame out;
   for (auto& r : results) out.Add(std::move(r));
   return WrapParts(std::move(out));
 }
 
 Result<std::vector<df::DataFrame>> ModinBackend::Fetch(
-    const BackendFrame& frame, size_t limit) {
+    const BackendFrame& frame) {
   LAFP_ASSIGN_OR_RETURN(const PartitionedFrame* parts, PartsOf(frame));
   std::vector<df::DataFrame> out;
-  for (size_t i = 0; i < parts->num_partitions() && i < limit; ++i) {
+  for (size_t i = 0; i < parts->num_partitions(); ++i) {
     LAFP_ASSIGN_OR_RETURN(df::DataFrame part, parts->partition(i, tracker_));
     out.push_back(std::move(part));
   }

@@ -48,9 +48,9 @@ class ModinBackend : public PartitionedBackend {
   Result<BackendFramePtr> RunKeep(
       const OpDesc& desc, const std::vector<BackendValue>& inputs) override;
   Result<std::vector<df::DataFrame>> RunReturn(
-      const OpDesc& desc, const std::vector<BackendValue>& inputs) override;
-  Result<std::vector<df::DataFrame>> Fetch(const BackendFrame& frame,
-                                           size_t limit) override;
+      const OpDesc& desc, const std::vector<BackendValue>& inputs,
+      size_t limit) override;
+  Result<std::vector<df::DataFrame>> Fetch(const BackendFrame& frame) override;
   Result<BackendFramePtr> Place(const df::DataFrame& frame) override;
   Result<BackendFramePtr> Broadcast(const df::DataFrame& frame,
                                     const BackendFrame& alongside) override;

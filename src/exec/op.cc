@@ -85,6 +85,8 @@ constexpr OpTraits kTraits[] = {
     {OpKind::kConcat, "concat", -1, 0, CE::kOpaque, ON::kEngine, 0},
     {OpKind::kReadLfc, "read_lfc", 0, 0, CE::kOpaque, ON::kCustom,
      FieldSet(F::kPath, F::kLfcOptions)},
+    {OpKind::kTopK, "top_k", 1, 0, CE::kOpaque, ON::kInput,
+     FieldSet(F::kColumns, F::kAscending, F::kN)},
     {OpKind::kMaterialized, "materialized", 0, 0, CE::kOpaque, ON::kNone, 0},
 };
 // clang-format on

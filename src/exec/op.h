@@ -54,6 +54,7 @@ enum class OpKind : int {
   kIsIn,            // col.isin([...]) -> bool series
   kConcat,          // pd.concat([a, b, ...]) (variadic)
   kReadLfc,         // leaf; path + LfcReadOptions (native columnar scan)
+  kTopK,            // head(sort_values(...)), as the optimizer writes it
   kMaterialized,    // leaf carrying a cached result (cache splice); the
                     // payload lives on the TaskNode, never in OpDesc
 };
@@ -152,7 +153,8 @@ struct OpDesc {
 
   std::vector<std::string> columns;  // kSelect / kDropColumns /
                                      // kGroupByAgg keys / kMerge on /
-                                     // kSortValues by / kDropDuplicates subset
+                                     // kSortValues, kTopK by /
+                                     // kDropDuplicates subset
   std::string column;                // kGetColumn / kSetColumn target
 
   df::CompareOp compare_op = df::CompareOp::kEq;  // kCompare
@@ -164,11 +166,11 @@ struct OpDesc {
 
   std::vector<df::AggSpec> aggs;       // kGroupByAgg
   df::AggFunc agg_func = df::AggFunc::kSum;  // kReduce
-  std::vector<bool> ascending;         // kSortValues
+  std::vector<bool> ascending;         // kSortValues / kTopK
   df::JoinType join_type = df::JoinType::kInner;  // kMerge
   df::DataType dtype = df::DataType::kString;     // kAsType
   df::DtField dt_field = df::DtField::kDayOfWeek; // kDtAccessor
-  size_t n = 5;                        // kHead
+  size_t n = 5;                        // kHead / kTopK
   std::map<std::string, std::string> rename;  // kRename
   std::string str_arg;                 // kStrContains needle
   std::vector<df::Scalar> scalar_list;  // kIsIn membership values

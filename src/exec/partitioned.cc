@@ -1,7 +1,5 @@
 #include "exec/partitioned.h"
 
-#include <limits>
-
 #include "common/macros.h"
 #include "exec/agg_twophase.h"
 #include "exec/partition.h"
@@ -112,8 +110,6 @@ Result<BackendValue> PartitionedBackend::ExecutePartitioned(
       std::unique_ptr<Combiner> combiner = CombinerFor(desc);
       std::vector<df::DataFrame> parts;
       if (const OpDesc* phase_one = combiner->phase_one()) {
-        LAFP_ASSIGN_OR_RETURN(parts, RunReturn(*phase_one, {inputs[0]}));
-      } else {
         // Only the leading partitions the combiner needs (head's prefix).
         LAFP_ASSIGN_OR_RETURN(std::vector<uint64_t> rows,
                               Rows(*inputs[0].frame));
@@ -122,7 +118,10 @@ Result<BackendValue> PartitionedBackend::ExecutePartitioned(
              limit < rows.size() && !combiner->Enough(limit, have);) {
           have += rows[limit++];
         }
-        LAFP_ASSIGN_OR_RETURN(parts, Fetch(*inputs[0].frame, limit));
+        LAFP_ASSIGN_OR_RETURN(parts,
+                              RunReturn(*phase_one, {inputs[0]}, limit));
+      } else {
+        LAFP_ASSIGN_OR_RETURN(parts, Fetch(*inputs[0].frame));
         PayTasks(parts.size());
       }
       // Folded in partition order: first-appearance order, and so the
@@ -196,9 +195,8 @@ Result<EagerValue> PartitionedBackend::MaterializePartitioned(
   if (value.frame == nullptr) {
     return Status::Invalid(std::string("empty value passed to ") + name());
   }
-  LAFP_ASSIGN_OR_RETURN(
-      std::vector<df::DataFrame> parts,
-      Fetch(*value.frame, std::numeric_limits<size_t>::max()));
+  LAFP_ASSIGN_OR_RETURN(std::vector<df::DataFrame> parts,
+                        Fetch(*value.frame));
   LAFP_ASSIGN_OR_RETURN(df::DataFrame whole,
                         ConcatPartitions(std::move(parts)));
   return EagerValue::Frame(std::move(whole));

@@ -72,10 +72,10 @@ Strategy StrategyOf(const OpDesc& desc);
 ///   - merges broadcast the materialized right side beside the left
 ///     partitions and join per partition;
 ///   - len sums the partition row counts;
-///   - combines run the combiner's phase one per partition and fold the
-///     returned outputs, or, without a phase one, fold the fetched
-///     partitions: only the prefix the combiner calls Enough, for head.
-///     The result is placed;
+///   - combines run the combiner's phase one per partition, or on the
+///     prefix the combiner calls Enough (head's), and fold the returned
+///     outputs; without a phase one they fold the fetched partitions. The
+///     result is placed;
 ///   - everything else (concat, nunique group-bys, sort, misaligned maps)
 ///     gathers: the inputs are materialized, the eager kernel runs here,
 ///     and the result is placed.
@@ -113,13 +113,15 @@ class PartitionedBackend : public Backend {
   virtual Result<BackendFramePtr> RunKeep(
       const OpDesc& desc, const std::vector<BackendValue>& inputs) = 0;
 
-  /// RunKeep, with the outputs returned here in partition order.
+  /// RunKeep over the first `limit` partitions of inputs[0] (or all it
+  /// has), with the outputs returned here in partition order.
   virtual Result<std::vector<df::DataFrame>> RunReturn(
-      const OpDesc& desc, const std::vector<BackendValue>& inputs) = 0;
+      const OpDesc& desc, const std::vector<BackendValue>& inputs,
+      size_t limit) = 0;
 
-  /// A frame's first `limit` partitions (or all it has), in order.
-  virtual Result<std::vector<df::DataFrame>> Fetch(const BackendFrame& frame,
-                                                   size_t limit) = 0;
+  /// A frame's partitions, in order.
+  virtual Result<std::vector<df::DataFrame>> Fetch(
+      const BackendFrame& frame) = 0;
 
   /// Splits an eager frame into partitions of config().partition_rows
   /// rows (one empty partition for an empty frame) and stores them.

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <mutex>
 
 #include "common/fault.h"
 #include "common/hash.h"
@@ -44,7 +45,7 @@ struct ColumnEntry {
   uint64_t dict_offset = 0;
   uint64_t dict_bytes = 0;
   uint32_t dict_count = 0;
-  df::DictionaryPtr dict;  // the writer's, or decoded eagerly at open
+  df::DictionaryPtr dict;  // the writer's, or a reader's (Impl::DecodeDict)
   std::vector<ChunkMeta> chunks;
 };
 
@@ -489,9 +490,30 @@ struct LfcReader::Impl {
   size_t map_size = 0;
   std::string_view bytes;  // the mapping or the caller's buffer
   std::vector<ColumnEntry> cols;
+  /// One flag per column: a dictionary is decoded on its column's first
+  /// use, once, whichever concurrent ReadSlices gets there first.
+  std::unique_ptr<std::once_flag[]> dict_once;
 
   ~Impl() {
     if (map != MAP_FAILED) ::munmap(map, map_size);
+  }
+
+  /// Decodes column c's dictionary into cols[c].dict, once. Parse has
+  /// checked every entry, so decoding cannot fail. Every reader of a
+  /// reader-side `dict` calls this first.
+  void DecodeDict(size_t c) {
+    ColumnEntry& col = cols[c];
+    if (!col.dict_encoded) return;
+    std::call_once(dict_once[c], [&] {
+      auto dict = std::make_shared<df::Dictionary>();
+      dict->reserve(col.dict_count);
+      WireReader entries(bytes.substr(col.dict_offset, col.dict_bytes));
+      std::string_view entry;
+      for (uint32_t i = 0; i < col.dict_count && entries.Str(&entry); ++i) {
+        dict->emplace_back(entry);
+      }
+      col.dict = std::move(dict);
+    });
   }
 
   const uint8_t* base() const {
@@ -636,6 +658,7 @@ Status LfcReader::Parse() {
   info_.nrows = nrows;
   info_.num_chunks = nchunks;
   impl_->cols.resize(ncols);
+  impl_->dict_once = std::make_unique<std::once_flag[]>(ncols);
   for (uint32_t c = 0; c < ncols; ++c) {
     ColumnEntry& col = impl_->cols[c];
     if (!footer.Str(&col.name)) return corrupt("truncated column name");
@@ -676,17 +699,16 @@ Status LfcReader::Parse() {
       if (col.dict_count > col.dict_bytes / 4 + 1) {
         return corrupt("dictionary count exceeds its byte length");
       }
-      // Decode the dictionary eagerly; entry lengths are clamped against
-      // the remaining dictionary bytes ("over-long offsets" corpus).
-      auto dict = std::make_shared<df::Dictionary>();
+      // Check every entry in place; the strings are built on the
+      // column's first use (Impl::DecodeDict). Entry lengths are clamped
+      // against the remaining dictionary bytes ("over-long offsets"
+      // corpus).
       WireReader entries(bytes.substr(col.dict_offset, col.dict_bytes));
+      std::string_view entry;
       for (uint32_t i = 0; i < col.dict_count; ++i) {
-        std::string entry;
         if (!entries.Str(&entry)) return corrupt("truncated dictionary entry");
-        dict->push_back(std::move(entry));
       }
       if (!entries.Done()) return corrupt("trailing bytes in dictionary");
-      col.dict = std::move(dict);
     }
     const uint64_t width = PayloadWidth(col);
     col.chunks.resize(nchunks);
@@ -776,8 +798,10 @@ bool LfcReader::ChunkMayMatch(size_t chunk,
                               const std::vector<LfcPredicate>& prune) const {
   const uint64_t rows = chunk_rows_[chunk];
   for (const LfcPredicate& p : prune) {
-    for (const ColumnEntry& col : impl_->cols) {
+    for (size_t c = 0; c < impl_->cols.size(); ++c) {
+      const ColumnEntry& col = impl_->cols[c];
       if (col.name != p.column) continue;
+      impl_->DecodeDict(c);
       if (ChunkNeverMatches(col, col.chunks[chunk], rows, p)) return false;
       break;
     }
@@ -897,6 +921,7 @@ Result<df::DataFrame> LfcReader::ReadSlices(
   std::vector<std::string> names;
   std::vector<df::ColumnPtr> cols;
   for (size_t idx : col_idxs) {
+    impl_->DecodeDict(idx);
     const ColumnEntry& col = impl_->cols[idx];
     ColumnAssembly a;
     for (const LfcSlice& s : slices) {

@@ -73,6 +73,15 @@ Status EliminateRedundantOps(Session* session,
           node->desc.n = std::min(node->desc.n, in->desc.n);
           node->inputs = in->inputs;
           removed = true;
+        } else if (in->desc.kind == OpKind::kSortValues) {
+          // head(sort_values(X)) == top_k(X): the first n rows of the
+          // stable order, without sorting X. The sort still runs for any
+          // other consumer.
+          node->desc.kind = OpKind::kTopK;
+          node->desc.columns = in->desc.columns;
+          node->desc.ascending = in->desc.ascending;
+          node->inputs = in->inputs;
+          removed = true;
         }
         break;
       case OpKind::kSelect:

@@ -25,7 +25,7 @@ Status DeduplicateNodes(lazy::Session* session,
                         PassStats* stats);
 
 /// Local algebraic cleanups: head(head), select(select), astype(astype)
-/// with the same type, not(not).
+/// with the same type, not(not), and head(sort_values) into one top_k.
 Status EliminateRedundantOps(lazy::Session* session,
                              const std::vector<lazy::TaskNodePtr>& roots,
                              PassStats* stats);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <unordered_map>
 
 #include "common/hash.h"
@@ -93,6 +94,7 @@ class Interpreter {
         return Status::ExecutionError("statement budget exhausted (loop?)");
       }
       if (stats_ != nullptr) ++stats_->statements_executed;
+      computing_ = false;
       switch (stmt.kind) {
         case IRStmtKind::kLabel:
         case IRStmtKind::kNop:
@@ -136,6 +138,8 @@ class Interpreter {
           break;
         }
       }
+      // A computed value serves the statement after its compute only.
+      if (!computing_) computed_.reset();
     }
     return Status::OK();
   }
@@ -835,7 +839,7 @@ class Interpreter {
     for (const auto& raw : expr.operands) {
       LAFP_ASSIGN_OR_RETURN(Value v, Load(raw));
       if (v.kind == Value::Kind::kFrame) {
-        LAFP_ASSIGN_OR_RETURN(exec::EagerValue eager, v.frame.Compute());
+        LAFP_ASSIGN_OR_RETURN(exec::EagerValue eager, EagerOf(v.frame));
         rows += eager.is_scalar ? 1 : eager.frame.num_rows();
         saw_frame = true;
       } else if (v.kind == Value::Kind::kLazyScalar) {
@@ -851,6 +855,16 @@ class Interpreter {
                                   : "ok")
                     << "]\n";
     return Value::None();
+  }
+
+  /// A frame's eager value: the one the previous statement's compute
+  /// made of it (the rewriter's `t = df.compute(...)` ahead of
+  /// `plt.plot(t)` or `checksum(t)`), else a new round's.
+  Result<exec::EagerValue> EagerOf(const FatDataFrame& frame) {
+    if (computed_.has_value() && computed_->node == frame.node()) {
+      return computed_->value;
+    }
+    return frame.Compute();
   }
 
   Result<Value> EvalPlot(const IRExpr& expr) {
@@ -896,7 +910,7 @@ class Interpreter {
     LAFP_ASSIGN_OR_RETURN(Value arg, Load(expr.operands.at(0)));
     std::string digest;
     if (arg.kind == Value::Kind::kFrame) {
-      LAFP_ASSIGN_OR_RETURN(exec::EagerValue eager, arg.frame.Compute());
+      LAFP_ASSIGN_OR_RETURN(exec::EagerValue eager, EagerOf(arg.frame));
       if (eager.is_scalar) {
         digest = Md5::Of(eager.scalar.ToString());
       } else {
@@ -1201,7 +1215,11 @@ class Interpreter {
           if (e.kind == Value::Kind::kFrame) live.push_back(e.frame);
         }
       }
-      LAFP_RETURN_NOT_OK(frame.Compute(live).status());
+      // Released first: no round runs while a computed value is held.
+      computed_.reset();
+      LAFP_ASSIGN_OR_RETURN(exec::EagerValue value, frame.Compute(live));
+      computed_ = Computed{frame.node(), std::move(value)};
+      computing_ = true;
       return recv;  // the node now holds its materialized result
     }
     return Status::NotImplemented("DataFrame." + method);
@@ -1225,6 +1243,15 @@ class Interpreter {
   InterpreterStats* stats_;
   std::unordered_map<std::string, Value> env_;
   std::unordered_map<std::string, size_t> labels_;
+  /// The last DataFrame.compute's value, kept for the next statement (its
+  /// consumer) so that it does not run a second round and materialize the
+  /// frame again; released when that statement returns.
+  struct Computed {
+    lazy::TaskNodePtr node;
+    exec::EagerValue value;
+  };
+  std::optional<Computed> computed_;
+  bool computing_ = false;  // the current statement set computed_
 };
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <deque>
+#include <limits>
 #include <utility>
 
 #include "common/fault.h"
@@ -576,7 +577,7 @@ Result<exec::BackendFramePtr> ShardBackend::Scan(const OpDesc& desc) {
 }
 
 Result<std::vector<Message>> ShardBackend::ExecOnPartitions(
-    const OpDesc& desc, const std::vector<BackendValue>& inputs,
+    const OpDesc& desc, const std::vector<BackendValue>& inputs, size_t limit,
     std::vector<uint64_t>* out_handles) {
   LAFP_ASSIGN_OR_RETURN(const ShardFrame* primary, PartsOf(*inputs[0].frame));
   // Resolve every frame input once: an aligned frame feeds partition i to
@@ -593,9 +594,10 @@ Result<std::vector<Message>> ShardBackend::ExecOnPartitions(
   EncodeOpDesc(desc, &op);
   const std::string op_bytes(op.Take());
   const auto& pp = primary->parts();
+  const size_t np = std::min(pp.size(), limit);
   std::vector<WorkerCall> calls;
-  calls.reserve(pp.size());
-  for (size_t i = 0; i < pp.size(); ++i) {
+  calls.reserve(np);
+  for (size_t i = 0; i < np; ++i) {
     const uint64_t out = out_handles != nullptr ? cluster_->NextHandle() : 0;
     if (out_handles != nullptr) out_handles->push_back(out);
     WireWriter payload;
@@ -616,7 +618,7 @@ Result<std::vector<Message>> ShardBackend::ExecOnPartitions(
   }
   Result<std::vector<Message>> replies = RunAll(calls);
   if (!replies.ok() && out_handles != nullptr) {
-    for (size_t i = 0; i < pp.size(); ++i) {
+    for (size_t i = 0; i < np; ++i) {
       cluster_->QueueFree(pp[i].worker, pp[i].generation, (*out_handles)[i]);
     }
   }
@@ -626,8 +628,10 @@ Result<std::vector<Message>> ShardBackend::ExecOnPartitions(
 Result<exec::BackendFramePtr> ShardBackend::RunKeep(
     const OpDesc& desc, const std::vector<BackendValue>& inputs) {
   std::vector<uint64_t> handles;
-  LAFP_ASSIGN_OR_RETURN(std::vector<Message> replies,
-                        ExecOnPartitions(desc, inputs, &handles));
+  LAFP_ASSIGN_OR_RETURN(
+      std::vector<Message> replies,
+      ExecOnPartitions(desc, inputs, std::numeric_limits<size_t>::max(),
+                       &handles));
   LAFP_ASSIGN_OR_RETURN(const ShardFrame* primary, PartsOf(*inputs[0].frame));
   const auto& pp = primary->parts();
   std::vector<ShardPartition> out_parts;
@@ -646,19 +650,19 @@ Result<exec::BackendFramePtr> ShardBackend::RunKeep(
 }
 
 Result<std::vector<df::DataFrame>> ShardBackend::RunReturn(
-    const OpDesc& desc, const std::vector<BackendValue>& inputs) {
+    const OpDesc& desc, const std::vector<BackendValue>& inputs,
+    size_t limit) {
   LAFP_ASSIGN_OR_RETURN(std::vector<Message> replies,
-                        ExecOnPartitions(desc, inputs, nullptr));
+                        ExecOnPartitions(desc, inputs, limit, nullptr));
   return FramesOfReplies(replies, tracker_);
 }
 
 Result<std::vector<df::DataFrame>> ShardBackend::Fetch(
-    const exec::BackendFrame& frame, size_t limit) {
+    const exec::BackendFrame& frame) {
   LAFP_ASSIGN_OR_RETURN(const ShardFrame* sharded, PartsOf(frame));
   LAFP_RETURN_NOT_OK(ValidateLive(sharded->parts()));
   std::vector<WorkerCall> calls;
   for (const auto& p : sharded->parts()) {
-    if (calls.size() == limit) break;
     WireWriter payload;
     payload.U64(p.handle);
     calls.push_back({p.worker, MsgType::kGetFrame, payload.Take()});

@@ -175,14 +175,14 @@ class ShardBackend : public exec::PartitionedBackend {
   /// RunCalls, failing with the first failed call's Status.
   Result<std::vector<Message>> RunAll(const std::vector<WorkerCall>& calls);
 
-  /// One kExecOp per partition of inputs[0], on the worker holding it.
-  /// With `out_handles`, each worker keeps its output under a fresh handle
-  /// (appended there; freed again on failure) and replies kOk with its row
-  /// count; without, the out handle is 0 and the worker replies with the
-  /// frame.
+  /// One kExecOp per partition of inputs[0] among its first `limit`, on
+  /// the worker holding it. With `out_handles`, each worker keeps its
+  /// output under a fresh handle (appended there; freed again on failure)
+  /// and replies kOk with its row count; without, the out handle is 0 and
+  /// the worker replies with the frame.
   Result<std::vector<Message>> ExecOnPartitions(
       const exec::OpDesc& desc, const std::vector<exec::BackendValue>& inputs,
-      std::vector<uint64_t>* out_handles);
+      size_t limit, std::vector<uint64_t>* out_handles);
 
   // The store (exec::PartitionedBackend).
   Result<exec::BackendFramePtr> Scan(const exec::OpDesc& desc) override;
@@ -191,9 +191,9 @@ class ShardBackend : public exec::PartitionedBackend {
       const std::vector<exec::BackendValue>& inputs) override;
   Result<std::vector<df::DataFrame>> RunReturn(
       const exec::OpDesc& desc,
-      const std::vector<exec::BackendValue>& inputs) override;
-  Result<std::vector<df::DataFrame>> Fetch(const exec::BackendFrame& frame,
-                                           size_t limit) override;
+      const std::vector<exec::BackendValue>& inputs, size_t limit) override;
+  Result<std::vector<df::DataFrame>> Fetch(
+      const exec::BackendFrame& frame) override;
   Result<exec::BackendFramePtr> Place(const df::DataFrame& frame) override;
   Result<exec::BackendFramePtr> Broadcast(
       const df::DataFrame& frame,

@@ -354,18 +354,39 @@ class ProgramBuilder {
     if (src == nullptr) return;
     FrameVar out = *src;
     out.name = NewFrameName();
-    if (rng_.Chance(0.55)) {
-      const FuzzColumn* by = PickCol(*src, "ifst");
-      if (by == nullptr) return;
-      std::string asc = rng_.Chance(0.5) ? "True" : "False";
-      Line(out.name + " = " + src->name + ".sort_values(by=[\"" + by->name +
-           "\"], ascending=" + asc + ")");
-    } else {
-      // head(0) keeps the schema: a later `.x.sum()` must still resolve.
-      Line(out.name + " = " + src->name + ".head(" +
-           std::to_string(rng_.Chance(0.15) ? 0 : 2 + rng_.Below(20)) + ")");
+    if (!rng_.Chance(0.55)) {
+      Line(out.name + " = " + src->name + ".head(" + HeadCount() + ")");
+      AddFrame(std::move(out));
+      return;
+    }
+    const FuzzColumn* by = PickCol(*src, "ifst");
+    if (by == nullptr) return;
+    std::string keys = "\"" + by->name + "\"";
+    std::string asc = rng_.Chance(0.5) ? "True" : "False";
+    if (rng_.Chance(0.3)) {
+      // A second key, each key with its own direction.
+      const FuzzColumn* then = PickCol(*src, "ifst");
+      if (then != by) {
+        keys += ", \"" + then->name + "\"";
+        asc = "[" + asc + ", " + (rng_.Chance(0.5) ? "True" : "False") + "]";
+      }
+    }
+    Line(out.name + " = " + src->name + ".sort_values(by=[" + keys +
+         "], ascending=" + asc + ")");
+    // Half the sorts feed head(n) directly: the optimizer's top_k.
+    FrameVar top = out;
+    const bool head = rng_.Chance(0.5);
+    if (head) {
+      top.name = NewFrameName();
+      Line(top.name + " = " + out.name + ".head(" + HeadCount() + ")");
     }
     AddFrame(std::move(out));
+    if (head) AddFrame(std::move(top));
+  }
+
+  /// head(0) keeps the schema: a later `.x.sum()` must still resolve.
+  std::string HeadCount() {
+    return std::to_string(rng_.Chance(0.15) ? 0 : 2 + rng_.Below(20));
   }
 
   void EmitConcat() {

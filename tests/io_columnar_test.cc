@@ -548,6 +548,52 @@ TEST_F(LfcTest, ConcurrentChunkReadsAgainstSharedTracker) {
   EXPECT_EQ(tracker_.current(), baseline);
 }
 
+// A reader checks its dictionaries at open and builds their strings on a
+// column's first read: a projection that skips the string columns never
+// decodes them, and threads racing to read one decode it once, to the
+// same values.
+TEST_F(LfcTest, DictionariesDecodeOnFirstReadAcrossThreads) {
+  DataFrame frame = MixedFrame(64);
+  const std::string path = Path("dict_first_read.lfc");
+  LfcWriteOptions wo;
+  wo.chunk_rows = 8;
+  ASSERT_TRUE(WriteLfcFile(frame, path, wo).ok());
+  auto info = ReadLfcInfo(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  ASSERT_EQ(info->columns.size(), 6u);
+  EXPECT_EQ(info->columns[4].type, df::DataType::kString);
+  EXPECT_EQ(info->columns[5].type, df::DataType::kCategory);
+
+  auto reader = LfcReader::Open(path, &tracker_);
+  ASSERT_TRUE(reader.ok());
+  auto ints = (*reader)->SelectColumns({"i"});
+  ASSERT_TRUE(ints.ok());
+  auto first = (*reader)->ReadSlices(*ints, {{0, 8}});
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->ToString(9),
+            frame.Select({"i"})->SliceRows(0, 8)->ToString(9));
+
+  auto strings = (*reader)->SelectColumns({"s", "cat"});
+  ASSERT_TRUE(strings.ok());
+  auto want = frame.Select({"s", "cat"});
+  ASSERT_TRUE(want.ok());
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      const size_t c = (*reader)->num_chunks() - 1 - t % 4;
+      auto chunk = (*reader)->ReadSlices(*strings, {{c, 8}});
+      auto slice = want->SliceRows(c * 8, 8);
+      if (!chunk.ok() || !slice.ok() ||
+          chunk->ToString(9) != slice->ToString(9)) {
+        ++mismatches;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Optimizer zone-prune pass end to end
 // ---------------------------------------------------------------------------

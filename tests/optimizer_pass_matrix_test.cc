@@ -1,7 +1,8 @@
 // Exhaustive optimizer-pass matrix over a fixed program that contains a
 // target shape for every pass: duplicate mask subexpressions (dedup),
-// head-of-head chains (redundant elimination) and a filter above a
-// row-wise-invariant op (predicate pushdown), beside elementwise chains
+// head-of-head chains and head-of-sort (top_k) chains (redundant
+// elimination) and a filter above a row-wise-invariant op (predicate
+// pushdown), beside elementwise chains
 // over filtered projections. Every subset of {dedup, redundant, pushdown}
 // on every backend, serial and parallel, must print and checksum exactly
 // what the eager reference prints.
@@ -52,6 +53,13 @@ class OptimizerPassMatrixTest : public ::testing::Test {
         // Filter above sort_values: pushdown reorders them.
         "v6 = df0.sort_values(by=[\"key\"])\n"
         "v7 = v6[(v6.key != 1)]\n"
+        // head(sort_values(x)) becomes top_k, once with a second consumer
+        // of the sort (the filter above), once with two keys in mixed
+        // directions over ties and nulls.
+        "v9 = v6.head(4)\n"
+        "v10 = df0.sort_values(by=[\"f1_t0\", \"key\"], "
+        "ascending=[False, True])\n"
+        "v11 = v10.head(7)\n"
         "s0 = len(v3)\n"
         "s1 = v7.f1_t0.sum()\n"
         // Anonymous filter -> get_column -> elementwise chain.
@@ -64,7 +72,9 @@ class OptimizerPassMatrixTest : public ::testing::Test {
         "checksum(v3)\n"
         "checksum(v5)\n"
         "checksum(v7)\n"
-        "checksum(v8)\n",
+        "checksum(v8)\n"
+        "print(v9)\n"
+        "print(v11)\n",
         {{"t0", *path}});
     reference_ = ExecuteUnderConfig(source_, ReferenceConfig());
     ASSERT_TRUE(reference_.status.ok())

@@ -300,6 +300,46 @@ TEST_F(OptimizerTest, RedundantHeadAndSelectCollapse) {
   EXPECT_EQ(eager->frame.num_columns(), 1u);
 }
 
+TEST_F(OptimizerTest, HeadOfSortBecomesTopK) {
+  auto session = MakeSession();
+  auto frame = FatDataFrame::ReadCsv(session.get(), csv_path_);
+  auto sorted = frame->SortValues({"city", "b"}, {false, true});
+  auto top = sorted->Head(4);
+  // A second consumer of the sort: it keeps its sort.
+  auto rest = sorted->Select({std::vector<std::string>{"a"}});
+  ASSERT_TRUE(top.ok() && rest.ok());
+  PassStats stats;
+  ASSERT_TRUE(EliminateRedundantOps(session.get(),
+                                    {top->node(), rest->node()}, &stats)
+                  .ok());
+  EXPECT_EQ(stats.redundant_ops_removed, 1);
+  EXPECT_EQ(rest->node()->inputs[0], sorted->node());
+  const auto& desc = top->node()->desc;
+  EXPECT_EQ(desc.kind, OpKind::kTopK);
+  EXPECT_EQ(desc.columns, (std::vector<std::string>{"city", "b"}));
+  EXPECT_EQ(desc.ascending, (std::vector<bool>{false, true}));
+  EXPECT_EQ(desc.n, 4u);
+  EXPECT_EQ(top->node()->inputs[0], frame->node());
+  EXPECT_EQ(sorted->node()->desc.kind, OpKind::kSortValues);
+
+  auto eager = top->Compute();
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  // SF sorts first (descending), then b ascending: rows 1, 4, 7, 10.
+  ASSERT_EQ(eager->frame.num_rows(), 4u);
+  for (int64_t r = 0; r < 4; ++r) {
+    EXPECT_EQ((*eager->frame.column("a"))->IntAt(r), 1 + 3 * r);
+  }
+
+  // An executed sort is left alone: its rows already exist.
+  ASSERT_TRUE(sorted->Compute().ok());
+  auto late = sorted->Head(2);
+  PassStats stats2;
+  ASSERT_TRUE(
+      EliminateRedundantOps(session.get(), {late->node()}, &stats2).ok());
+  EXPECT_EQ(stats2.redundant_ops_removed, 0);
+  EXPECT_EQ(late->node()->desc.kind, OpKind::kHead);
+}
+
 TEST_F(OptimizerTest, DoubleNegationCollapses) {
   auto session = MakeSession();
   auto frame = FatDataFrame::ReadCsv(session.get(), csv_path_);

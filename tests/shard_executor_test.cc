@@ -30,6 +30,8 @@
 #include "io/columnar.h"
 #include "io/csv.h"
 #include "lazy/fat_dataframe.h"
+#include "optimizer/passes.h"
+#include "script/analyze.h"
 #include "shard/pool.h"
 #include "shard/shard_backend.h"
 
@@ -70,7 +72,7 @@ class ShardExecutorTest : public ::testing::Test {
     SessionOptions opts;
     opts.backend = backend;
     opts.backend_config.shards = shards;
-    opts.backend_config.partition_rows = 64;
+    opts.backend_config.partition_rows = partition_rows_;
     opts.tracker = &tracker_;
     opts.output = &output_;
     opts.fault_config = faults;
@@ -115,6 +117,7 @@ class ShardExecutorTest : public ::testing::Test {
   }
 
   std::string dir_, csv_path_, dim_path_;
+  size_t partition_rows_ = 64;
   MemoryTracker tracker_{0};
   std::stringstream output_;
 };
@@ -188,14 +191,19 @@ TEST_F(ShardExecutorTest, PipelineStaysPartitionLocal) {
             static_cast<int64_t>(gather_bytes->size()));
 }
 
-// head(5) fetches only the partitions holding its rows: the first of the
-// scan's eleven 64-row partitions, not a gather of all of them.
+// head(5) runs only on the partitions holding its rows, where they live:
+// the first of the scan's three 256-row partitions, not a gather of all
+// of them, and it ships 5 rows, not the partition.
 TEST_F(ShardExecutorTest, HeadFetchesOnlyItsPrefix) {
+  partition_rows_ = 256;
   MemoryTracker scan_tracker(0);
   auto scanned = io::ReadCsv(csv_path_, {}, &scan_tracker);
   ASSERT_TRUE(scanned.ok());
-  auto gather_bytes = io::EncodeLfc(*scanned);
-  ASSERT_TRUE(gather_bytes.ok());
+  // Partition 0 as the wire would carry it.
+  auto first_partition = scanned->SliceRows(0, partition_rows_);
+  ASSERT_TRUE(first_partition.ok());
+  auto partition_bytes = io::EncodeLfc(*first_partition);
+  ASSERT_TRUE(partition_bytes.ok());
   auto run = [&](Session* session) -> Result<std::string> {
     LAFP_ASSIGN_OR_RETURN(auto frame, FatDataFrame::ReadCsv(session, csv_path_));
     LAFP_ASSIGN_OR_RETURN(auto head, frame.Head(5));
@@ -212,11 +220,75 @@ TEST_F(ShardExecutorTest, HeadFetchesOnlyItsPrefix) {
   auto after = registry->Scrape();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(*out, *reference);
-  // Four scans, one kGetFrame for partition 0, one kPutFrame placing the
-  // head and one kGetFrame materializing it. A gather fetches all eleven.
+  // Four scans, one kExecOp running head(5) where partition 0 lives, one
+  // kPutFrame placing the head and one kGetFrame materializing it: less
+  // than partition 0 alone, which a fetch of the prefix would ship.
   EXPECT_EQ(after["shard.calls"] - before["shard.calls"], 7);
   EXPECT_LT(after["shard.bytes_shipped"] - before["shard.bytes_shipped"],
-            static_cast<int64_t>(gather_bytes->size()));
+            static_cast<int64_t>(partition_bytes->size()));
+}
+
+// The rewriter forces `t = df.compute(live_df=[...])` ahead of an external
+// call or a checksum of a lazy frame, as in the emp program. The call
+// consumes the value that compute made: it runs no second round and
+// fetches the frame no second time.
+TEST_F(ShardExecutorTest, ComputeThenConsumeFetchesTheFrameOnce) {
+  const std::string program =
+      "import lazyfatpandas.pandas as pd\n"
+      "import matplotlib.pyplot as plt\n"
+      "df = pd.read_csv(\"" + csv_path_ + "\")\n"
+      "by_grp = df.groupby([\"grp\"])[\"v\"].mean()\n"
+      "print(by_grp)\n"
+      "plt.plot(df)\n"
+      "big = df[df.v > 50]\n"
+      "by_label = big.groupby([\"label\"])[\"v\"].max()\n"
+      "checksum(by_grp)\n"
+      "checksum(by_label)\n";
+  // Runs the program as LaFP does (analyzed, lazy prints, the default
+  // passes) or, for the reference, as written on eager Pandas.
+  auto run = [&](BackendKind backend, int shards, bool lafp,
+                 int64_t* rounds) -> Result<std::string> {
+    std::stringstream out;
+    SessionOptions opts;
+    opts.backend = backend;
+    opts.backend_config.shards = shards;
+    opts.backend_config.partition_rows = partition_rows_;
+    opts.tracker = &tracker_;
+    opts.output = &out;
+    opts.mode = lafp ? ExecutionMode::kLazy : ExecutionMode::kEager;
+    opts.lazy_print = lafp;
+    Session session(opts);
+    if (lafp) opt::InstallDefaultOptimizer(&session);
+    script::RunOptions run_opts;
+    run_opts.analyze = lafp;
+    LAFP_RETURN_NOT_OK(script::RunProgram(program, &session, run_opts));
+    if (rounds != nullptr) *rounds = session.num_rounds();
+    return out.str();
+  };
+  auto reference = run(BackendKind::kPandas, 0, /*lafp=*/false, nullptr);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (BackendKind backend : {BackendKind::kPandas, BackendKind::kModin,
+                              BackendKind::kDask}) {
+    auto out = run(backend, 0, /*lafp=*/true, nullptr);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(*out, *reference) << exec::BackendKindName(backend);
+  }
+
+  metrics::Registry* registry = metrics::Registry::Global();
+  auto before = registry->Scrape();
+  int64_t rounds = 0;
+  auto out = run(BackendKind::kShard, 4, /*lafp=*/true, &rounds);
+  auto after = registry->Scrape();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(*out, *reference);
+  // Three computes (the plot's and the two checksums'), one round each:
+  // the prints ride in the first. Consumers that computed again would
+  // make it six.
+  EXPECT_EQ(rounds, 3);
+  // Each computed frame is fetched once. Fetching again in the consumers
+  // would add the plotted frame's eleven partitions and one partition
+  // for each checksummed group-by: 88 calls.
+  EXPECT_EQ(after["shard.calls"] - before["shard.calls"], 75);
 }
 
 // A worker SIGKILLed while the scan request is in flight is respawned and
