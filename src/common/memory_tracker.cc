@@ -1,5 +1,7 @@
 #include "common/memory_tracker.h"
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <sstream>
 
@@ -7,6 +9,26 @@
 #include "common/macros.h"
 
 namespace lafp {
+
+namespace {
+
+/// glibc serves an allocation at or above its mmap threshold from a fresh
+/// mmap, which faults in every page, and raises that threshold only after
+/// a large mmapped chunk is freed. So whether a job's large column
+/// buffers reuse heap pages would depend on what earlier jobs of the
+/// process freed. Both thresholds are pinned once per process, at start-up
+/// (the initializer below): buffers below 32 MiB come from the heap, and
+/// the heap returns memory to the system only past 64 MiB of free top.
+constexpr int kMmapThresholdBytes = 32 << 20;
+constexpr int kTrimThresholdBytes = 64 << 20;
+
+[[maybe_unused]] const bool kAllocatorPinned = [] {
+  mallopt(M_MMAP_THRESHOLD, kMmapThresholdBytes);
+  mallopt(M_TRIM_THRESHOLD, kTrimThresholdBytes);
+  return true;
+}();
+
+}  // namespace
 
 Status MemoryTracker::Reserve(int64_t bytes) {
   if (bytes < 0) return Status::Invalid("negative reservation");
