@@ -259,11 +259,13 @@ bool Get(WireReader* r, io::CsvReadOptions* v) {
 void Put(WireWriter* w, const io::LfcReadOptions& v) {
   Put(w, v.usecols);
   Put(w, v.nrows);
+  Put(w, v.categories);
   Put(w, v.prune);
   Put(w, v.prune_enabled);
 }
 bool Get(WireReader* r, io::LfcReadOptions* v) {
-  return Get(r, &v->usecols) && Get(r, &v->nrows) && Get(r, &v->prune) &&
+  return Get(r, &v->usecols) && Get(r, &v->nrows) &&
+         Get(r, &v->categories) && Get(r, &v->prune) &&
          Get(r, &v->prune_enabled);
 }
 
@@ -441,6 +443,7 @@ class FieldPrinter {
   }
   void operator()(OpField, const io::LfcReadOptions& v) {
     Option("usecols", v.usecols);
+    Option("categories", v.categories);
     Option("prune", v.prune);
     if (v.nrows != 0) parts_.push_back("nrows=" + Display(v.nrows));
   }

@@ -20,6 +20,7 @@ Result<std::unique_ptr<ScanUnits>> ScanUnits::Open(const OpDesc& desc,
     LAFP_ASSIGN_OR_RETURN(units->lfc_columns_,
                           units->lfc_->SelectColumns(desc.lfc_options.usecols));
     units->lfc_slices_ = units->lfc_->Slices(desc.lfc_options);
+    units->lfc_categories_ = desc.lfc_options.categories;
   } else {
     return Status::Invalid(std::string("not a scan: ") + Traits(desc.kind).name);
   }
@@ -52,8 +53,8 @@ Result<df::DataFrame> ScanUnits::Read(const ScanUnit& unit) const {
   if (csv_ != nullptr) {
     return unit.empty ? csv_->EmptyFrame() : csv_->ParseRange(unit.range);
   }
-  if (unit.empty) return lfc_->ReadSlices(lfc_columns_, {});
-  return lfc_->ReadSlices(lfc_columns_, {unit.slice});
+  if (unit.empty) return lfc_->ReadSlices(lfc_columns_, {}, lfc_categories_);
+  return lfc_->ReadSlices(lfc_columns_, {unit.slice}, lfc_categories_);
 }
 
 Strategy StrategyOf(const OpDesc& desc) {

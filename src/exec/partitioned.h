@@ -47,6 +47,7 @@ class ScanUnits {
   std::unique_ptr<io::CsvChunkReader> csv_;
   std::unique_ptr<io::LfcReader> lfc_;
   std::vector<size_t> lfc_columns_;  // projection, file order
+  std::vector<std::string> lfc_categories_;  // read as categories
   std::vector<io::LfcSlice> lfc_slices_;
   size_t partition_rows_ = 0;
   size_t emitted_ = 0;

@@ -753,10 +753,13 @@ Status LfcReader::Parse() {
         return corrupt("null count exceeds chunk rows");
       }
     }
-    info_.columns.push_back(
-        {col.name, col.was_category ? df::DataType::kCategory
-         : col.physical == df::DataType::kCategory ? df::DataType::kString
-                                                   : col.physical});
+    df::DataType type = col.physical;
+    if (col.was_category) {
+      type = df::DataType::kCategory;
+    } else if (col.physical == df::DataType::kCategory) {
+      type = df::DataType::kString;
+    }
+    info_.columns.push_back({col.name, type, col.dict_count});
   }
   if (!footer.Done()) return corrupt("trailing bytes in footer");
   return Status::OK();
@@ -813,124 +816,132 @@ bool LfcReader::ChunkMayMatch(size_t chunk,
 
 namespace {
 
-/// Decode `take` rows of one column chunk, appending into caller-owned
-/// typed vectors (so multi-chunk assembly is one allocation per column).
-struct ColumnAssembly {
-  std::vector<int64_t> ints;
-  std::vector<double> doubles;
-  std::vector<uint8_t> bools;
-  std::vector<int32_t> codes;
-  std::vector<std::string> strings;
+/// Decodes `slices` of one column into one column of `total` rows, each
+/// buffer allocated once. Dictionary columns decode to range-checked
+/// codes into `col.dict`: kept as a category column when `as_category`,
+/// else resolved to one string per row.
+Result<df::ColumnPtr> DecodeColumn(const std::string& source,
+                                   const ColumnEntry& col, const uint8_t* base,
+                                   const std::vector<LfcSlice>& slices,
+                                   const std::vector<uint64_t>& chunk_rows,
+                                   size_t total, bool as_category,
+                                   MemoryTracker* tracker) {
+  auto take_of = [&](const LfcSlice& s) {
+    return std::min(s.rows, chunk_rows[s.chunk]);
+  };
+  // Validity: bits are LSB-first within each byte. An all-valid column
+  // allocates none.
   std::vector<uint8_t> validity;
   bool saw_invalid = false;
-};
-
-Status DecodeChunkInto(const std::string& source, const ColumnEntry& col,
-                       const ChunkMeta& cm, const uint8_t* base,
-                       uint64_t take, ColumnAssembly* out) {
-  // Validity first: bits are LSB-first within each byte.
-  const size_t prior = out->validity.size();
-  out->validity.resize(prior + take, 1);
-  uint8_t* valid = out->validity.data() + prior;
-  if (cm.validity_bytes != 0) {
-    const uint8_t* bitmap = base + cm.offset;
-    for (uint64_t i = 0; i < take; ++i) {
-      valid[i] = (bitmap[i / 8] >> (i % 8)) & 1;
-      if (valid[i] == 0) out->saw_invalid = true;
+  size_t at = 0;
+  for (const LfcSlice& s : slices) {
+    const ChunkMeta& cm = col.chunks[s.chunk];
+    const uint64_t take = take_of(s);
+    if (cm.validity_bytes != 0) {
+      if (validity.empty()) validity.assign(total, 1);
+      const uint8_t* bitmap = base + cm.offset;
+      for (uint64_t i = 0; i < take; ++i) {
+        const uint8_t bit = (bitmap[i / 8] >> (i % 8)) & 1;
+        validity[at + i] = bit;
+        saw_invalid |= bit == 0;
+      }
     }
+    at += take;
   }
-  const uint8_t* payload = base + cm.offset + cm.validity_bytes;
-  auto append_raw = [&](auto* values) {
-    const size_t at = values->size();
-    values->resize(at + take);
-    std::memcpy(values->data() + at, payload, take * sizeof((*values)[0]));
+  // Payloads are fixed-width: each slice's bytes copy into one buffer.
+  auto payloads = [&](auto* values) {
+    values->resize(total);
+    size_t at = 0;
+    for (const LfcSlice& s : slices) {
+      const ChunkMeta& cm = col.chunks[s.chunk];
+      const uint64_t take = take_of(s);
+      std::memcpy(values->data() + at, base + cm.offset + cm.validity_bytes,
+                  take * sizeof((*values)[0]));
+      at += take;
+    }
   };
+  if (!saw_invalid) validity.clear();
   switch (col.physical) {
     case df::DataType::kInt64:
-    case df::DataType::kTimestamp:
-      append_raw(&out->ints);
-      break;
-    case df::DataType::kDouble:
-      append_raw(&out->doubles);
-      break;
-    case df::DataType::kBool:
-      append_raw(&out->bools);
-      break;
+    case df::DataType::kTimestamp: {
+      std::vector<int64_t> ints;
+      payloads(&ints);
+      return col.physical == df::DataType::kInt64
+                 ? df::Column::MakeInt(std::move(ints), std::move(validity),
+                                       tracker)
+                 : df::Column::MakeTimestamp(std::move(ints),
+                                             std::move(validity), tracker);
+    }
+    case df::DataType::kDouble: {
+      std::vector<double> doubles;
+      payloads(&doubles);
+      return df::Column::MakeDouble(std::move(doubles), std::move(validity),
+                                    tracker);
+    }
+    case df::DataType::kBool: {
+      std::vector<uint8_t> bools;
+      payloads(&bools);
+      return df::Column::MakeBool(std::move(bools), std::move(validity),
+                                  tracker);
+    }
     case df::DataType::kString:
     case df::DataType::kCategory: {
-      const df::Dictionary& dict = *col.dict;
-      for (uint64_t i = 0; i < take; ++i) {
-        uint32_t code = 0;
-        std::memcpy(&code, payload + i * 4, 4);
-        if (valid[i] == 0) {
-          code = 0;  // never dereference a null row's code
-        } else if (code >= col.dict_count) {
+      // The u32 codes land as int32s: a code past the dictionary (the
+      // check below) is the only value that could not be one.
+      std::vector<int32_t> codes;
+      payloads(&codes);
+      for (size_t i = 0; i < total; ++i) {
+        if (!validity.empty() && validity[i] == 0) {
+          codes[i] = 0;  // never dereference a null row's code
+        } else if (static_cast<uint32_t>(codes[i]) >= col.dict_count) {
           return Corrupt(source, "dictionary code out of range");
         }
-        if (col.was_category) {
-          out->codes.push_back(static_cast<int32_t>(code));
+      }
+      if (as_category) {
+        return df::Column::MakeCategory(std::move(codes), std::move(validity),
+                                        col.dict, tracker);
+      }
+      const df::Dictionary& dict = *col.dict;
+      std::vector<std::string> strings;
+      strings.reserve(total);
+      for (size_t i = 0; i < total; ++i) {
+        if (!validity.empty() && validity[i] == 0) {
+          strings.emplace_back();
         } else {
-          out->strings.push_back(valid[i] != 0 ? dict[code] : std::string());
+          strings.push_back(dict[codes[i]]);
         }
       }
-      break;
+      return df::Column::MakeString(std::move(strings), std::move(validity),
+                                    tracker);
     }
     case df::DataType::kNull:
-      return Corrupt(source, "bad column type");
+      break;
   }
-  return Status::OK();
-}
-
-Result<df::ColumnPtr> FinishAssembly(const ColumnEntry& col,
-                                     ColumnAssembly&& a,
-                                     MemoryTracker* tracker) {
-  std::vector<uint8_t> validity;
-  if (a.saw_invalid) validity = std::move(a.validity);
-  switch (col.physical) {
-    case df::DataType::kInt64:
-      return df::Column::MakeInt(std::move(a.ints), std::move(validity),
-                                 tracker);
-    case df::DataType::kTimestamp:
-      return df::Column::MakeTimestamp(std::move(a.ints),
-                                       std::move(validity), tracker);
-    case df::DataType::kDouble:
-      return df::Column::MakeDouble(std::move(a.doubles),
-                                    std::move(validity), tracker);
-    case df::DataType::kBool:
-      return df::Column::MakeBool(std::move(a.bools), std::move(validity),
-                                  tracker);
-    case df::DataType::kString:
-    case df::DataType::kCategory:
-      if (col.was_category) {
-        return df::Column::MakeCategory(std::move(a.codes),
-                                        std::move(validity), col.dict,
-                                        tracker);
-      }
-      return df::Column::MakeString(std::move(a.strings),
-                                    std::move(validity), tracker);
-    default:
-      return Status::Invalid("bad lfc column type");
-  }
+  return Corrupt(source, "bad column type");
 }
 
 }  // namespace
 
 Result<df::DataFrame> LfcReader::ReadSlices(
-    const std::vector<size_t>& col_idxs,
-    const std::vector<LfcSlice>& slices) const {
+    const std::vector<size_t>& col_idxs, const std::vector<LfcSlice>& slices,
+    const std::vector<std::string>& categories) const {
+  size_t total = 0;
+  for (const LfcSlice& s : slices) {
+    total += std::min(s.rows, chunk_rows_[s.chunk]);
+  }
   std::vector<std::string> names;
   std::vector<df::ColumnPtr> cols;
   for (size_t idx : col_idxs) {
     impl_->DecodeDict(idx);
     const ColumnEntry& col = impl_->cols[idx];
-    ColumnAssembly a;
-    for (const LfcSlice& s : slices) {
-      LAFP_RETURN_NOT_OK(DecodeChunkInto(
-          source_, col, col.chunks[s.chunk], impl_->base(),
-          std::min(s.rows, chunk_rows_[s.chunk]), &a));
-    }
-    LAFP_ASSIGN_OR_RETURN(df::ColumnPtr built,
-                          FinishAssembly(col, std::move(a), tracker_));
+    const bool as_category =
+        col.was_category ||
+        (col.dict_encoded && std::find(categories.begin(), categories.end(),
+                                       col.name) != categories.end());
+    LAFP_ASSIGN_OR_RETURN(
+        df::ColumnPtr built,
+        DecodeColumn(source_, col, impl_->base(), slices, chunk_rows_, total,
+                     as_category, tracker_));
     names.push_back(col.name);
     cols.push_back(std::move(built));
   }
@@ -981,7 +992,8 @@ Result<df::DataFrame> ReadLfcFile(const std::string& path,
   LAFP_ASSIGN_OR_RETURN(auto reader, LfcReader::Open(path, tracker));
   LAFP_ASSIGN_OR_RETURN(std::vector<size_t> sel,
                         reader->SelectColumns(options.usecols));
-  return reader->ReadSlices(sel, reader->Slices(options, stats));
+  return reader->ReadSlices(sel, reader->Slices(options, stats),
+                            options.categories);
 }
 
 Result<df::DataFrame> DecodeLfc(std::string_view bytes,

@@ -57,6 +57,11 @@ struct LfcPredicate {
 struct LfcReadOptions {
   std::vector<std::string> usecols;  // empty = all; selected in file order
   size_t nrows = 0;                  // 0 = all rows
+  /// String columns to read as categories (§3.6 hints, sorted): their
+  /// chunks decode to codes into the file's dictionary. A name that is
+  /// not a selected string column is ignored, as LFC stores every other
+  /// type exactly.
+  std::vector<std::string> categories;
   /// Conjunctive zone-map predicates attached by the optimizer's
   /// zone-prune pass (or tests). Skipped chunks still consume their
   /// `nrows` quota so pruned output == Filter(unpruned output).
@@ -89,6 +94,7 @@ struct LfcZoneMap {
 struct LfcColumnInfo {
   std::string name;
   df::DataType type = df::DataType::kNull;  // logical (kCategory kept)
+  uint32_t dict_size = 0;  // dictionary entries of a string/category column
 };
 
 struct LfcFileInfo {
@@ -183,10 +189,14 @@ class LfcReader {
                                LfcReadStats* stats = nullptr) const;
 
   /// Decode `slices`, in order, into one frame projected to `col_idxs`
-  /// (file-order indexes from SelectColumns), one allocation per column.
-  /// No slices gives an empty frame carrying the projected schema.
-  Result<df::DataFrame> ReadSlices(const std::vector<size_t>& col_idxs,
-                                   const std::vector<LfcSlice>& slices) const;
+  /// (file-order indexes from SelectColumns), one allocation per column
+  /// buffer. A string column named in `categories`, and a column written
+  /// as a category, decodes to codes that share this reader's one
+  /// dictionary; other string columns resolve their codes to strings. No
+  /// slices gives an empty frame carrying the projected schema.
+  Result<df::DataFrame> ReadSlices(
+      const std::vector<size_t>& col_idxs, const std::vector<LfcSlice>& slices,
+      const std::vector<std::string>& categories = {}) const;
 
  private:
   struct Impl;

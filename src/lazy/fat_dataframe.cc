@@ -1,5 +1,7 @@
 #include "lazy/fat_dataframe.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 
 namespace lafp::lazy {
@@ -12,11 +14,14 @@ Result<FatDataFrame> FatDataFrame::ReadCsv(Session* session,
                                            io::CsvReadOptions options) {
   if (io::IsLfcFile(path)) {
     // Transparent dispatch: a read_csv pointed at a converted file scans
-    // natively. dtype hints don't apply (LFC types are stored), and the
-    // usecols/nrows contracts are identical.
+    // natively. The usecols/nrows contracts are identical; of the dtype
+    // hints only categories apply, as LFC stores every other type.
     io::LfcReadOptions lfc;
     lfc.usecols = std::move(options.usecols);
     lfc.nrows = options.nrows;
+    for (const auto& [column, type] : options.dtypes) {
+      if (type == df::DataType::kCategory) lfc.categories.push_back(column);
+    }
     return ReadLfc(session, path, std::move(lfc));
   }
   OpDesc desc;
@@ -31,6 +36,11 @@ Result<FatDataFrame> FatDataFrame::ReadCsv(Session* session,
 Result<FatDataFrame> FatDataFrame::ReadLfc(Session* session,
                                            const std::string& path,
                                            io::LfcReadOptions options) {
+  // One spelling per hint set, so equal reads share a CSE and cache key.
+  std::vector<std::string>& categories = options.categories;
+  std::sort(categories.begin(), categories.end());
+  categories.erase(std::unique(categories.begin(), categories.end()),
+                   categories.end());
   OpDesc desc;
   desc.kind = OpKind::kReadLfc;
   desc.path = path;
@@ -393,7 +403,15 @@ std::string FatDataFrame::DebugDot() const {
 
 Result<df::Scalar> LazyScalar::Value() const {
   if (!valid()) return Status::Invalid("value of an empty LazyScalar");
-  LAFP_ASSIGN_OR_RETURN(exec::EagerValue v, session_->Compute(node_, {}));
+  // A scalar an earlier round computed (`n = len(df).compute(...)`) needs
+  // no round of its own, unless prints wait to be emitted before it. A
+  // lazy backend holds it on its persisted plan node.
+  exec::EagerValue v;
+  if (node_->has_result() && !session_->has_pending_prints()) {
+    LAFP_ASSIGN_OR_RETURN(v, session_->backend()->Materialize(node_->result));
+  } else {
+    LAFP_ASSIGN_OR_RETURN(v, session_->Compute(node_, {}));
+  }
   if (!v.is_scalar) {
     return Status::TypeError("lazy scalar evaluated to a frame");
   }

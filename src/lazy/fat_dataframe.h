@@ -52,13 +52,14 @@ class FatDataFrame {
 
   /// pd.read_csv(path, usecols=..., dtype=...). When `path` is actually
   /// an LFC columnar file (magic sniff), the scan dispatches to ReadLfc
-  /// with the shared knobs (usecols/nrows) carried over — scripts can
-  /// point an unchanged read_csv call at a converted file.
+  /// with the shared knobs (usecols/nrows, category dtypes) carried over —
+  /// scripts can point an unchanged read_csv call at a converted file.
   static Result<FatDataFrame> ReadCsv(Session* session,
                                       const std::string& path,
                                       io::CsvReadOptions options = {});
 
-  /// pd.read_lfc(path, usecols=..., nrows=...) — native columnar scan.
+  /// pd.read_lfc(path, usecols=..., nrows=..., dtype=...) — native
+  /// columnar scan; `options.categories` are the dtype's category hints.
   static Result<FatDataFrame> ReadLfc(Session* session,
                                       const std::string& path,
                                       io::LfcReadOptions options = {});

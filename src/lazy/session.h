@@ -334,6 +334,8 @@ class Session {
 
   /// Evaluate every pending lazy print (pd.flush(), end of program).
   Status Flush();
+  /// True while a lazy print waits for the next round.
+  bool has_pending_prints() const { return !pending_prints_.empty(); }
 
   /// Force computation of `node`, first processing pending prints (§3.4).
   /// `live` lists dataframes live after this point (the rewriter's

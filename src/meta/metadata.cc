@@ -19,7 +19,7 @@ int64_t FileModifiedTime(const std::string& path) {
   std::error_code ec;
   auto t = fs::last_write_time(path, ec);
   if (ec) return 0;
-  return std::chrono::duration_cast<std::chrono::seconds>(
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
              t.time_since_epoch())
       .count();
 }
@@ -257,7 +257,10 @@ Result<std::optional<FileMetadata>> MetaStore::Lookup(
   buffer << in.rdbuf();
   LAFP_ASSIGN_OR_RETURN(FileMetadata md,
                         FileMetadata::Deserialize(buffer.str()));
-  if (md.modified_time != FileModifiedTime(csv_path)) {
+  // A rewrite within the same second changes the full-resolution mtime,
+  // and almost always the size.
+  if (md.modified_time != FileModifiedTime(csv_path) ||
+      md.file_bytes != FileSizeBytes(csv_path)) {
     return std::optional<FileMetadata>();  // stale
   }
   return std::optional<FileMetadata>(std::move(md));

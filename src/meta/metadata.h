@@ -23,11 +23,12 @@ struct ColumnMeta {
   double avg_value_bytes = 8.0;  // in-memory width estimate per value
 };
 
-/// Metadata for one CSV dataset: modification time (staleness check),
-/// approximate cardinality and row width, plus per-column stats.
+/// Metadata for one CSV dataset: modification time and size (the
+/// staleness check), approximate cardinality and row width, plus
+/// per-column stats.
 struct FileMetadata {
   std::string path;
-  int64_t modified_time = 0;  // seconds since epoch
+  int64_t modified_time = 0;  // ns since the file clock's epoch
   int64_t file_bytes = 0;
   int64_t approx_rows = 0;
   double avg_row_bytes = 0.0;  // on-disk
@@ -66,9 +67,9 @@ Result<FileMetadata> ComputeFileMetadata(const std::string& csv_path,
                                          const ComputeOptions& options = {});
 
 /// On-disk store of FileMetadata, one sidecar file per dataset, in
-/// `store_dir`. Lookup validates the dataset's current mtime and refuses
-/// stale entries (paper: "metadata computed before the last update is not
-/// used").
+/// `store_dir`. Lookup compares the dataset's current mtime, at full
+/// resolution, and size with the stored ones and refuses a stale entry
+/// (paper: "metadata computed before the last update is not used").
 class MetaStore {
  public:
   explicit MetaStore(std::string store_dir);
@@ -92,7 +93,8 @@ class MetaStore {
   std::string store_dir_;
 };
 
-/// Current mtime of a file in seconds since epoch (0 if missing).
+/// Current mtime of a file in ns since the file clock's epoch (0 if
+/// missing).
 int64_t FileModifiedTime(const std::string& path);
 int64_t FileSizeBytes(const std::string& path);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <unordered_map>
 
@@ -231,6 +232,21 @@ class Interpreter {
         return Status::TypeError("expected string list elements");
       }
       out.push_back(elem.s);
+    }
+    return out;
+  }
+
+  /// A read's `dtype={column: "type"}` mapping.
+  Result<std::map<std::string, df::DataType>> ToDtypes(const Value& v) {
+    if (v.kind != Value::Kind::kDict) {
+      return Status::TypeError("dtype must be a dict");
+    }
+    std::map<std::string, df::DataType> out;
+    for (const auto& [col, type_name] : v.dict) {
+      if (type_name.kind != Value::Kind::kStr) {
+        return Status::TypeError("dtype values must be strings");
+      }
+      LAFP_ASSIGN_OR_RETURN(out[col], df::DataTypeFromName(type_name.s));
     }
     return out;
   }
@@ -738,17 +754,7 @@ class Interpreter {
             }
             options.nrows = static_cast<size_t>(v.i);
           } else if (name == "dtype") {
-            if (v.kind != Value::Kind::kDict) {
-              return Status::TypeError("dtype must be a dict");
-            }
-            for (const auto& [col, type_name] : v.dict) {
-              if (type_name.kind != Value::Kind::kStr) {
-                return Status::TypeError("dtype values must be strings");
-              }
-              LAFP_ASSIGN_OR_RETURN(df::DataType t,
-                                    df::DataTypeFromName(type_name.s));
-              options.dtypes[col] = t;
-            }
+            LAFP_ASSIGN_OR_RETURN(options.dtypes, ToDtypes(v));
           } else if (name == "index_col") {
             // Accepted for API fidelity; row labels are implicit here.
           } else {
@@ -775,6 +781,14 @@ class Interpreter {
               return Status::TypeError("nrows must be an integer");
             }
             options.nrows = static_cast<size_t>(v.i);
+          } else if (name == "dtype") {
+            // LFC stores exact types: only category hints apply.
+            LAFP_ASSIGN_OR_RETURN(auto dtypes, ToDtypes(v));
+            for (const auto& [col, type] : dtypes) {
+              if (type == df::DataType::kCategory) {
+                options.categories.push_back(col);
+              }
+            }
           } else {
             return Status::NotImplemented("read_lfc kwarg '" + name + "'");
           }

@@ -1,6 +1,8 @@
 #include "script/rewriter.h"
 
 #include <algorithm>
+#include <map>
+#include <optional>
 
 #include "common/macros.h"
 #include "io/columnar.h"
@@ -27,27 +29,22 @@ bool HasKwarg(const IRExpr& expr, const std::string& name) {
   return false;
 }
 
-/// Restrict liveness-derived columns to those actually present in the
-/// CSV header. Liveness over-approximates across merges (a column may
-/// come from either side); reading a column the file lacks would fail.
-void FilterToFileColumns(const std::string& path,
-                         std::vector<std::string>* cols) {
-  std::vector<std::string> fields;
+/// The columns of the file a read names: the LFC footer's (also returned
+/// in `lfc`, which holds each string column's dictionary size) or the CSV
+/// header's. nullopt when the file cannot be read.
+std::optional<std::vector<std::string>> FileColumns(
+    const std::string& path, std::optional<io::LfcFileInfo>* lfc) {
   if (io::IsLfcFile(path)) {
     auto info = io::ReadLfcInfo(path);
-    if (!info.ok()) return;  // cannot verify: leave as-is
-    for (const auto& c : info->columns) fields.push_back(c.name);
-  } else {
-    auto header = io::ReadCsvHeaderNames(path, ',');
-    if (!header.ok()) return;  // cannot verify: leave as-is
-    fields = std::move(*header);
+    if (!info.ok()) return std::nullopt;
+    std::vector<std::string> names;
+    for (const auto& c : info->columns) names.push_back(c.name);
+    *lfc = *std::move(info);
+    return names;
   }
-  cols->erase(std::remove_if(cols->begin(), cols->end(),
-                             [&](const std::string& c) {
-                               return std::find(fields.begin(), fields.end(),
-                                                c) == fields.end();
-                             }),
-              cols->end());
+  auto header = io::ReadCsvHeaderNames(path, ',');
+  if (!header.ok()) return std::nullopt;
+  return *std::move(header);
 }
 
 /// An external-module call whose arguments include dataframe variables
@@ -137,8 +134,20 @@ Result<IRProgram> Rewrite(const IRProgram& program,
       std::vector<std::string> live_cols =
           liveness.LiveColumnsAfter(i, stmt.target, &all_columns);
       std::sort(live_cols.begin(), live_cols.end());
-      if (!stmt.expr.operands.empty() && stmt.expr.operands[0].is_str()) {
-        FilterToFileColumns(stmt.expr.operands[0].str_value, &live_cols);
+      // Restrict liveness-derived columns to those actually present in
+      // the file. Liveness over-approximates across merges (a column may
+      // come from either side); reading a column the file lacks would fail.
+      const bool literal_path =
+          !stmt.expr.operands.empty() && stmt.expr.operands[0].is_str();
+      std::optional<io::LfcFileInfo> lfc;
+      if (literal_path) {
+        auto fields = FileColumns(stmt.expr.operands[0].str_value, &lfc);
+        if (fields.has_value()) {
+          std::erase_if(live_cols, [&](const std::string& c) {
+            return std::find(fields->begin(), fields->end(), c) ==
+                   fields->end();
+          });
+        }
       }
 
       bool pruned = false;
@@ -159,50 +168,60 @@ Result<IRProgram> Rewrite(const IRProgram& program,
         ++stats->reads_pruned;
       }
 
-      // §3.6 dtype hints sample the CSV text; LFC files store exact
-      // types in their footer, so hints are both unneeded and unparsable.
-      if (options.metadata_dtypes && options.metastore != nullptr &&
-          stmt.expr.attr == "read_csv" &&
-          !stmt.expr.operands.empty() && stmt.expr.operands[0].is_str() &&
-          !io::IsLfcFile(stmt.expr.operands[0].str_value) &&
+      // §3.6 dtype hints. A CSV read takes them from the metastore's
+      // sample; an LFC read needs no sample, as its footer holds each
+      // string column's exact dictionary. Only read-only columns (never
+      // assigned anywhere in the program, §3.6 safety) become categories,
+      // and only columns that will actually be read get a hint.
+      std::map<std::string, df::DataType> hints;
+      auto read_only = [&](const std::string& col) {
+        return model.assigned_columns.count(col) == 0;
+      };
+      auto live = [&](const std::string& col) {
+        return std::binary_search(live_cols.begin(), live_cols.end(), col);
+      };
+      if (options.metadata_dtypes && literal_path &&
           !HasKwarg(stmt.expr, "dtype")) {
-        auto md =
-            options.metastore->GetOrCompute(stmt.expr.operands[0].str_value);
-        if (md.ok()) {
-          // Read-only columns (§3.6 safety): never assigned anywhere in
-          // the program.
-          std::vector<std::string> read_only;
-          for (const auto& col : md->columns) {
-            if (model.assigned_columns.count(col.name) == 0) {
-              read_only.push_back(col.name);
+        if (lfc.has_value()) {
+          // An all-null column has an empty dictionary and stays a string,
+          // as a CSV column with no sampled value does.
+          for (const auto& col : lfc->columns) {
+            if (col.type == df::DataType::kString && col.dict_size > 0 &&
+                int64_t{col.dict_size} <= options.category_max_distinct &&
+                read_only(col.name) && (all_columns || live(col.name))) {
+              hints[col.name] = df::DataType::kCategory;
             }
           }
-          auto hints =
-              md->DtypeHints(read_only, options.category_max_distinct);
-          IRStmt dict_stmt;
-          dict_stmt.kind = IRStmtKind::kAssign;
-          dict_stmt.target = out.NewTemp();
-          dict_stmt.expr.kind = IRExprKind::kDict;
-          for (const auto& [col, type] : hints) {
-            // Only hint columns that will actually be read.
-            if (pruned && !std::binary_search(live_cols.begin(),
-                                              live_cols.end(), col)) {
-              continue;
+        } else if (options.metastore != nullptr &&
+                   stmt.expr.attr == "read_csv") {
+          auto md = options.metastore->GetOrCompute(
+              stmt.expr.operands[0].str_value);
+          if (md.ok()) {
+            std::vector<std::string> read_only_cols;
+            for (const auto& col : md->columns) {
+              if (read_only(col.name)) read_only_cols.push_back(col.name);
             }
-            dict_stmt.expr.dict_items.emplace_back(
-                IRValue::Str(col), IRValue::Str(df::DataTypeName(type)));
-            if (type == df::DataType::kCategory) {
-              ++stats->category_columns;
+            for (const auto& [col, type] : md->DtypeHints(
+                     read_only_cols, options.category_max_distinct)) {
+              if (!pruned || live(col)) hints[col] = type;
             }
-          }
-          if (!dict_stmt.expr.dict_items.empty()) {
-            dict_stmt.line = stmt.line;
-            stmt.expr.kwargs.emplace_back("dtype",
-                                          IRValue::Var(dict_stmt.target));
-            out.stmts.push_back(std::move(dict_stmt));
-            ++stats->dtype_hints_added;
           }
         }
+      }
+      if (!hints.empty()) {
+        IRStmt dict_stmt;
+        dict_stmt.kind = IRStmtKind::kAssign;
+        dict_stmt.target = out.NewTemp();
+        dict_stmt.expr.kind = IRExprKind::kDict;
+        for (const auto& [col, type] : hints) {
+          dict_stmt.expr.dict_items.emplace_back(
+              IRValue::Str(col), IRValue::Str(df::DataTypeName(type)));
+          if (type == df::DataType::kCategory) ++stats->category_columns;
+        }
+        dict_stmt.line = stmt.line;
+        stmt.expr.kwargs.emplace_back("dtype", IRValue::Var(dict_stmt.target));
+        out.stmts.push_back(std::move(dict_stmt));
+        ++stats->dtype_hints_added;
       }
       out.stmts.push_back(std::move(stmt));
       continue;

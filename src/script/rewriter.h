@@ -18,17 +18,19 @@ struct RewriteOptions {
   bool forced_compute = true;
   /// §3.3: append pd.flush() so deferred lazy prints are emitted.
   bool insert_flush = true;
-  /// §3.6: add dtype= hints (exact types + category for read-only,
-  /// low-cardinality string columns) from the metadata store.
+  /// §3.6: add dtype= hints: category for read-only string columns with
+  /// at most `category_max_distinct` values. On read_csv of a CSV file
+  /// the hints (plus exact types) come from the metadata store's sample;
+  /// on an LFC file (read_csv or read_lfc) from its footer's dictionaries.
   bool metadata_dtypes = true;
-  meta::MetaStore* metastore = nullptr;  // required for metadata_dtypes
+  meta::MetaStore* metastore = nullptr;  // required for CSV hints
   int64_t category_max_distinct = 64;
 };
 
 struct RewriteStats {
   int reads_pruned = 0;        // read_csv calls that gained usecols
   int computes_inserted = 0;   // forced-compute wrappers
-  int dtype_hints_added = 0;   // read_csv calls that gained dtype=
+  int dtype_hints_added = 0;   // file reads that gained dtype=
   int category_columns = 0;    // columns hinted as category
   bool flush_inserted = false;
 };

@@ -21,6 +21,16 @@ std::string DefaultDataDir() {
   return (base / "lafp_fuzz").string();
 }
 
+/// The metastore LaFP configs take their §3.6 CSV hints from: beside the
+/// case's tables and emptied first, as tables are rewritten under the
+/// same names case after case.
+meta::MetaStore FreshMetaStore(const std::string& data_dir) {
+  const std::string dir = data_dir + "/metastore";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  return meta::MetaStore(dir);
+}
+
 std::string FirstLine(const std::string& text) {
   auto nl = text.find('\n');
   return nl == std::string::npos ? text : text.substr(0, nl);
@@ -55,6 +65,7 @@ CaseResult CheckCase(const ShrinkCase& c,
   }
   const std::string source = SubstitutePaths(c.source, csv_paths);
   RunOutcome reference = ExecuteUnderConfig(source, ReferenceConfig());
+  meta::MetaStore metastore = FreshMetaStore(data_dir);
   if (!reference.status.ok()) {
     result.verdict = CaseVerdict::kReferenceFailed;
     result.detail = reference.status.ToString();
@@ -92,7 +103,7 @@ CaseResult CheckCase(const ShrinkCase& c,
       }
       src = &lfc_source;
     }
-    RunOutcome run = ExecuteUnderConfig(*src, config);
+    RunOutcome run = ExecuteUnderConfig(*src, config, &metastore);
     auto divergence = CompareOutcomes(reference, run, config);
     if (divergence.has_value()) {
       result.verdict = CaseVerdict::kDiverged;
@@ -171,6 +182,7 @@ FuzzStats RunFuzz(const FuzzOptions& options) {
       // config's verdict instead of stopping at the first divergence.
       for (const auto& c : RegressionConfigs()) configs.push_back(c);
       auto source = MaterializeCase(original, data_dir);
+      meta::MetaStore metastore = FreshMetaStore(data_dir);
       if (source.ok()) {
         RunOutcome reference = ExecuteUnderConfig(*source, ReferenceConfig());
         if (reference.status.ok() && options.log != nullptr) {
@@ -186,7 +198,7 @@ FuzzStats RunFuzz(const FuzzOptions& options) {
                             ? "ok"
                             : FirstLine(one.detail);
             } else {
-              run = ExecuteUnderConfig(*source, config);
+              run = ExecuteUnderConfig(*source, config, &metastore);
               auto diff = CompareOutcomes(reference, run, config);
               verdict = diff.has_value() ? FirstLine(*diff) : "ok";
             }

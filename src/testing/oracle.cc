@@ -218,6 +218,9 @@ std::vector<OracleConfig> RegressionConfigs() {
     threads.spill = dask;
     configs.push_back(threads);
   }
+  // The LFC axis's anchors: footer category hints over pruned and
+  // unpruned scans.
+  for (auto& c : LfcConfigs(0, 2)) configs.push_back(std::move(c));
   return configs;
 }
 
@@ -226,7 +229,8 @@ namespace {
 /// One session run; `cache` (when non-null) is shared into the session so
 /// successive calls can exercise cold/warm cache behaviour.
 RunOutcome ExecuteOnce(const std::string& source, const OracleConfig& config,
-                       const std::shared_ptr<lazy::ResultCache>& cache) {
+                       const std::shared_ptr<lazy::ResultCache>& cache,
+                       meta::MetaStore* metastore) {
   RunOutcome outcome;
   MemoryTracker tracker(0);
   std::stringstream output;
@@ -273,6 +277,7 @@ RunOutcome ExecuteOnce(const std::string& source, const OracleConfig& config,
 
   script::RunOptions run_opts;
   run_opts.analyze = config.mode == OracleMode::kLafp;
+  run_opts.analyze_options.rewrite.metastore = metastore;
 
   outcome.status = script::RunProgram(source, &session, run_opts);
   outcome.output = output.str();
@@ -283,16 +288,17 @@ RunOutcome ExecuteOnce(const std::string& source, const OracleConfig& config,
 }  // namespace
 
 RunOutcome ExecuteUnderConfig(const std::string& source,
-                              const OracleConfig& config) {
-  if (!config.cache) return ExecuteOnce(source, config, nullptr);
+                              const OracleConfig& config,
+                              meta::MetaStore* metastore) {
+  if (!config.cache) return ExecuteOnce(source, config, nullptr, metastore);
   // Cache axis: cold pass populates a fresh shared cache, warm pass
   // splices from it; the warm outcome is what the matrix compares. A
   // cold/warm self-mismatch can hide from the reference comparison (the
   // warm run may be the correct one), so it is reported as a failed
   // Status — cache configs never arm faults, making that a divergence.
   auto cache = std::make_shared<lazy::ResultCache>();
-  RunOutcome cold = ExecuteOnce(source, config, cache);
-  RunOutcome warm = ExecuteOnce(source, config, cache);
+  RunOutcome cold = ExecuteOnce(source, config, cache, metastore);
+  RunOutcome warm = ExecuteOnce(source, config, cache, metastore);
   const bool order_preserving = config.backend != exec::BackendKind::kDask;
   const bool mismatch =
       cold.status.ok() != warm.status.ok() ||

@@ -8,6 +8,7 @@
 
 #include "common/result.h"
 #include "exec/backend.h"
+#include "meta/metadata.h"
 
 namespace lafp::testing {
 
@@ -69,7 +70,8 @@ OracleConfig ReferenceConfig();
 std::vector<OracleConfig> SampleConfigs(uint64_t seed, int n);
 
 /// The small fixed matrix the regression corpus replays: all three
-/// backends, every single-pass and all-pass subset, serial and parallel.
+/// backends, every single-pass and all-pass subset, serial and parallel,
+/// plus LfcConfigs' two anchors (LaFP Pandas pruned, LaFP Modin unpruned).
 std::vector<OracleConfig> RegressionConfigs();
 
 /// `n` matrix points with a fault spec armed (the --faults axis): base
@@ -102,9 +104,12 @@ struct RunOutcome {
 };
 
 /// Execute `source` (placeholders already substituted) under `config`
-/// with a fresh session, tracker, and output stream.
+/// with a fresh session, tracker, and output stream. LaFP configs take
+/// their §3.6 CSV dtype hints from `metastore` (none when null); LFC
+/// reads need none.
 RunOutcome ExecuteUnderConfig(const std::string& source,
-                              const OracleConfig& config);
+                              const OracleConfig& config,
+                              meta::MetaStore* metastore = nullptr);
 
 /// Compare a run against the reference. Returns a human-readable
 /// divergence description, or nullopt when the run is observationally

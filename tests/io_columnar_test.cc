@@ -22,6 +22,7 @@
 #include "common/metrics.h"
 #include "common/wire.h"
 #include "dataframe/ops.h"
+#include "exec/partitioned.h"
 #include "lazy/fat_dataframe.h"
 #include "optimizer/passes.h"
 
@@ -592,6 +593,138 @@ TEST_F(LfcTest, DictionariesDecodeOnFirstReadAcrossThreads) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// §3.6 category hints: dictionary codes straight from the file
+// ---------------------------------------------------------------------------
+
+/// Row-for-row value equality between a hinted (category) and a plain
+/// (string) read of the same column, nulls included.
+void ExpectSameValues(const Column& hinted, const Column& plain) {
+  ASSERT_EQ(hinted.size(), plain.size());
+  for (size_t i = 0; i < plain.size(); ++i) {
+    ASSERT_EQ(hinted.IsValid(i), plain.IsValid(i)) << "row " << i;
+    if (plain.IsValid(i)) {
+      EXPECT_EQ(hinted.StringAt(i), plain.StringAt(i)) << "row " << i;
+    }
+  }
+}
+
+TEST_F(LfcTest, HintedStringColumnReadsAsCategory) {
+  DataFrame frame = MixedFrame(23);
+  for (size_t chunk_rows : {size_t{1}, size_t{4}, size_t{1024}}) {
+    const std::string path = Path("hinted_" + std::to_string(chunk_rows));
+    LfcWriteOptions wo;
+    wo.chunk_rows = chunk_rows;
+    ASSERT_TRUE(WriteLfcFile(frame, path, wo).ok());
+    auto info = ReadLfcInfo(path);
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ(info->columns[4].dict_size, 4u);  // "s1", "s2", "s0", ""
+    EXPECT_EQ(info->columns[0].dict_size, 0u);  // int64
+
+    LfcReadOptions plain_ro;
+    plain_ro.nrows = 19;  // a window that cuts a chunk
+    LfcReadOptions hinted_ro = plain_ro;
+    // A numeric column and a name the file lacks are ignored.
+    hinted_ro.categories = {"i", "missing", "s"};
+    auto plain = ReadLfcFile(path, plain_ro, &tracker_);
+    auto hinted = ReadLfcFile(path, hinted_ro, &tracker_);
+    ASSERT_TRUE(plain.ok() && hinted.ok()) << hinted.status().ToString();
+    const Column& s = **hinted->column("s");
+    ASSERT_EQ(s.type(), DataType::kCategory) << chunk_rows;
+    EXPECT_TRUE(s.has_nulls());
+    EXPECT_EQ(s.dictionary()->size(), 4u);
+    ExpectSameValues(s, **plain->column("s"));
+    EXPECT_EQ((*hinted->column("i"))->type(), DataType::kInt64);
+    // Every other column reads exactly as without the hint.
+    EXPECT_EQ(FrameRepr(*hinted->Select({"i", "ts", "d", "b", "cat"})),
+              FrameRepr(*plain->Select({"i", "ts", "d", "b", "cat"})));
+  }
+}
+
+// A partitioned scan (Modin, Dask, a shard worker) decodes every unit
+// with the one reader: the hinted column's partitions share one
+// dictionary, so no partition carries a copy of its own.
+TEST_F(LfcTest, ScanUnitsShareOneDictionary) {
+  DataFrame frame = MixedFrame(40);
+  const std::string path = Path("units.lfc");
+  LfcWriteOptions wo;
+  wo.chunk_rows = 6;
+  ASSERT_TRUE(WriteLfcFile(frame, path, wo).ok());
+  exec::OpDesc desc;
+  desc.kind = exec::OpKind::kReadLfc;
+  desc.path = path;
+  desc.lfc_options.usecols = {"s", "cat"};
+  desc.lfc_options.categories = {"s"};
+  auto units = exec::ScanUnits::Open(desc, 6, &tracker_);
+  ASSERT_TRUE(units.ok()) << units.status().ToString();
+  auto plain = ReadLfcFile(path, {}, &tracker_);
+  ASSERT_TRUE(plain.ok());
+  std::vector<df::DataFrame> parts;
+  while (true) {
+    auto unit = (*units)->Next();
+    ASSERT_TRUE(unit.ok());
+    if (!unit->has_value()) break;
+    auto part = (*units)->Read(**unit);
+    ASSERT_TRUE(part.ok()) << part.status().ToString();
+    parts.push_back(*std::move(part));
+  }
+  ASSERT_EQ(parts.size(), 7u);
+  size_t at = 0;
+  for (const auto& part : parts) {
+    for (const char* name : {"s", "cat"}) {
+      const Column& col = **part.column(name);
+      ASSERT_EQ(col.type(), DataType::kCategory) << name;
+      EXPECT_EQ(col.dictionary().get(),
+                (*parts[0].column(name))->dictionary().get())
+          << name;
+    }
+    auto want = plain->Select({"s"})->SliceRows(at, part.num_rows());
+    ASSERT_TRUE(want.ok());
+    ExpectSameValues(**part.column("s"), **want->column("s"));
+    at += part.num_rows();
+  }
+  EXPECT_EQ(at, 40u);
+}
+
+// A code past the dictionary fails cleanly whether the column decodes to
+// codes (hinted) or to strings. The footer checksum covers only the
+// footer, so the file opens; the decode finds the code.
+TEST_F(LfcTest, CodePastDictionaryFailsOnCodesPath) {
+  std::vector<std::string> labels;
+  for (int i = 0; i < 40; ++i) labels.push_back("g" + std::to_string(i % 4));
+  auto frame = *DataFrame::Make(
+      {"label"}, {*Column::MakeString(labels, {}, &tracker_)});
+  const std::string path = Path("bad_code.lfc");
+  LfcWriteOptions wo;
+  wo.chunk_rows = 16;
+  ASSERT_TRUE(WriteLfcFile(frame, path, wo).ok());
+  std::vector<char> bytes = FileBytes(path);
+  // One all-valid string column: its u32 codes follow the 8-byte magic
+  // in row order. Row 37 gets code 4, one past the 4-entry dictionary.
+  const uint32_t bad_code = 4;
+  std::memcpy(bytes.data() + 8 + 4 * 37, &bad_code, sizeof(bad_code));
+  WriteBytes(path, bytes);
+  ASSERT_TRUE(ReadLfcInfo(path).ok());
+
+  const int64_t before = tracker_.current();
+  LfcReadOptions hinted;
+  hinted.categories = {"label"};
+  for (const LfcReadOptions& ro : {hinted, LfcReadOptions{}}) {
+    auto result = ReadLfcFile(path, ro, &tracker_);
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.status().message().find("dictionary code out of range"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+  EXPECT_EQ(tracker_.current(), before);
+  // The chunks before the bad one still decode, to codes.
+  LfcReadOptions window = hinted;
+  window.nrows = 32;
+  auto head = ReadLfcFile(path, window, &tracker_);
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  EXPECT_EQ((*head->column("label"))->type(), DataType::kCategory);
 }
 
 // ---------------------------------------------------------------------------

@@ -170,6 +170,7 @@ struct FieldFiller {
   void Fill(io::LfcReadOptions* v) const {
     v->usecols = {"u"};
     v->nrows = 3;
+    v->categories = {"c", Tag("k")};
     v->prune = {{Tag("p"), df::CompareOp::kLt, df::Scalar::Int(2)}};
     v->prune_enabled = false;
   }
@@ -277,6 +278,28 @@ TEST(OpSchemaTest, MalformedFragmentsFailCleanly) {
   WireReader r(bad_enum);
   exec::OpDesc out;
   EXPECT_EQ(exec::DecodeOpDesc(&r, &out).code(), StatusCode::kIOError);
+}
+
+// §3.6 category hints on an LFC scan are part of what the scan computes:
+// they cross the wire, print, and split the CSE and cache keys.
+TEST(OpSchemaTest, LfcCategoriesRoundTripAndKey) {
+  exec::OpDesc plain = Desc(exec::OpKind::kReadLfc);
+  plain.path = "t.lfc";
+  plain.lfc_options.usecols = {"city", "fare"};
+  exec::OpDesc hinted = plain;
+  hinted.lfc_options.categories = {"city"};
+
+  const std::string bytes = Encode(hinted);
+  WireReader r(bytes);
+  exec::OpDesc decoded;
+  ASSERT_TRUE(exec::DecodeOpDesc(&r, &decoded).ok());
+  EXPECT_TRUE(r.Done());
+  EXPECT_EQ(decoded.lfc_options.categories,
+            std::vector<std::string>{"city"});
+  EXPECT_NE(hinted.Fingerprint(), plain.Fingerprint());
+  EXPECT_EQ(hinted.ToString(),
+            "read_lfc(t.lfc, usecols=[city,fare], categories=[city])");
+  EXPECT_EQ(plain.ToString(), "read_lfc(t.lfc, usecols=[city,fare])");
 }
 
 TEST(OpSchemaTest, ToStringRendersMeaningfulFields) {

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <thread>
 
+#include "io/csv.h"
+
 namespace lafp::meta {
 namespace {
 
@@ -163,6 +165,53 @@ TEST_F(MetaTest, StaleMetadataIgnoredAfterFileUpdate) {
   auto refreshed = store.GetOrCompute(csv_path_);
   ASSERT_TRUE(refreshed.ok());
   EXPECT_EQ(refreshed->sample_rows, 101);
+}
+
+// A file rewritten within the same second: the stored sample must not
+// type the new contents. The mtimes are set explicitly, 0.5 s apart inside
+// one second, so the case does not depend on the clock.
+TEST_F(MetaTest, RewriteWithinTheSameSecondIsStale) {
+  namespace fs = std::filesystem;
+  const std::string path = dir_ + "/x.csv";
+  const auto second = fs::last_write_time(csv_path_);
+  const auto base =
+      std::chrono::time_point_cast<std::chrono::seconds>(second);
+  auto write = [&](const std::string& text, int ms) {
+    std::ofstream(path, std::ios::trunc) << text;
+    fs::last_write_time(path, base + std::chrono::milliseconds(ms));
+  };
+  MetaStore store(dir_ + "/metastore");
+
+  // Size changes (13 -> 25 bytes): x = 3, 4 becomes 3.75, 4.5, 7.25.
+  write("id,x\n1,3\n2,4\n", 100);
+  ASSERT_EQ(FileSizeBytes(path), 13);
+  ASSERT_TRUE(store.ComputeAndStore(path).ok());
+  write("id,x\n1,3.75\n2,4.5\n3,7.25\n", 600);
+  ASSERT_EQ(FileSizeBytes(path), 25);
+  auto stale = store.Lookup(path);
+  ASSERT_TRUE(stale.ok());
+  EXPECT_FALSE(stale->has_value());
+  auto md = store.GetOrCompute(path);
+  ASSERT_TRUE(md.ok());
+  io::CsvReadOptions options;
+  options.dtypes = md->DtypeHints({"id", "x"}, 64);
+  EXPECT_EQ(options.dtypes.at("x"), df::DataType::kDouble);
+  MemoryTracker tracker(0);
+  auto frame = io::ReadCsv(path, options, &tracker);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  const df::Column& x = **frame->column("x");
+  ASSERT_EQ(x.size(), 3u);
+  EXPECT_EQ(x.DoubleAt(0), 3.75);
+  EXPECT_EQ(x.DoubleAt(1), 4.5);
+  EXPECT_EQ(x.DoubleAt(2), 7.25);
+
+  // Same size, same second: only the full-resolution mtime tells.
+  write("id,x\n1,3\n2,4\n", 100);
+  ASSERT_TRUE(store.ComputeAndStore(path).ok());
+  write("id,x\n1,a\n2,b\n", 600);
+  auto same_size = store.Lookup(path);
+  ASSERT_TRUE(same_size.ok());
+  EXPECT_FALSE(same_size->has_value());
 }
 
 TEST_F(MetaTest, GetOrComputeCaches) {

@@ -404,6 +404,43 @@ TEST_P(InterpreterTest, RewrittenProgramReadsFewerColumns) {
             std::string::npos);
 }
 
+// The rewriter turns `n = len(clean)` ahead of `if n > 1:` into a hinted
+// scalar compute. The branch then reads the scalar that compute left on
+// its node: the compute and the final flush are the program's only two
+// rounds, and the output is the eager one.
+TEST_P(InterpreterTest, ComputedScalarRunsNoSecondRound) {
+  const std::string source =
+      "import lazyfatpandas.pandas as pd\n"
+      "df = pd.read_csv(\"" + csv_path_ + "\")\n"
+      "clean = df[df.fare_amount > 0]\n"
+      "n = len(clean)\n"
+      "if n > 1:\n"
+      "    print(f\"rows: {n}\")\n"
+      "tips = clean.tip.sum()\n"
+      "print(f\"tips: {tips}\")\n";
+  auto eager = Run(source, false, ExecutionMode::kEager);
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  EXPECT_EQ(*eager, "rows: 96\ntips: 96\n");
+
+  SessionOptions opts;
+  opts.backend = GetParam();
+  opts.backend_config.partition_rows = 32;
+  opts.mode = ExecutionMode::kLazy;
+  std::stringstream output;
+  opts.output = &output;
+  MemoryTracker tracker(0);
+  opts.tracker = &tracker;
+  Session session(opts);
+  opt::InstallDefaultOptimizer(&session);
+  RunOptions run_opts;
+  AnalyzeResult analyzed;
+  ASSERT_TRUE(
+      RunProgram(source, &session, run_opts, nullptr, &analyzed).ok());
+  EXPECT_EQ(analyzed.stats.computes_inserted, 1);
+  EXPECT_EQ(output.str(), *eager);
+  EXPECT_EQ(session.num_rounds(), 2);
+}
+
 // Sessions on Pandas, Modin and Dask start no worker process: the shard
 // worker pool exists from the first Shard lease on. No test in this
 // binary runs Shard.

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "io/columnar.h"
 #include "script/analyze.h"
 #include "script/codegen.h"
 
@@ -166,6 +167,71 @@ TEST_F(RewriterTest, AssignedColumnNotCategorized) {
   // (§3.6); it must stay a plain string.
   EXPECT_EQ(source->find("\"vendor\": \"category\""), std::string::npos)
       << *source;
+}
+
+// §3.6 on LFC needs no metastore: the footer holds each string column's
+// exact dictionary. Of the file's string columns only `vendor` is hinted:
+// `city` is assigned, `name` has 100 entries (more than 64), and `tolls`
+// is pruned away by usecols. The same holds for read_lfc and for a
+// read_csv pointed at the converted file.
+TEST_F(RewriterTest, LfcFooterHintsOnlyLiveReadOnlySmallDictionaries) {
+  const std::string csv = dir_ + "/people.csv";
+  {
+    std::ofstream out(csv);
+    out << "fare_amount,vendor,city,name,tolls\n";
+    for (int i = 0; i < 100; ++i) {
+      out << i << "," << (i % 2 == 0 ? "acme" : "zoom") << ",c" << i % 3
+          << ",n" << i << "," << (i % 2 == 0 ? "lo" : "hi") << "\n";
+    }
+  }
+  const std::string lfc = dir_ + "/people.lfc";
+  MemoryTracker tracker(0);
+  ASSERT_TRUE(io::ConvertCsvToLfc(csv, lfc, {}, {}, &tracker).ok());
+  for (const std::string read : {"read_lfc", "read_csv"}) {
+    RewriteStats stats;
+    auto source = RewriteToSource(
+        "import lazyfatpandas.pandas as pd\n"
+        "df = pd." + read + "(\"" + lfc + "\")\n"
+        "df[\"city\"] = \"other\"\n"
+        "df = df[df.name != \"n3\"]\n"
+        "out = df.groupby([\"vendor\", \"city\"])[\"fare_amount\"].sum()\n"
+        "print(out)\n",
+        {}, &stats);
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    EXPECT_EQ(stats.reads_pruned, 1) << read;
+    EXPECT_EQ(stats.dtype_hints_added, 1) << read;
+    EXPECT_EQ(stats.category_columns, 1) << read;
+    EXPECT_NE(source->find("dtype="), std::string::npos) << *source;
+    EXPECT_NE(source->find("{\"vendor\": \"category\"}"), std::string::npos)
+        << *source;
+    EXPECT_EQ(source->find("\"tolls\""), std::string::npos) << *source;
+
+    // With every column live and none assigned, both small dictionaries
+    // are hinted; the unique names still are not.
+    RewriteStats all_stats;
+    auto all = RewriteToSource(
+        "import lazyfatpandas.pandas as pd\n"
+        "df = pd." + read + "(\"" + lfc + "\")\n"
+        "print(df)\n",
+        {}, &all_stats);
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    EXPECT_EQ(all_stats.category_columns, 3) << *all;
+    EXPECT_NE(all->find("{\"city\": \"category\", \"tolls\": "
+                        "\"category\", \"vendor\": \"category\"}"),
+              std::string::npos)
+        << *all;
+
+    // The option turns the rewrite off.
+    RewriteOptions off;
+    off.metadata_dtypes = false;
+    auto none = RewriteToSource(
+        "import lazyfatpandas.pandas as pd\n"
+        "df = pd." + read + "(\"" + lfc + "\")\n"
+        "print(df)\n",
+        off);
+    ASSERT_TRUE(none.ok());
+    EXPECT_EQ(none->find("category"), std::string::npos) << *none;
+  }
 }
 
 TEST_F(RewriterTest, AnalyzePipelineReportsTiming) {

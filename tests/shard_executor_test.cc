@@ -134,6 +134,69 @@ TEST_F(ShardExecutorTest, ByteIdenticalAcrossShardCounts) {
   }
 }
 
+// §3.6 category hints on an LFC scan: each worker decodes its chunks to
+// codes into its reader's dictionary and ships category partitions. The
+// pipeline filters, groups, counts and sorts on the hinted column, and
+// its answer is byte-identical to an unhinted CSV scan for 1, 2 and 4
+// workers.
+TEST_F(ShardExecutorTest, HintedLfcScanByteIdenticalAcrossShardCounts) {
+  const std::string lfc = dir_ + "/facts.lfc";
+  io::LfcWriteOptions write_options;
+  write_options.chunk_rows = 64;
+  ASSERT_TRUE(
+      io::ConvertCsvToLfc(csv_path_, lfc, {}, write_options, &tracker_).ok());
+  auto run = [&](Session* session, bool hinted) -> Result<std::string> {
+    io::LfcReadOptions options;
+    if (hinted) options.categories = {"label"};
+    LAFP_ASSIGN_OR_RETURN(auto frame, hinted ? FatDataFrame::ReadLfc(
+                                                   session, lfc, options)
+                                             : FatDataFrame::ReadCsv(
+                                                   session, csv_path_));
+    LAFP_ASSIGN_OR_RETURN(auto label, frame.Col("label"));
+    LAFP_ASSIGN_OR_RETURN(auto mask, label.CompareTo(CompareOp::kNe,
+                                                     Scalar::String("g2")));
+    LAFP_ASSIGN_OR_RETURN(auto kept, frame.FilterBy(mask));
+    LAFP_ASSIGN_OR_RETURN(
+        auto grouped,
+        kept.GroupByAgg({"label"}, {{"v", AggFunc::kSum, "vs"},
+                                    {"id", AggFunc::kCount, "n"}}));
+    LAFP_ASSIGN_OR_RETURN(auto sorted, grouped.SortValues({"label"}, {true}));
+    LAFP_ASSIGN_OR_RETURN(auto counts, (*kept.Col("label")).ValueCounts());
+    LAFP_ASSIGN_OR_RETURN(auto top, kept.SortValues({"label", "id"},
+                                                    {false, true}));
+    LAFP_ASSIGN_OR_RETURN(auto head, top.Head(12));
+    std::string out;
+    for (const auto& f : {sorted, counts, head}) {
+      LAFP_ASSIGN_OR_RETURN(auto eager, f.ToEager());
+      out += eager.ToString(eager.num_rows() + 1);
+    }
+    return out;
+  };
+  auto ref_session = MakeSession(BackendKind::kPandas);
+  auto reference = run(ref_session.get(), false);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  auto pandas_session = MakeSession(BackendKind::kPandas);
+  io::LfcReadOptions options;
+  options.categories = {"label"};
+  auto scanned = FatDataFrame::ReadLfc(pandas_session.get(), lfc, options);
+  ASSERT_TRUE(scanned.ok());
+  auto eager = scanned->ToEager();
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  EXPECT_EQ((*eager->column("label"))->type(), df::DataType::kCategory);
+  auto hinted_pandas = run(pandas_session.get(), true);
+  ASSERT_TRUE(hinted_pandas.ok()) << hinted_pandas.status().ToString();
+  EXPECT_EQ(*hinted_pandas, *reference);
+
+  for (int shards : {1, 2, 4}) {
+    auto session = MakeSession(BackendKind::kShard, shards);
+    auto out = run(session.get(), true);
+    ASSERT_TRUE(out.ok()) << "shards=" << shards << ": "
+                          << out.status().ToString();
+    EXPECT_EQ(*out, *reference) << "shards=" << shards;
+  }
+}
+
 TEST_F(ShardExecutorTest, ReduceMatchesReference) {
   auto ref_session = MakeSession(BackendKind::kPandas);
   auto ref_frame = *FatDataFrame::ReadCsv(ref_session.get(), csv_path_);
