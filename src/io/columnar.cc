@@ -886,8 +886,8 @@ Result<df::ColumnPtr> DecodeColumn(const std::string& source,
     }
     case df::DataType::kString:
     case df::DataType::kCategory: {
-      // The u32 codes land as int32s: a code past the dictionary (the
-      // check below) is the only value that could not be one.
+      // The u32 codes copy as int32s; every code past the dictionary,
+      // which includes each one above INT32_MAX, fails the check below.
       std::vector<int32_t> codes;
       payloads(&codes);
       for (size_t i = 0; i < total; ++i) {

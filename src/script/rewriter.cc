@@ -193,7 +193,8 @@ Result<IRProgram> Rewrite(const IRProgram& program,
             }
           }
         } else if (options.metastore != nullptr &&
-                   stmt.expr.attr == "read_csv") {
+                   stmt.expr.attr == "read_csv" &&
+                   !io::IsLfcFile(stmt.expr.operands[0].str_value)) {
           auto md = options.metastore->GetOrCompute(
               stmt.expr.operands[0].str_value);
           if (md.ok()) {

@@ -65,12 +65,12 @@ CaseResult CheckCase(const ShrinkCase& c,
   }
   const std::string source = SubstitutePaths(c.source, csv_paths);
   RunOutcome reference = ExecuteUnderConfig(source, ReferenceConfig());
-  meta::MetaStore metastore = FreshMetaStore(data_dir);
   if (!reference.status.ok()) {
     result.verdict = CaseVerdict::kReferenceFailed;
     result.detail = reference.status.ToString();
     return result;
   }
+  meta::MetaStore metastore = FreshMetaStore(data_dir);
   // LFC configs replay the same program against native-columnar
   // conversions of the base tables (converted lazily, once per case).
   // Tiny chunks force multi-chunk column assembly and give the zone-prune
