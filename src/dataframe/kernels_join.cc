@@ -124,6 +124,37 @@ Result<DataFrame> Concat(const std::vector<DataFrame>& frames) {
   std::vector<std::string> out_names = first.names();
   std::vector<ColumnPtr> out_cols;
   for (size_t c = 0; c < first.num_columns(); ++c) {
+    // Categories on one dictionary (the partitions of one LFC reader)
+    // concatenate their codes and keep it.
+    const DictionaryPtr& dict = first.column(c)->dictionary();
+    if (first.column(c)->type() == DataType::kCategory &&
+        std::all_of(frames.begin(), frames.end(), [&](const DataFrame& f) {
+          return f.column(c)->dictionary() == dict;
+        })) {
+      const bool nulls =
+          std::any_of(frames.begin(), frames.end(), [&](const DataFrame& f) {
+            return f.column(c)->has_nulls();
+          });
+      std::vector<int32_t> codes;
+      std::vector<uint8_t> validity;
+      for (const auto& f : frames) {
+        const Column& src = *f.column(c);
+        codes.insert(codes.end(), src.codes().begin(), src.codes().end());
+        if (!nulls) continue;
+        if (src.has_nulls()) {
+          validity.insert(validity.end(), src.validity().begin(),
+                          src.validity().end());
+        } else {
+          validity.insert(validity.end(), src.size(), 1);
+        }
+      }
+      LAFP_ASSIGN_OR_RETURN(ColumnPtr col,
+                            Column::MakeCategory(std::move(codes),
+                                                 std::move(validity), dict,
+                                                 first.tracker()));
+      out_cols.push_back(std::move(col));
+      continue;
+    }
     DataType t = first.column(c)->type();
     // Widen int+double mixes to double; strings/categories to string.
     for (const auto& f : frames) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/macros.h"
 #include "common/thread_pool.h"
 #include "exec/eager_ops.h"
 #include "exec/op.h"
@@ -152,6 +153,21 @@ class Backend {
   /// backend this triggers streaming evaluation of the recorded plan, and
   /// is the moment a larger-than-budget result OOMs.
   virtual Result<EagerValue> Materialize(const BackendValue& value) = 0;
+
+  /// Force several values at once, as one dask.compute(*values) does: a
+  /// lazy engine may share work between them. Results are in `values`
+  /// order; the first failure fails the whole call. The default
+  /// materializes each value in turn.
+  virtual Result<std::vector<EagerValue>> MaterializeAll(
+      const std::vector<BackendValue>& values) {
+    std::vector<EagerValue> out;
+    out.reserve(values.size());
+    for (const auto& value : values) {
+      LAFP_ASSIGN_OR_RETURN(EagerValue v, Materialize(value));
+      out.push_back(std::move(v));
+    }
+    return out;
+  }
 
   /// Import an eager value (fallback results, user-provided frames).
   virtual Result<BackendValue> FromEager(const EagerValue& value) = 0;

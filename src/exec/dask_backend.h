@@ -17,8 +17,9 @@ class DaskEvaluator;
 /// Lazy, partitioned, out-of-core engine modeled on Dask.
 ///
 /// Execute() merely records plan nodes ("creates an operator DAG in the
-/// backend framework", paper §2.5); Materialize() evaluates the plan by
-/// streaming partitions, running each op by its StrategyOf
+/// backend framework", paper §2.5); MaterializeAll() evaluates the plan
+/// for a set of outputs, as one dask.compute(*outputs) does, by streaming
+/// partitions and running each op by its StrategyOf
 /// (exec/partitioned.h):
 ///   - chains of row-wise ops are fused and evaluated one partition at a
 ///     time (bounded memory regardless of dataset size);
@@ -31,8 +32,12 @@ class DaskEvaluator;
 ///   - the final result is concatenated into an eager frame — the other
 ///     OOM point when a program materializes something dataset-sized.
 ///
-/// Like Dask, row order across shuffling ops is not guaranteed, results
-/// are recomputed on every Materialize unless Persist() was requested, and
+/// The folds the outputs need (combines, lens, whole-frame and persist
+/// collections) run in dependency waves; in a wave, the folds over the
+/// same sources share one pass, which pulls each source partition once.
+/// So the outputs of one MaterializeAll share their scans, while results
+/// are still recomputed across calls unless Persist() was requested.
+/// Like Dask, row order across shuffling ops is not guaranteed, and
 /// persisted collections are memory-resident (paper §5.4 notes disk
 /// persistence as future work; config.spill_persisted enables that
 /// extension here).
@@ -49,6 +54,8 @@ class DaskBackend : public Backend {
   Result<BackendValue> Execute(
       const OpDesc& desc, const std::vector<BackendValue>& inputs) override;
   Result<EagerValue> Materialize(const BackendValue& value) override;
+  Result<std::vector<EagerValue>> MaterializeAll(
+      const std::vector<BackendValue>& values) override;
   Result<BackendValue> FromEager(const EagerValue& value) override;
   Status Persist(const BackendValue& value) override;
 

@@ -242,28 +242,8 @@ Result<exec::EagerValue> Session::Compute(
   pending_prints_.clear();
   last_print_ = nullptr;
   roots.push_back(node);
-  LAFP_RETURN_NOT_OK(ExecuteRound(roots, live));
-  // Post-round Persist/Materialize can hit spill/IO fault points too
-  // (Dask streaming evaluation), so they run under the session injector
-  // like the round itself.
-  std::optional<ScopedFaultInjector> fault_ctx;
-  if (fault_injector_ != nullptr) fault_ctx.emplace(fault_injector_.get());
-  if (node->result.empty() && !node->result.is_scalar) {
-    return Status::ExecutionError("compute produced no result");
-  }
-  if (backend_->lazy()) {
-    // compute() returns a materialized frame (pandas semantics): persist
-    // the *existing* plan node before materializing so the evaluator
-    // caches the partitions on it and later uses do not re-stream the
-    // plan. The footprint stays charged — that is what forcing costs
-    // (§3.4). Swapping in a fresh backend value here instead would orphan
-    // consumers executed in earlier rounds: they still reference this
-    // node, and a fused zone mixing the old and new plan nodes sees two
-    // sources with different partition geometry for the same frame.
-    LAFP_RETURN_NOT_OK(backend_->Persist(node->result));
-  }
-  LAFP_ASSIGN_OR_RETURN(exec::EagerValue value,
-                        backend_->Materialize(node->result));
+  exec::EagerValue value;
+  LAFP_RETURN_NOT_OK(ExecuteRound(roots, live, node, &value));
   return value;
 }
 
@@ -310,7 +290,9 @@ void Session::MarkSharedForPersist(const std::vector<TaskNodePtr>& roots,
 }
 
 Status Session::ExecuteRound(const std::vector<TaskNodePtr>& roots,
-                             const std::vector<TaskNodePtr>& live) {
+                             const std::vector<TaskNodePtr>& live,
+                             const TaskNodePtr& target,
+                             exec::EagerValue* target_value) {
   // A malformed SessionOptions::fault_config cannot surface from the
   // constructor; it fails the first round instead of being ignored.
   LAFP_RETURN_NOT_OK(fault_status_);
@@ -406,12 +388,31 @@ Status Session::ExecuteRound(const std::vector<TaskNodePtr>& roots,
   callbacks.exec_node = [this](const TaskNodePtr& node, NodeStats* stats) {
     return ExecNode(node, stats);
   };
-  callbacks.emit_print = [this](const TaskNodePtr& node, NodeStats* stats) {
-    return EmitPrint(node, stats);
+  // On a lazy backend a lazy-print round's prints wait for the end of the
+  // round: one MaterializeAll then serves them all and the compute target,
+  // as one dask.compute(*outputs) does. These rounds run serially.
+  const bool defer_prints = options_.mode == ExecutionMode::kLazy &&
+                            options_.lazy_print && backend_->lazy();
+  std::vector<TaskNodePtr> deferred;
+  callbacks.emit_print = [&](const TaskNodePtr& node, NodeStats* stats) {
+    if (!defer_prints) return EmitPrint(node, stats);
+    if (stats != nullptr) {
+      stats->op = node->desc.ToString();
+      stats->backend = backend_->name();
+    }
+    deferred.push_back(node);
+    return Status::OK();
   };
   Scheduler scheduler(parallel ? pool : nullptr, sched_options,
                       std::move(callbacks));
   Status status = scheduler.Run(roots, &report);
+  if (status.ok() && (!deferred.empty() || target != nullptr)) {
+    status = EmitOutputs(deferred, target, target_value, &report);
+    // A failed batch emits none of the round's prints.
+    if (!status.ok()) {
+      report.prints_emitted -= static_cast<int64_t>(deferred.size());
+    }
+  }
 
   if (cache_splicer_ != nullptr) {
     if (status.ok()) {
@@ -551,6 +552,50 @@ Status Session::ExecNode(const TaskNodePtr& node, NodeStats* stats) {
   return Status::OK();
 }
 
+namespace {
+
+/// The input behind each placeholder of `node`'s template, in order.
+Result<std::vector<TaskNodePtr>> PrintArguments(const TaskNode& node) {
+  std::vector<TaskNodePtr> args;
+  const std::string& tmpl = node.print_template;
+  for (size_t i = tmpl.find('\x01'); i != std::string::npos;
+       i = tmpl.find('\x01', i)) {
+    size_t end = tmpl.find('\x02', i);
+    if (end == std::string::npos) {
+      return Status::ExecutionError("malformed print template");
+    }
+    size_t idx = std::stoul(tmpl.substr(i + 1, end - i - 1));
+    if (idx >= node.inputs.size()) {
+      return Status::ExecutionError("print placeholder out of range");
+    }
+    if (!node.inputs[idx]->executed) {
+      return Status::ExecutionError("print argument not executed");
+    }
+    args.push_back(node.inputs[idx]);
+    i = end + 1;
+  }
+  return args;
+}
+
+/// `node`'s template with its k-th placeholder replaced by the display
+/// form of values[k] (f-string escape IDs, §3.3). The template was
+/// checked by PrintArguments.
+std::string RenderPrint(const TaskNode& node, const exec::EagerValue* values) {
+  std::string rendered;
+  const std::string& tmpl = node.print_template;
+  for (size_t i = 0; i < tmpl.size();) {
+    if (tmpl[i] != '\x01') {
+      rendered.push_back(tmpl[i++]);
+      continue;
+    }
+    rendered += (values++)->ToDisplayString();
+    i = tmpl.find('\x02', i) + 1;
+  }
+  return rendered;
+}
+
+}  // namespace
+
 Status Session::EmitPrint(const TaskNodePtr& node, NodeStats* stats) {
   if (stats != nullptr) {
     stats->op = node->desc.ToString();
@@ -560,39 +605,96 @@ Status Session::EmitPrint(const TaskNodePtr& node, NodeStats* stats) {
   // print node like ExecNode attributes execution kernels.
   df::KernelCounters counters;
   df::KernelCountersScope counters_scope(&counters);
-  // Substitute each placeholder with the display form of the
-  // corresponding input (f-string escape IDs, §3.3).
-  std::string rendered;
-  const std::string& tmpl = node->print_template;
-  for (size_t i = 0; i < tmpl.size();) {
-    if (tmpl[i] != '\x01') {
-      rendered.push_back(tmpl[i++]);
-      continue;
-    }
-    size_t end = tmpl.find('\x02', i);
-    if (end == std::string::npos) {
-      return Status::ExecutionError("malformed print template");
-    }
-    size_t idx = std::stoul(tmpl.substr(i + 1, end - i - 1));
-    if (idx >= node->inputs.size()) {
-      return Status::ExecutionError("print placeholder out of range");
-    }
-    const TaskNodePtr& arg = node->inputs[idx];
-    if (!arg->executed) {
-      return Status::ExecutionError("print argument not executed");
-    }
+  LAFP_ASSIGN_OR_RETURN(std::vector<TaskNodePtr> args, PrintArguments(*node));
+  // Each argument is forced on its own, as a plain framework's print does.
+  std::vector<exec::EagerValue> values;
+  for (const auto& arg : args) {
     LAFP_ASSIGN_OR_RETURN(exec::EagerValue v,
                           backend_->Materialize(arg->result));
-    rendered += v.ToDisplayString();
-    i = end + 1;
+    values.push_back(std::move(v));
   }
-  out() << rendered << "\n";
+  out() << RenderPrint(*node, values.data()) << "\n";
   if (stats != nullptr) {
     stats->kernel_micros = counters.kernel_micros;
     stats->morsels = counters.morsels;
     stats->parallel_kernels = counters.parallel_kernels;
   }
   return Status::OK();
+}
+
+Status Session::EmitOutputs(const std::vector<TaskNodePtr>& prints,
+                            const TaskNodePtr& target,
+                            exec::EagerValue* target_value,
+                            ExecutionReport* report) {
+  Timer timer;
+  // The batch's span is the first print's, like its time and kernels.
+  std::optional<trace::Span> span;
+  if (!prints.empty()) {
+    span.emplace("print:batch", "node");
+    if (span->active()) {
+      span->AddArg("node_id", prints[0]->id);
+      span->AddArg("prints", static_cast<int64_t>(prints.size()));
+    }
+  }
+  df::KernelCounters counters;
+  Status status = [&]() -> Status {
+    df::KernelCountersScope counters_scope(&counters);
+    std::vector<exec::BackendValue> values;
+    std::vector<size_t> num_args;
+    for (const auto& print : prints) {
+      LAFP_ASSIGN_OR_RETURN(std::vector<TaskNodePtr> args,
+                            PrintArguments(*print));
+      for (const auto& arg : args) values.push_back(arg->result);
+      num_args.push_back(args.size());
+    }
+    if (target != nullptr) {
+      if (target->result.empty() && !target->result.is_scalar) {
+        return Status::ExecutionError("compute produced no result");
+      }
+      if (backend_->lazy()) {
+        // compute() returns a materialized frame (pandas semantics):
+        // persist the *existing* plan node before materializing so the
+        // evaluator caches the partitions on it and later uses do not
+        // re-stream the plan. The footprint stays charged — that is what
+        // forcing costs (§3.4). Swapping in a fresh backend value here
+        // instead would orphan consumers executed in earlier rounds: they
+        // still reference this node, and a fused zone mixing the old and
+        // new plan nodes sees two sources with different partition
+        // geometry for the same frame.
+        LAFP_RETURN_NOT_OK(backend_->Persist(target->result));
+      }
+      values.push_back(target->result);
+    }
+    LAFP_ASSIGN_OR_RETURN(std::vector<exec::EagerValue> eager,
+                          backend_->MaterializeAll(values));
+    // Render every print before writing any: a failure emits none.
+    std::string text;
+    const exec::EagerValue* next = eager.data();
+    for (size_t i = 0; i < prints.size(); ++i) {
+      text += RenderPrint(*prints[i], next);
+      text += "\n";
+      next += num_args[i];
+    }
+    out() << text;
+    if (target != nullptr) *target_value = std::move(eager.back());
+    return Status::OK();
+  }();
+  // The batch serves the round's prints: its time and kernels are the
+  // first print's, as an eager print's materialization is its own.
+  if (!prints.empty()) {
+    for (NodeStats& stats : report->nodes) {
+      if (stats.node_id != prints[0]->id) continue;
+      stats.wall_micros += timer.ElapsedMicros();
+      stats.kernel_micros += counters.kernel_micros;
+      stats.morsels += counters.morsels;
+      stats.parallel_kernels += counters.parallel_kernels;
+      report->kernel_micros += counters.kernel_micros;
+      report->kernel_morsels += counters.morsels;
+      report->parallel_kernels += counters.parallel_kernels;
+      break;
+    }
+  }
+  return status;
 }
 
 }  // namespace lafp::lazy

@@ -380,10 +380,20 @@ class Session {
   std::ostream& out();
 
  private:
+  /// One round over `roots`. With a compute `target`, its materialized
+  /// value lands in `target_value`.
   Status ExecuteRound(const std::vector<TaskNodePtr>& roots,
-                      const std::vector<TaskNodePtr>& live);
+                      const std::vector<TaskNodePtr>& live,
+                      const TaskNodePtr& target = nullptr,
+                      exec::EagerValue* target_value = nullptr);
   Status ExecNode(const TaskNodePtr& node, NodeStats* stats);
+  /// Materializes one print's arguments, each on its own, and emits it.
   Status EmitPrint(const TaskNodePtr& node, NodeStats* stats);
+  /// Materializes the round's deferred `prints` and its compute `target`
+  /// in one Backend::MaterializeAll, then emits the prints in order.
+  Status EmitOutputs(const std::vector<TaskNodePtr>& prints,
+                     const TaskNodePtr& target,
+                     exec::EagerValue* target_value, ExecutionReport* report);
   /// §3.5: mark the topmost nodes shared between the round's targets and
   /// the live set for persistence.
   void MarkSharedForPersist(const std::vector<TaskNodePtr>& roots,

@@ -2,8 +2,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
+#include "common/metrics.h"
 #include "exec/dask_backend.h"
+#include "exec/partitioned.h"
 
 namespace lafp::exec {
 namespace {
@@ -42,6 +45,46 @@ class DaskTest : public ::testing::Test {
     desc.kind = OpKind::kReadCsv;
     desc.path = csv_path_;
     return backend->Execute(desc, {});
+  }
+
+  /// Records one op over `inputs`; `fill` sets its fields.
+  static BackendValue Op(Backend* backend, OpKind kind,
+                         std::vector<BackendValue> inputs,
+                         const std::function<void(OpDesc*)>& fill = {}) {
+    OpDesc desc;
+    desc.kind = kind;
+    if (fill) fill(&desc);
+    auto out = backend->Execute(desc, inputs);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return *out;
+  }
+  static BackendValue Column(Backend* backend, const BackendValue& frame,
+                             const std::string& name) {
+    return Op(backend, OpKind::kGetColumn, {frame},
+              [&](OpDesc* d) { d->column = name; });
+  }
+  static BackendValue Reduce(Backend* backend, const BackendValue& column,
+                             AggFunc func) {
+    return Op(backend, OpKind::kReduce, {column},
+              [&](OpDesc* d) { d->agg_func = func; });
+  }
+  static BackendValue GroupSum(Backend* backend, const BackendValue& frame) {
+    return Op(backend, OpKind::kGroupByAgg, {frame}, [](OpDesc* d) {
+      d->columns = {"grp"};
+      d->aggs = {{"v", AggFunc::kSum, "s"}};
+    });
+  }
+
+  /// Runs `body`; `*ranges` receives the CSV ranges it parsed
+  /// (csv.chunks).
+  template <typename Body>
+  static auto Parsing(int64_t* ranges, Body&& body) {
+    metrics::Counter* counter =
+        metrics::Registry::Global()->GetCounter("csv.chunks");
+    const int64_t before = counter->Value();
+    auto out = body();
+    *ranges = counter->Value() - before;
+    return out;
   }
 
   std::string dir_, csv_path_;
@@ -280,6 +323,216 @@ TEST_F(DaskTest, HeadStopsEarly) {
   // Early exit: head under a small budget must succeed (no full scan into
   // memory).
   EXPECT_LE(tracker.peak(), 48 * 1024);
+}
+
+
+// One MaterializeAll of head, a group-by, a mean and a len over one read
+// parses the file once: the four folds share one pass. Materialized one
+// by one, the group-by, the mean and the len each scan the whole file.
+TEST_F(DaskTest, MaterializeAllSharesOneScan) {
+  MemoryTracker tracker(0);
+  auto backend = MakeDask(&tracker, 1000);
+  auto frame = Read(backend.get());
+  ASSERT_TRUE(frame.ok());
+  const std::vector<BackendValue> outputs = {
+      Op(backend.get(), OpKind::kHead, {*frame}, [](OpDesc* d) { d->n = 5; }),
+      GroupSum(backend.get(), *frame),
+      Reduce(backend.get(), Column(backend.get(), *frame, "v"),
+             AggFunc::kMean),
+      Op(backend.get(), OpKind::kLen, {*frame})};
+
+  std::vector<EagerValue> separate;
+  std::vector<int64_t> ranges(outputs.size());
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    auto v = Parsing(&ranges[i], [&] { return backend->Materialize(outputs[i]); });
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    separate.push_back(*v);
+  }
+  const int64_t scan = ranges[3];  // len reads every range
+  EXPECT_EQ(scan, 11);             // 10 ranges, then the end
+  EXPECT_LT(ranges[0], scan);      // head alone stops early
+  EXPECT_EQ(ranges[1], scan);
+  EXPECT_EQ(ranges[2], scan);
+
+  int64_t parsed = 0;
+  auto together =
+      Parsing(&parsed, [&] { return backend->MaterializeAll(outputs); });
+  EXPECT_EQ(parsed, scan);
+  ASSERT_TRUE(together.ok()) << together.status().ToString();
+  ASSERT_EQ(together->size(), outputs.size());
+  EXPECT_EQ((*together)[0].frame.CanonicalString(false),
+            separate[0].frame.CanonicalString(false));
+  EXPECT_EQ((*together)[1].frame.CanonicalString(true),
+            separate[1].frame.CanonicalString(true));
+  EXPECT_EQ((*together)[2].scalar.ToString(), separate[2].scalar.ToString());
+  EXPECT_EQ((*together)[3].scalar.int_value(), 10000);
+}
+
+// df[df.v > df.v.mean()] (retail's shape): the filter reads the mean, so
+// the mean's wave and the filter's each scan the file.
+TEST_F(DaskTest, FilterOnMeanScansTwice) {
+  MemoryTracker tracker(0);
+  auto backend = MakeDask(&tracker, 1000);
+  auto frame = Read(backend.get());
+  ASSERT_TRUE(frame.ok());
+  BackendValue v = Column(backend.get(), *frame, "v");
+  BackendValue mean = Reduce(backend.get(), v, AggFunc::kMean);
+  BackendValue mask =
+      Op(backend.get(), OpKind::kCompare, {v, mean},
+         [](OpDesc* d) { d->compare_op = df::CompareOp::kGt; });
+  BackendValue above = Op(backend.get(), OpKind::kFilter, {*frame, mask});
+  BackendValue n = Op(backend.get(), OpKind::kLen, {above});
+  int64_t parsed = 0;
+  auto out =
+      Parsing(&parsed, [&] { return backend->MaterializeAll({mean, n}); });
+  EXPECT_EQ(parsed, 2 * 11);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_DOUBLE_EQ((*out)[0].scalar.double_value(), 49.5);
+  EXPECT_EQ((*out)[1].scalar.int_value(), 5000);
+}
+
+// A persist-requested frame is collected in the same pass as a direct
+// consumer of its scan; its own consumers then read the collected
+// partitions, in this call and later ones, without parsing.
+TEST_F(DaskTest, PersistSharesScanWithDirectConsumers) {
+  MemoryTracker tracker(0);
+  auto backend = MakeDask(&tracker, 1000);
+  auto frame = Read(backend.get());
+  ASSERT_TRUE(frame.ok());
+  BackendValue v = Column(backend.get(), *frame, "v");
+  BackendValue low = Op(
+      backend.get(), OpKind::kFilter,
+      {*frame, Op(backend.get(), OpKind::kCompare, {v}, [](OpDesc* d) {
+         d->compare_op = df::CompareOp::kLt;
+         d->has_scalar = true;
+         d->scalar = Scalar::Int(50);
+       })});
+  ASSERT_TRUE(backend->Persist(low).ok());
+  BackendValue total = Reduce(backend.get(), v, AggFunc::kSum);
+  BackendValue grouped = GroupSum(backend.get(), low);
+  int64_t parsed = 0;
+  auto out = Parsing(
+      &parsed, [&] { return backend->MaterializeAll({grouped, total}); });
+  EXPECT_EQ(parsed, 11);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ((*out)[1].scalar.int_value(), 100 * (99 * 100 / 2));
+  EXPECT_EQ((*out)[0].frame.num_rows(), 5u);
+  BackendValue rows = Op(backend.get(), OpKind::kLen, {low});
+  auto n = Parsing(&parsed, [&] { return backend->Materialize(rows); });
+  EXPECT_EQ(parsed, 0);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(n->scalar.int_value(), 5000);
+}
+
+// Two folds over one merge share the merge stream: the right side is
+// collected once and the left side's scan runs once. Two folds over a
+// gather (a nunique group-by) share its one collected input.
+TEST_F(DaskTest, MergeAndGatherInputsAreSharedSources) {
+  MemoryTracker tracker(0);
+  auto backend = MakeDask(&tracker, 1000);
+  auto frame = Read(backend.get());
+  ASSERT_TRUE(frame.ok());
+  BackendValue sums = GroupSum(backend.get(), *frame);
+  BackendValue merged =
+      Op(backend.get(), OpKind::kMerge, {*frame, sums}, [](OpDesc* d) {
+        d->columns = {"grp"};
+        d->join_type = df::JoinType::kInner;
+      });
+  BackendValue rows = Op(backend.get(), OpKind::kLen, {merged});
+  BackendValue total =
+      Reduce(backend.get(), Column(backend.get(), merged, "s"), AggFunc::kSum);
+  // One scan for the right side's group-by, one for the left side.
+  int64_t parsed = 0;
+  auto out =
+      Parsing(&parsed, [&] { return backend->MaterializeAll({rows, total}); });
+  EXPECT_EQ(parsed, 2 * 11);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ((*out)[0].scalar.int_value(), 10000);
+  // Each group's 2000 rows carry its sum, so the sums of v add up 2000
+  // times.
+  EXPECT_EQ((*out)[1].scalar.int_value(), 2000 * 100 * (99 * 100 / 2));
+
+  OpDesc nunique;
+  nunique.kind = OpKind::kGroupByAgg;
+  nunique.columns = {"grp"};
+  nunique.aggs = {{"v", AggFunc::kNunique, "n"}};
+  ASSERT_EQ(StrategyOf(nunique), Strategy::kGather);
+  auto gathered = backend->Execute(nunique, {*frame});
+  ASSERT_TRUE(gathered.ok());
+  const BackendValue& distinct = *gathered;
+  BackendValue groups = Op(backend.get(), OpKind::kLen, {distinct});
+  BackendValue most = Reduce(backend.get(), Column(backend.get(), distinct, "n"),
+                             AggFunc::kMax);
+  out = Parsing(&parsed,
+                [&] { return backend->MaterializeAll({groups, most}); });
+  EXPECT_EQ(parsed, 11);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ((*out)[0].scalar.int_value(), 5);
+  EXPECT_EQ((*out)[1].scalar.int_value(), 20);
+}
+
+// Several aggregations sharing one pass still stream partition by
+// partition, within the budget a single one runs in (see
+// StreamingAggregationStaysUnderBudget).
+TEST_F(DaskTest, SharedPassStaysUnderBudget) {
+  MemoryTracker tracker(64 * 1024);
+  auto backend = MakeDask(&tracker, 500);
+  auto frame = Read(backend.get());
+  ASSERT_TRUE(frame.ok());
+  BackendValue v = Column(backend.get(), *frame, "v");
+  auto out = backend->MaterializeAll(
+      {Reduce(backend.get(), v, AggFunc::kSum),
+       Reduce(backend.get(), v, AggFunc::kMean),
+       Reduce(backend.get(), Column(backend.get(), *frame, "id"),
+              AggFunc::kMax),
+       GroupSum(backend.get(), *frame),
+       Op(backend.get(), OpKind::kLen, {*frame})});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ((*out)[0].scalar.int_value(), 100 * (99 * 100 / 2));
+  EXPECT_EQ((*out)[2].scalar.int_value(), 9999);
+  EXPECT_EQ((*out)[3].frame.num_rows(), 5u);
+  EXPECT_EQ((*out)[4].scalar.int_value(), 10000);
+  EXPECT_LE(tracker.peak(), 64 * 1024);
+}
+
+// Head sharing a pass with a full reduction takes only its prefix; the
+// pass streams on for the reduction within head's budget.
+TEST_F(DaskTest, HeadStopsEarlyInSharedPass) {
+  MemoryTracker tracker(48 * 1024);
+  auto backend = MakeDask(&tracker, 200);
+  auto frame = Read(backend.get());
+  ASSERT_TRUE(frame.ok());
+  auto out = backend->MaterializeAll(
+      {Op(backend.get(), OpKind::kHead, {*frame}, [](OpDesc* d) { d->n = 5; }),
+       Reduce(backend.get(), Column(backend.get(), *frame, "v"),
+              AggFunc::kSum)});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ((*out)[0].frame.num_rows(), 5u);
+  EXPECT_EQ((*out)[1].scalar.int_value(), 100 * (99 * 100 / 2));
+  EXPECT_LE(tracker.peak(), 48 * 1024);
+}
+
+// A cancelled round stops a pass between pulls.
+TEST_F(DaskTest, CancelledTokenStopsPass) {
+  MemoryTracker tracker(0);
+  CancellationToken cancel;
+  BackendConfig config;
+  config.partition_rows = 1000;
+  config.spill_dir = dir_ + "/spill";
+  config.cancel = &cancel;
+  auto backend = MakeBackend(BackendKind::kDask, &tracker, config);
+  auto frame = Read(backend.get());
+  ASSERT_TRUE(frame.ok());
+  BackendValue n = Op(backend.get(), OpKind::kLen, {*frame});
+  cancel.Cancel();
+  int64_t parsed = 0;
+  auto out = Parsing(&parsed, [&] { return backend->Materialize(n); });
+  EXPECT_TRUE(out.status().IsCancelled()) << out.status().ToString();
+  EXPECT_EQ(parsed, 0);
+  cancel.Reset();
+  out = backend->Materialize(n);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->scalar.int_value(), 10000);
 }
 
 }  // namespace

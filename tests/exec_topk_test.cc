@@ -31,7 +31,8 @@ using df::DataType;
 /// also requires equal category codes and dictionaries: the kernel's
 /// result is one TakeRows of its input, as the sort's is. Without it a
 /// string column may stand for a category one: df::Concat, which joins
-/// the partials of every partitioned op, writes categories as strings.
+/// the partials of every partitioned op, writes categories on different
+/// dictionaries as strings.
 void ExpectSameFrame(const DataFrame& got, const DataFrame& want,
                      bool same_codes, const std::string& what) {
   ASSERT_EQ(got.names(), want.names()) << what;

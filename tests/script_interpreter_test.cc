@@ -13,6 +13,9 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "common/metrics.h"
+#include "io/columnar.h"
+#include "lazy/fat_dataframe.h"
 #include "optimizer/passes.h"
 #include "script/analyze.h"
 #include "shard/pool.h"
@@ -439,6 +442,90 @@ TEST_P(InterpreterTest, ComputedScalarRunsNoSecondRound) {
   EXPECT_EQ(analyzed.stats.computes_inserted, 1);
   EXPECT_EQ(output.str(), *eager);
   EXPECT_EQ(session.num_rounds(), 2);
+}
+
+// Three prints and a checksum over one CSV. On LaFP Dask the round's
+// prints and the checksum's compute are materialized together, so each
+// range of the file is parsed once; plain Dask, whose prints force
+// computation, parses the whole file for each print and for the
+// checksum. Every mode prints what eager Pandas prints.
+TEST_P(InterpreterTest, LazyPrintsShareOneScan) {
+  const std::string source =
+      "import lazyfatpandas.pandas as pd\n"
+      "df = pd.read_csv(\"" + csv_path_ + "\")\n"
+      "print(df.passenger_count.value_counts())\n"
+      "by_vendor = df.groupby([\"vendor\"])[\"tip\"].sum()\n"
+      "print(by_vendor)\n"
+      "avg = df.fare_amount.mean()\n"
+      "print(f\"avg: {avg}\")\n"
+      "checksum(by_vendor)\n";
+  auto eager = Run(source, false, ExecutionMode::kEager);
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  metrics::Counter* ranges =
+      metrics::Registry::Global()->GetCounter("csv.chunks");
+  int64_t before = ranges->Value();
+  auto lafp = Run(source, true, ExecutionMode::kLazy, true, true);
+  const int64_t lafp_ranges = ranges->Value() - before;
+  before = ranges->Value();
+  auto plain = Run(source, false, ExecutionMode::kLazy, false);
+  const int64_t plain_ranges = ranges->Value() - before;
+  ASSERT_TRUE(lafp.ok()) << lafp.status().ToString();
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(*lafp, *eager);
+  EXPECT_EQ(*plain, *eager);
+  if (GetParam() != BackendKind::kDask) return;
+  // 120 rows in 32-row ranges: 4 ranges, then the end.
+  EXPECT_EQ(lafp_ranges, 5);
+  EXPECT_EQ(plain_ranges, 4 * 5);
+}
+
+// Partitions of one LFC reader share the footer's dictionary, so a column
+// read as a category (§3.6) stays one through the gathers that
+// concatenate partitions: Modin's and Dask's collect of the whole frame.
+TEST(LfcCategoryTest, HintedColumnStaysCategoryOnEveryBackend) {
+  const std::string dir = ::testing::TempDir() + "lfc_category_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/labels.lfc";
+  {
+    MemoryTracker tracker(0);
+    std::vector<int64_t> ids;
+    std::vector<std::string> labels;
+    for (int i = 0; i < 700; ++i) {
+      ids.push_back(i);
+      labels.push_back(i % 3 == 0 ? "red" : (i % 3 == 1 ? "green" : "blue"));
+    }
+    auto frame = df::DataFrame::Make(
+        {"id", "label"},
+        {*df::Column::MakeInt(std::move(ids), {}, &tracker),
+         *df::Column::MakeString(std::move(labels), {}, &tracker)});
+    ASSERT_TRUE(frame.ok());
+    io::LfcWriteOptions write;
+    write.chunk_rows = 100;
+    ASSERT_TRUE(io::WriteLfcFile(*frame, path, write).ok());
+  }
+  for (BackendKind backend :
+       {BackendKind::kPandas, BackendKind::kModin, BackendKind::kDask}) {
+    SessionOptions opts;
+    opts.backend = backend;
+    opts.mode = ExecutionMode::kLazy;
+    opts.backend_config.partition_rows = 100;
+    std::stringstream output;
+    opts.output = &output;
+    Session session(opts);
+    io::LfcReadOptions read;
+    read.categories = {"label"};
+    auto lazy = lazy::FatDataFrame::ReadLfc(&session, path, read);
+    ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+    auto eager = lazy->ToEager();
+    ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+    ASSERT_EQ(eager->num_rows(), 700u);
+    const df::Column& label = **eager->column("label");
+    EXPECT_EQ(label.type(), df::DataType::kCategory)
+        << exec::BackendKindName(backend);
+    EXPECT_EQ(label.StringAt(699), "red");
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // Sessions on Pandas, Modin and Dask start no worker process: the shard
