@@ -116,16 +116,12 @@ BenchResult RunBenchmark(const std::string& program_name,
   opts.backend = config.backend;
   opts.tracker = &tracker;
   opts.backend_config.partition_rows = config.partition_rows;
-  opts.backend_config.num_threads = 4;
   opts.backend_config.task_overhead_us =
       config.task_overhead_us >= 0 ? config.task_overhead_us
                                    : DefaultOverheadUs(config.backend);
   std::stringstream output;
   opts.output = &output;
-  if (config.result_cache != nullptr) {
-    opts.cache.enabled = true;
-    opts.cache.cache = config.result_cache;
-  }
+  opts.cache = config.result_cache;
 
   script::RunOptions run_opts;
   run_opts.analyze = config.optimized;

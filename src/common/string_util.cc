@@ -85,8 +85,8 @@ bool IsBlank(std::string_view s) { return Trim(s).empty(); }
 std::string FormatDouble(double v) {
   if (std::isnan(v)) return "nan";
   if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  if (v == static_cast<double>(static_cast<int64_t>(v)) &&
-      std::fabs(v) < 1e15) {
+  if (std::fabs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<int64_t>(v))) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld.0",
                   static_cast<long long>(v));

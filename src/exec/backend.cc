@@ -22,16 +22,17 @@ const char* BackendKindName(BackendKind kind) {
 }
 
 std::unique_ptr<Backend> MakeBackend(BackendKind kind, MemoryTracker* tracker,
-                                     const BackendConfig& config) {
+                                     const BackendConfig& config,
+                                     const ExecutionOptions& exec) {
   switch (kind) {
     case BackendKind::kPandas:
-      return std::make_unique<PandasBackend>(tracker, config);
+      return std::make_unique<PandasBackend>(tracker, config, exec);
     case BackendKind::kModin:
-      return std::make_unique<ModinBackend>(tracker, config);
+      return std::make_unique<ModinBackend>(tracker, config, exec);
     case BackendKind::kDask:
-      return std::make_unique<DaskBackend>(tracker, config);
+      return std::make_unique<DaskBackend>(tracker, config, exec);
     case BackendKind::kShard:
-      return std::make_unique<shard::ShardBackend>(tracker, config);
+      return std::make_unique<shard::ShardBackend>(tracker, config, exec);
   }
   return nullptr;
 }

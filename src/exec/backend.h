@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -13,27 +14,60 @@
 
 namespace lafp::exec {
 
+/// Execution knobs (lazy::SessionOptions::exec), the one home of the
+/// thread counts, the morsel size and the cancellation token: the session
+/// reads them for its scheduler and hands them to its backend beside the
+/// BackendConfig.
+struct ExecutionOptions {
+  /// Worker threads for the parallel DAG scheduler and for the Modin
+  /// backend's partition pool. 1 = serial scheduling.
+  int num_threads = 4;
+  /// Morsel-driven parallelism *inside* individual kernels (the
+  /// intra-operator axis, orthogonal to num_threads' inter-operator /
+  /// partition axis). 0 = off (kernels run as one morsel, the sequential
+  /// loops byte-for-byte); 1 = serial execution over the fixed morsel
+  /// geometry; >1 = morsel-parallel on the backend's kernel pool. Because
+  /// morsel boundaries depend only on row count and morsel_rows, every
+  /// value >= 1 yields bit-identical results.
+  int intra_op_threads = 0;
+  /// Rows per kernel morsel when intra_op_threads >= 1. Part of the
+  /// determinism contract: changing it changes morsel boundaries (and may
+  /// perturb compensated sums by ~1 ulp); changing thread counts never
+  /// does.
+  size_t morsel_rows = 65536;
+  /// Graceful degradation (§4.3/§5.2): when a backend's native Execute
+  /// fails with an execution / IO / not-implemented error, retry the node
+  /// once on the eager Pandas-engine fallback path instead of failing the
+  /// round. Out-of-memory and semantic errors (KeyError/TypeError
+  /// analogues) always surface — those are program errors, not backend
+  /// limitations.
+  bool graceful_fallback = true;
+  /// Enable the structured tracer (common/trace.h) for this session:
+  /// session/round/pass/node/kernel spans are recorded into the global
+  /// tracer for Chrome-JSON or EXPLAIN ANALYZE export. Independent of the
+  /// LAFP_TRACE env knob (either can switch the tracer on). The tracer
+  /// goes off again when the last traced session ends, unless it was on
+  /// before the first of them began.
+  bool trace = false;
+  /// External cancellation token (common/cancellation.h), checked by the
+  /// scheduler between nodes, by Dask between partition pulls and by the
+  /// shard coordinator between request waves. Non-owning, must outlive
+  /// the session; null = rounds cancel only on internal failure. A query
+  /// server trips this when the client disconnects, so an abandoned
+  /// request stops burning workers at its next boundary.
+  CancellationToken* cancel = nullptr;
+  /// Non-owning DAG-scheduler worker pool shared across sessions. Null =
+  /// the session lazily builds a private pool (the single-session
+  /// default). A query server owns one pool and hands it to every
+  /// session so N concurrent sessions multiplex a fixed worker set
+  /// instead of stacking N private pools. Must outlive the session.
+  ThreadPool* scheduler_pool = nullptr;
+};
+
 /// Tuning and simulation knobs shared by the backends.
 struct BackendConfig {
-  /// Worker threads for the Modin backend's partition parallelism.
-  /// Legacy knob: the lazy runtime unifies this with the DAG scheduler's
-  /// worker count via lazy::ExecutionOptions (the session resolves one
-  /// number and writes it back here), so set it through
-  /// SessionOptions::Builder::threads() when a session is involved.
-  int num_threads = 4;
   /// Rows per partition for the partitioned backends.
   size_t partition_rows = 65536;
-  /// Morsel-driven intra-operator parallelism inside the dataframe kernels
-  /// (df::KernelContext). 0 = off (kernels run as one morsel, the legacy
-  /// sequential path, byte-for-byte); 1 = serial but with the fixed morsel
-  /// geometry applied (useful for determinism testing); >1 = morsel
-  /// parallel on a kernel thread pool. Morsel boundaries depend only on
-  /// (row count, morsel_rows) — never on this knob — so any value >= 1
-  /// produces bit-identical results. Resolved by the session from
-  /// lazy::ExecutionOptions::intra_op_threads.
-  int intra_op_threads = 0;
-  /// Rows per kernel morsel when intra_op_threads >= 1.
-  size_t morsel_rows = 65536;
   /// Source partitions the Dask backend keeps in flight (models worker
   /// prefetch/parallelism): its steady-state memory is roughly
   /// prefetch_partitions x partition width, which is why projection
@@ -55,25 +89,20 @@ struct BackendConfig {
   /// instead of memory.
   bool spill_persisted = false;
   /// Non-owning worker pool shared across backend instances. Null = the
-  /// backend owns a private pool sized from the knobs above (the
-  /// single-session default). A query server owns one pool and injects
-  /// it into every session's backend so N concurrent sessions multiplex
-  /// a fixed worker set instead of oversubscribing the machine with N
-  /// private pools; num_threads / intra_op_threads then cap only how
-  /// much work one session keeps in flight. Must outlive the backend.
+  /// backend owns a private pool sized from the ExecutionOptions thread
+  /// counts (the single-session default). A query server owns one pool
+  /// and injects it into every session's backend so N concurrent
+  /// sessions multiplex a fixed worker set instead of oversubscribing the
+  /// machine with N private pools; num_threads / intra_op_threads then
+  /// cap only how much work one session keeps in flight. Must outlive the
+  /// backend.
   ThreadPool* shared_pool = nullptr;
-  /// Worker processes for the shard backend (BackendKind::kShard). 0 =
-  /// unresolved; the session resolves it from Builder::shards(n) /
-  /// LAFP_SHARDS (default 2). 1 is a valid degenerate cluster (one
-  /// worker process) used for shard-count-invariance testing.
+  /// Worker processes for the shard backend (BackendKind::kShard), in
+  /// [1, 64]; 1 is a valid degenerate cluster used for
+  /// shard-count-invariance testing. 0 = the LAFP_SHARDS env knob, else
+  /// 2. The shard backend alone decides the count: any other value, or a
+  /// malformed LAFP_SHARDS, fails its first Execute with Invalid.
   int shards = 0;
-  /// External cancellation token surfaced to backends that run long
-  /// multi-step exchanges (the shard coordinator checks it between
-  /// request waves and fails the op with kCancelled). Non-owning; null =
-  /// never cancelled externally. The session copies
-  /// lazy::ExecutionOptions::cancel here so the scheduler and the
-  /// backend watch one token.
-  CancellationToken* cancel = nullptr;
 };
 
 /// Opaque backend-specific frame representation. Eager backends store
@@ -122,9 +151,11 @@ struct BackendValue {
 /// caches are deliberately unsynchronized.
 class Backend {
  public:
-  Backend(MemoryTracker* tracker, BackendConfig config)
+  Backend(MemoryTracker* tracker, BackendConfig config,
+          ExecutionOptions exec)
       : tracker_(tracker != nullptr ? tracker : MemoryTracker::Default()),
-        config_(config) {}
+        config_(std::move(config)),
+        exec_(exec) {}
   virtual ~Backend() = default;
 
   Backend(const Backend&) = delete;
@@ -190,10 +221,12 @@ class Backend {
 
   MemoryTracker* tracker() const { return tracker_; }
   const BackendConfig& config() const { return config_; }
+  const ExecutionOptions& exec_options() const { return exec_; }
 
  protected:
   MemoryTracker* tracker_;
   BackendConfig config_;
+  ExecutionOptions exec_;
 };
 
 enum class BackendKind : int {
@@ -206,7 +239,8 @@ enum class BackendKind : int {
 const char* BackendKindName(BackendKind kind);
 
 std::unique_ptr<Backend> MakeBackend(BackendKind kind, MemoryTracker* tracker,
-                                     const BackendConfig& config);
+                                     const BackendConfig& config,
+                                     const ExecutionOptions& exec = {});
 
 }  // namespace lafp::exec
 

@@ -617,14 +617,18 @@ Status DaskEvaluator::RunPass(const std::vector<Consumer*>& group) {
   for (Consumer* c : group) zone.Add(c->root, c->fold == Fold::kPersist);
   LAFP_ASSIGN_OR_RETURN(std::unique_ptr<ZoneStream> stream,
                         ZoneStream::Open(this, std::move(zone)));
-  const CancellationToken* cancel = backend_->config().cancel;
+  const CancellationToken* cancel = backend_->exec_options().cancel;
   int64_t partitions = 0;
   while (std::any_of(group.begin(), group.end(),
                      [](const Consumer* c) { return !c->Enough(); })) {
     if (cancel != nullptr && cancel->cancelled()) {
       return Status::Cancelled("dask pass cancelled");
     }
-    LAFP_ASSIGN_OR_RETURN(bool pulled, stream->Pull());
+    bool pulled = false;
+    {
+      trace::Span pull_span("dask:pull", "backend");
+      LAFP_ASSIGN_OR_RETURN(pulled, stream->Pull());
+    }
     if (!pulled) break;
     ++partitions;
     // Every root is evaluated, dropping what no later root reads, before
@@ -632,12 +636,20 @@ Status DaskEvaluator::RunPass(const std::vector<Consumer*>& group) {
     std::vector<std::optional<df::DataFrame>> outputs(group.size());
     for (size_t i = 0; i < group.size(); ++i) {
       if (!group[i]->Enough()) {
+        trace::Span eval_span("dask:zone", "backend");
+        if (eval_span.active()) {
+          eval_span.AddArg("root", group[i]->root->desc.ToString());
+        }
         LAFP_ASSIGN_OR_RETURN(outputs[i], stream->Eval(i));
       }
       stream->Release(i);
     }
     for (size_t i = 0; i < group.size(); ++i) {
       if (!outputs[i].has_value()) continue;
+      trace::Span fold_span("dask:fold", "backend");
+      if (fold_span.active()) {
+        fold_span.AddArg("op", group[i]->node->desc.ToString());
+      }
       LAFP_RETURN_NOT_OK(FoldPartition(group[i], std::move(*outputs[i])));
       outputs[i].reset();
     }
@@ -647,7 +659,13 @@ Status DaskEvaluator::RunPass(const std::vector<Consumer*>& group) {
     span.AddArg("sources", static_cast<int64_t>(stream->num_sources()));
     span.AddArg("partitions", partitions);
   }
-  for (Consumer* c : group) LAFP_RETURN_NOT_OK(Finish(c));
+  for (Consumer* c : group) {
+    trace::Span finish_span("dask:finish", "backend");
+    if (finish_span.active()) {
+      finish_span.AddArg("op", c->node->desc.ToString());
+    }
+    LAFP_RETURN_NOT_OK(Finish(c));
+  }
   return Status::OK();
 }
 
@@ -833,8 +851,9 @@ std::string DefaultSpillDir(const char* base) {
 
 }  // namespace
 
-DaskBackend::DaskBackend(MemoryTracker* tracker, const BackendConfig& config)
-    : Backend(tracker, config) {
+DaskBackend::DaskBackend(MemoryTracker* tracker, const BackendConfig& config,
+                         const ExecutionOptions& exec)
+    : Backend(tracker, config, exec) {
   owns_spill_dir_ = config.spill_dir.empty();
   spill_dir_ =
       owns_spill_dir_ ? DefaultSpillDir("lafp_dask_spill") : config.spill_dir;

@@ -43,7 +43,8 @@ class DaskEvaluator;
 /// extension here).
 class DaskBackend : public Backend {
  public:
-  DaskBackend(MemoryTracker* tracker, const BackendConfig& config);
+  DaskBackend(MemoryTracker* tracker, const BackendConfig& config,
+              const ExecutionOptions& exec);
   ~DaskBackend() override;
 
   const char* name() const override { return "dask"; }

@@ -81,16 +81,17 @@ Status RunPartitions(ThreadPool* pool, size_t np, const char* what,
 }  // namespace
 
 ModinBackend::ModinBackend(MemoryTracker* tracker,
-                           const BackendConfig& config)
-    : PartitionedBackend(tracker, config),
+                           const BackendConfig& config,
+                           const ExecutionOptions& exec)
+    : PartitionedBackend(tracker, config, exec),
       owned_pool_(config.shared_pool == nullptr
-                      ? std::make_unique<ThreadPool>(config.num_threads)
+                      ? std::make_unique<ThreadPool>(exec.num_threads)
                       : nullptr),
       work_pool_(config.shared_pool != nullptr ? config.shared_pool
                                                : owned_pool_.get()) {
-  if (config_.intra_op_threads >= 1) {
-    kernel_ctx_ = df::KernelContext(work_pool_, config_.intra_op_threads,
-                                    config_.morsel_rows);
+  if (exec_.intra_op_threads >= 1) {
+    kernel_ctx_ = df::KernelContext(work_pool_, exec_.intra_op_threads,
+                                    exec_.morsel_rows);
   }
 }
 

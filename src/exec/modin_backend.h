@@ -33,7 +33,8 @@ namespace lafp::exec {
 /// nested morsel tasks onto the pool they run on.
 class ModinBackend : public PartitionedBackend {
  public:
-  ModinBackend(MemoryTracker* tracker, const BackendConfig& config);
+  ModinBackend(MemoryTracker* tracker, const BackendConfig& config,
+               const ExecutionOptions& exec);
 
   const char* name() const override { return "modin"; }
   bool preserves_row_order() const override { return true; }
@@ -42,6 +43,9 @@ class ModinBackend : public PartitionedBackend {
       const OpDesc& desc, const std::vector<BackendValue>& inputs) override;
   Result<EagerValue> Materialize(const BackendValue& value) override;
   Result<BackendValue> FromEager(const EagerValue& value) override;
+
+  /// Threads of the partition pool (the shared pool's, when injected).
+  int workers() const { return work_pool_->num_threads(); }
 
  private:
   Result<BackendFramePtr> Scan(const OpDesc& desc) override;

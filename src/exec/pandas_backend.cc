@@ -21,23 +21,24 @@ class EagerBackendFrame : public BackendFrame {
 }  // namespace
 
 PandasBackend::PandasBackend(MemoryTracker* tracker,
-                             const BackendConfig& config)
-    : Backend(tracker, config) {
+                             const BackendConfig& config,
+                             const ExecutionOptions& exec)
+    : Backend(tracker, config, exec) {
   // Morsel workers come from the injected shared pool when one is
   // configured (query server: one pool for every session's kernels);
   // otherwise the backend owns a private pool.
   ThreadPool* pool = nullptr;
-  if (config_.intra_op_threads > 1) {
+  if (exec_.intra_op_threads > 1) {
     if (config_.shared_pool != nullptr) {
       pool = config_.shared_pool;
     } else {
-      kernel_pool_ = std::make_unique<ThreadPool>(config_.intra_op_threads);
+      kernel_pool_ = std::make_unique<ThreadPool>(exec_.intra_op_threads);
       pool = kernel_pool_.get();
     }
   }
-  if (config_.intra_op_threads >= 1) {
-    kernel_ctx_ = df::KernelContext(pool, config_.intra_op_threads,
-                                    config_.morsel_rows);
+  if (exec_.intra_op_threads >= 1) {
+    kernel_ctx_ = df::KernelContext(pool, exec_.intra_op_threads,
+                                    exec_.morsel_rows);
   }
 }
 

@@ -14,7 +14,7 @@ namespace lafp::exec {
 /// dataframe kernels, everything lives in (tracked) memory. This is the
 /// "Pandas" of the reproduction — fastest in-memory, first to OOM.
 ///
-/// When config.intra_op_threads >= 1 the backend owns a kernel thread
+/// When exec.intra_op_threads >= 1 the backend owns a kernel thread
 /// pool and installs a df::KernelContext for the duration of each
 /// Execute call, so the dataframe kernels split their loops into fixed
 /// morsels (parallel when intra_op_threads > 1). The context lives in
@@ -29,7 +29,8 @@ namespace lafp::exec {
 /// each call blocks only its own scheduler worker while its morsels run.
 class PandasBackend : public Backend {
  public:
-  PandasBackend(MemoryTracker* tracker, const BackendConfig& config);
+  PandasBackend(MemoryTracker* tracker, const BackendConfig& config,
+                const ExecutionOptions& exec);
 
   const char* name() const override { return "pandas"; }
   bool preserves_row_order() const override { return true; }

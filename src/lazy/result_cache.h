@@ -136,19 +136,6 @@ class ResultCache {
   std::atomic<int64_t> evictions_{0};
 };
 
-/// Session-facing cache configuration (SessionOptions::cache).
-struct CacheConfig {
-  /// Off by default; the LAFP_CACHE env knob can still enable the shared
-  /// Global() cache when this config is untouched.
-  bool enabled = false;
-  /// Capacity for the session-private cache built when `cache` is null.
-  size_t capacity_bytes = ResultCache::kDefaultCapacityBytes;
-  /// Explicit cache instance to share across sessions; null + enabled =
-  /// the session builds a private cache charging the session's
-  /// MemoryTracker.
-  std::shared_ptr<ResultCache> cache;
-};
-
 /// Deep copy with fresh columns charged to `tracker` (scalars copy
 /// trivially). Fails on tracker pressure or unsupported column types.
 Result<exec::EagerValue> DeepCopyEagerValue(const exec::EagerValue& value,

@@ -1,7 +1,7 @@
 #include "lazy/session.h"
 
+#include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <iostream>
 #include <mutex>
 #include <optional>
@@ -10,59 +10,19 @@
 
 #include "common/macros.h"
 #include "common/metrics.h"
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "dataframe/kernel_context.h"
 
 namespace lafp::lazy {
 
-std::string PrintPlaceholder(size_t input_index) {
-  return "\x01" + std::to_string(input_index) + "\x02";
-}
-
-ExecutionOptions::Resolved ExecutionOptions::Resolve(
-    const exec::BackendConfig& legacy) const {
-  Resolved r;
-  r.num_threads = num_threads > 0 ? num_threads : legacy.num_threads;
-  if (r.num_threads < 1) r.num_threads = 1;
-  r.intra_op_threads =
-      intra_op_threads > 0 ? intra_op_threads : legacy.intra_op_threads;
-  if (r.intra_op_threads < 0) r.intra_op_threads = 0;
-  r.morsel_rows = morsel_rows;
-  return r;
-}
-
 namespace {
 
-/// Write the resolved knobs back into both homes so the backend (Modin
-/// partition pool, kernel context) and the scheduler agree on one number;
-/// after this, nothing downstream interprets a 0 as "inherit".
-SessionOptions NormalizeOptions(SessionOptions options) {
-  ExecutionOptions::Resolved r =
-      options.exec.Resolve(options.backend_config);
-  options.exec.num_threads = r.num_threads;
-  options.backend_config.num_threads = r.num_threads;
-  options.exec.intra_op_threads = r.intra_op_threads;
-  options.backend_config.intra_op_threads = r.intra_op_threads;
-  options.backend_config.morsel_rows = r.morsel_rows;
-  // Shard-count resolution: Builder::shards(n) wins; an unset count on
-  // the shard backend falls back to LAFP_SHARDS, then to 2 workers.
-  if (options.backend == exec::BackendKind::kShard &&
-      options.backend_config.shards <= 0) {
-    int shards = 2;
-    if (const char* env = std::getenv("LAFP_SHARDS")) {
-      auto parsed = ParseInt64(env);
-      if (parsed.has_value() && *parsed >= 1 && *parsed <= 64) {
-        shards = static_cast<int>(*parsed);
-      }
-    }
-    options.backend_config.shards = shards;
-  }
-  // One cancellation token for the scheduler and the backend: the shard
-  // coordinator checks it between request waves, so a cancelled query
-  // stops fanning out mid-exchange, not just at node boundaries.
-  options.backend_config.cancel = options.exec.cancel;
+/// The one clamp of the thread knobs, before the scheduler and the
+/// backend read them: num_threads >= 1, intra_op_threads >= 0.
+SessionOptions ClampThreads(SessionOptions options) {
+  options.exec.num_threads = std::max(options.exec.num_threads, 1);
+  options.exec.intra_op_threads = std::max(options.exec.intra_op_threads, 0);
   return options;
 }
 
@@ -122,12 +82,12 @@ Session::TraceHold::~TraceHold() {
 }
 
 Session::Session(SessionOptions options)
-    : options_(NormalizeOptions(std::move(options))),
+    : options_(ClampThreads(std::move(options))),
       session_id_(next_session_id.fetch_add(1, std::memory_order_relaxed)),
       tracker_(options_.tracker != nullptr ? options_.tracker
                                            : MemoryTracker::Default()),
       backend_(exec::MakeBackend(options_.backend, tracker_,
-                                 options_.backend_config)) {
+                                 options_.backend_config, options_.exec)) {
   if (!options_.fault_config.empty()) {
     // Session-private injector: concurrent sessions with different fault
     // configs coexist (nothing global is mutated). A parse failure still
@@ -144,20 +104,10 @@ Session::Session(SessionOptions options)
   if (session_span_->active()) {
     session_span_->AddArg("session_id", session_id_);
   }
-  // Cross-query cache: an explicit instance wins; bare `enabled` builds a
-  // session-private cache charged to the session tracker; otherwise the
+  // Cross-query cache: an explicit instance wins; otherwise the
   // LAFP_CACHE env knob can attach the process-wide shared cache.
-  std::shared_ptr<ResultCache> cache = options_.cache.cache;
-  if (cache == nullptr && options_.cache.enabled) {
-    ResultCache::Options copts;
-    copts.capacity_bytes = options_.cache.capacity_bytes;
-    copts.charge_tracker = tracker_;
-    cache = std::make_shared<ResultCache>(copts);
-  }
-  if (cache == nullptr && !options_.cache.enabled &&
-      options_.cache.cache == nullptr) {
-    cache = ResultCache::FromEnv();
-  }
+  std::shared_ptr<ResultCache> cache =
+      options_.cache != nullptr ? options_.cache : ResultCache::FromEnv();
   if (cache != nullptr && options_.mode == ExecutionMode::kLazy) {
     cache_splicer_ = std::make_unique<CacheSplicer>(std::move(cache));
   }
@@ -195,23 +145,23 @@ Result<TaskNodePtr> Session::AddNode(exec::OpDesc desc,
 }
 
 Status Session::Print(const std::vector<PrintArg>& args) {
-  // Build the template and collect value inputs.
+  // Collect the value inputs and the literal text before each of them.
   exec::OpDesc desc;
   desc.kind = exec::OpKind::kPrint;
   std::vector<TaskNodePtr> inputs;
-  std::string tmpl;
+  std::vector<std::string> segments(1);
   for (const auto& arg : args) {
     if (arg.node == nullptr) {
-      tmpl += arg.literal;
+      segments.back() += arg.literal;
     } else {
-      tmpl += PrintPlaceholder(inputs.size());
       inputs.push_back(arg.node);
+      segments.emplace_back();
     }
   }
 
   bool lazy = options_.mode == ExecutionMode::kLazy && options_.lazy_print;
   TaskNodePtr node = graph_.NewNode(std::move(desc), std::move(inputs));
-  node->print_template = std::move(tmpl);
+  node->print_segments = std::move(segments);
   if (!lazy) {
     // Plain frameworks: print forces computation of its arguments now
     // (the behavior LaFP's lazy print avoids).
@@ -367,7 +317,6 @@ Status Session::ExecuteRound(const std::vector<TaskNodePtr>& roots,
   // does real work per node. A lazy backend's Execute() merely records a
   // plan node (microseconds), and its plan caches are not synchronized,
   // so those rounds stay on the deterministic serial path.
-  // Already resolved by NormalizeOptions (no inherit sentinel left).
   int threads = options_.exec.num_threads;
   const bool parallel = threads > 1 && !backend_->lazy();
   // An injected pool (query server) is shared across sessions; otherwise
@@ -554,42 +503,23 @@ Status Session::ExecNode(const TaskNodePtr& node, NodeStats* stats) {
 
 namespace {
 
-/// The input behind each placeholder of `node`'s template, in order.
-Result<std::vector<TaskNodePtr>> PrintArguments(const TaskNode& node) {
-  std::vector<TaskNodePtr> args;
-  const std::string& tmpl = node.print_template;
-  for (size_t i = tmpl.find('\x01'); i != std::string::npos;
-       i = tmpl.find('\x01', i)) {
-    size_t end = tmpl.find('\x02', i);
-    if (end == std::string::npos) {
-      return Status::ExecutionError("malformed print template");
-    }
-    size_t idx = std::stoul(tmpl.substr(i + 1, end - i - 1));
-    if (idx >= node.inputs.size()) {
-      return Status::ExecutionError("print placeholder out of range");
-    }
-    if (!node.inputs[idx]->executed) {
+/// Fails unless every input of print `node` has executed.
+Status CheckPrintInputs(const TaskNode& node) {
+  for (const auto& in : node.inputs) {
+    if (!in->executed) {
       return Status::ExecutionError("print argument not executed");
     }
-    args.push_back(node.inputs[idx]);
-    i = end + 1;
   }
-  return args;
+  return Status::OK();
 }
 
-/// `node`'s template with its k-th placeholder replaced by the display
-/// form of values[k] (f-string escape IDs, §3.3). The template was
-/// checked by PrintArguments.
+/// `node`'s literal segments with the display form of values[k] after
+/// segment k (the f-string escape-ID mechanism, §3.3).
 std::string RenderPrint(const TaskNode& node, const exec::EagerValue* values) {
-  std::string rendered;
-  const std::string& tmpl = node.print_template;
-  for (size_t i = 0; i < tmpl.size();) {
-    if (tmpl[i] != '\x01') {
-      rendered.push_back(tmpl[i++]);
-      continue;
-    }
-    rendered += (values++)->ToDisplayString();
-    i = tmpl.find('\x02', i) + 1;
+  std::string rendered = node.print_segments[0];
+  for (size_t k = 0; k < node.inputs.size(); ++k) {
+    rendered += values[k].ToDisplayString();
+    rendered += node.print_segments[k + 1];
   }
   return rendered;
 }
@@ -605,10 +535,10 @@ Status Session::EmitPrint(const TaskNodePtr& node, NodeStats* stats) {
   // print node like ExecNode attributes execution kernels.
   df::KernelCounters counters;
   df::KernelCountersScope counters_scope(&counters);
-  LAFP_ASSIGN_OR_RETURN(std::vector<TaskNodePtr> args, PrintArguments(*node));
+  LAFP_RETURN_NOT_OK(CheckPrintInputs(*node));
   // Each argument is forced on its own, as a plain framework's print does.
   std::vector<exec::EagerValue> values;
-  for (const auto& arg : args) {
+  for (const auto& arg : node->inputs) {
     LAFP_ASSIGN_OR_RETURN(exec::EagerValue v,
                           backend_->Materialize(arg->result));
     values.push_back(std::move(v));
@@ -640,12 +570,9 @@ Status Session::EmitOutputs(const std::vector<TaskNodePtr>& prints,
   Status status = [&]() -> Status {
     df::KernelCountersScope counters_scope(&counters);
     std::vector<exec::BackendValue> values;
-    std::vector<size_t> num_args;
     for (const auto& print : prints) {
-      LAFP_ASSIGN_OR_RETURN(std::vector<TaskNodePtr> args,
-                            PrintArguments(*print));
-      for (const auto& arg : args) values.push_back(arg->result);
-      num_args.push_back(args.size());
+      LAFP_RETURN_NOT_OK(CheckPrintInputs(*print));
+      for (const auto& arg : print->inputs) values.push_back(arg->result);
     }
     if (target != nullptr) {
       if (target->result.empty() && !target->result.is_scalar) {
@@ -670,10 +597,10 @@ Status Session::EmitOutputs(const std::vector<TaskNodePtr>& prints,
     // Render every print before writing any: a failure emits none.
     std::string text;
     const exec::EagerValue* next = eager.data();
-    for (size_t i = 0; i < prints.size(); ++i) {
-      text += RenderPrint(*prints[i], next);
+    for (const auto& print : prints) {
+      text += RenderPrint(*print, next);
       text += "\n";
-      next += num_args[i];
+      next += print->inputs.size();
     }
     out() << text;
     if (target != nullptr) *target_value = std::move(eager.back());

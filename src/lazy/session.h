@@ -22,76 +22,6 @@ namespace lafp::lazy {
 /// semantics: every API call materializes immediately.
 enum class ExecutionMode : int { kLazy = 0, kEager = 1 };
 
-/// Unified execution tuning (the single home for threading knobs). The
-/// same worker count drives graph-level scheduling and the Modin
-/// backend's partition parallelism, replacing the old split where
-/// BackendConfig::num_threads only meant "Modin workers".
-struct ExecutionOptions {
-  /// Worker threads for the parallel DAG scheduler and backend partition
-  /// parallelism. 0 = inherit the legacy BackendConfig::num_threads knob
-  /// (so aggregate-initialized SessionOptions keep their old meaning);
-  /// 1 = serial scheduling.
-  int num_threads = 0;
-  /// Morsel-driven parallelism *inside* individual kernels (the
-  /// intra-operator axis, orthogonal to num_threads' inter-operator /
-  /// partition axis). 0 = off (kernels run their legacy sequential loops,
-  /// byte-for-byte); 1 = serial execution over the fixed morsel geometry;
-  /// >1 = morsel-parallel on the backend's kernel pool. Because morsel
-  /// boundaries depend only on row count and morsel_rows, every value
-  /// >= 1 yields bit-identical results. 0 inherits the
-  /// BackendConfig::intra_op_threads knob, mirroring num_threads.
-  int intra_op_threads = 0;
-  /// Rows per kernel morsel when intra_op_threads >= 1. Part of the
-  /// determinism contract: changing it changes morsel boundaries (and may
-  /// perturb compensated sums by ~1 ulp); changing thread counts never
-  /// does.
-  size_t morsel_rows = 65536;
-  /// Graceful degradation (§4.3/§5.2): when a backend's native Execute
-  /// fails with an execution / IO / not-implemented error, retry the node
-  /// once on the eager Pandas-engine fallback path instead of failing the
-  /// round. Out-of-memory and semantic errors (KeyError/TypeError
-  /// analogues) always surface — those are program errors, not backend
-  /// limitations.
-  bool graceful_fallback = true;
-  /// Enable the structured tracer (common/trace.h) for this session:
-  /// session/round/pass/node/kernel spans are recorded into the global
-  /// tracer for Chrome-JSON or EXPLAIN ANALYZE export. Independent of the
-  /// LAFP_TRACE env knob (either can switch the tracer on). The tracer
-  /// goes off again when the last traced session ends, unless it was on
-  /// before the first of them began.
-  bool trace = false;
-  /// External cancellation token checked by the scheduler between nodes
-  /// (common/cancellation.h). Non-owning, must outlive the session; null
-  /// = rounds cancel only on internal failure. A query server trips this
-  /// when the client disconnects, so an abandoned request stops burning
-  /// workers at its next node boundary.
-  CancellationToken* cancel = nullptr;
-  /// Non-owning DAG-scheduler worker pool shared across sessions. Null =
-  /// the session lazily builds a private pool (the single-session
-  /// default). A query server owns one pool and hands it to every
-  /// session so N concurrent sessions multiplex a fixed worker set
-  /// instead of stacking N private pools. Must outlive the session.
-  ThreadPool* scheduler_pool = nullptr;
-
-  /// Fully resolved execution knobs — every zero-means-inherit default
-  /// collapsed to a concrete value.
-  struct Resolved {
-    int num_threads = 1;       // always >= 1
-    int intra_op_threads = 0;  // always >= 0 (0 = morsel machinery off)
-    size_t morsel_rows = 65536;
-  };
-
-  /// Resolution order (the single home for knob inheritance — nothing
-  /// else in the runtime may interpret a 0):
-  ///  1. an explicit ExecutionOptions knob (> 0) wins;
-  ///  2. otherwise the legacy BackendConfig knob applies (so
-  ///     aggregate-initialized SessionOptions keep their old meaning);
-  ///  3. the result is clamped: num_threads >= 1, intra_op_threads >= 0;
-  ///  4. morsel_rows always comes from ExecutionOptions (it has a real
-  ///     default, not an inherit sentinel).
-  Resolved Resolve(const exec::BackendConfig& legacy) const;
-};
-
 struct SessionOptions {
   exec::BackendKind backend = exec::BackendKind::kPandas;
   exec::BackendConfig backend_config;
@@ -113,12 +43,14 @@ struct SessionOptions {
   /// Global() registry (LAFP_FAULTS) applies. A malformed string fails
   /// the session's first execution round.
   std::string fault_config;
-  /// Scheduler / threading knobs (see ExecutionOptions).
-  ExecutionOptions exec;
-  /// Cross-query plan/result cache (lazy/result_cache.h). Disabled by
-  /// default; the LAFP_CACHE env knob can still attach the process-wide
-  /// shared cache when this config is untouched.
-  CacheConfig cache;
+  /// Scheduler, threading and cancellation knobs, handed to the backend
+  /// too (see exec::ExecutionOptions): the thread counts read as at least
+  /// 1 (num_threads) and 0 (intra_op_threads).
+  exec::ExecutionOptions exec;
+  /// Cross-query plan/result cache (lazy/result_cache.h), shareable
+  /// across sessions. Null = none, unless the LAFP_CACHE env knob
+  /// attaches the process-wide ResultCache::Global().
+  std::shared_ptr<ResultCache> cache;
 
   class Builder;
 };
@@ -151,7 +83,7 @@ class SessionOptions::Builder {
     return *this;
   }
   /// Intra-operator (morsel) parallelism inside kernels; see
-  /// ExecutionOptions::intra_op_threads.
+  /// exec::ExecutionOptions::intra_op_threads.
   Builder& intra_op_threads(int n) {
     opts_.exec.intra_op_threads = n;
     return *this;
@@ -191,12 +123,12 @@ class SessionOptions::Builder {
     opts_.exec.trace = on;
     return *this;
   }
-  /// External cancellation token (non-owning; see ExecutionOptions).
+  /// External cancellation token (non-owning; see exec::ExecutionOptions).
   Builder& cancel(CancellationToken* token) {
     opts_.exec.cancel = token;
     return *this;
   }
-  /// Shared DAG-scheduler pool (non-owning; see ExecutionOptions).
+  /// Shared DAG-scheduler pool (non-owning; see exec::ExecutionOptions).
   Builder& scheduler_pool(ThreadPool* pool) {
     opts_.exec.scheduler_pool = pool;
     return *this;
@@ -204,7 +136,7 @@ class SessionOptions::Builder {
   /// Shared-nothing multi-process execution: selects the shard backend
   /// with `n` forked worker processes (1 is a valid degenerate cluster;
   /// results are byte-identical for any n). 0 defers the count to the
-  /// LAFP_SHARDS env knob, defaulting to 2.
+  /// LAFP_SHARDS env knob, defaulting to 2 (exec::BackendConfig::shards).
   Builder& shards(int n) {
     opts_.backend = exec::BackendKind::kShard;
     opts_.backend_config.shards = n;
@@ -220,23 +152,9 @@ class SessionOptions::Builder {
     opts_.backend_config.spill_fallback_dir = std::move(dir);
     return *this;
   }
-  /// Enable (or disable) the cross-query result cache. With no explicit
-  /// instance the session builds a private cache charged to the
-  /// session's MemoryTracker.
-  Builder& cache(bool on) {
-    opts_.cache.enabled = on;
-    return *this;
-  }
-  /// Share an existing cache instance across sessions (implies enabled).
+  /// The cross-query result cache, shareable across sessions.
   Builder& cache(std::shared_ptr<ResultCache> c) {
-    opts_.cache.enabled = true;
-    opts_.cache.cache = std::move(c);
-    return *this;
-  }
-  /// Capacity for the session-private cache (implies enabled).
-  Builder& cache_bytes(size_t bytes) {
-    opts_.cache.enabled = true;
-    opts_.cache.capacity_bytes = bytes;
+    opts_.cache = std::move(c);
     return *this;
   }
   Builder& tracker(MemoryTracker* t) {
@@ -275,9 +193,6 @@ class OptimizerPass {
   virtual Status Run(Session* session, const std::vector<TaskNodePtr>& roots,
                      const std::vector<TaskNodePtr>& live) = 0;
 };
-
-/// Placeholder markers inside a print template: "\x01<input index>\x02".
-std::string PrintPlaceholder(size_t input_index);
 
 /// The LaFP runtime: owns the task graph, the backend, the pending lazy
 /// prints, and the execution engine with result clearing (paper §2.5-2.6,

@@ -31,9 +31,10 @@ struct TaskNode {
   /// persisted.
   bool persist = false;
 
-  /// For print nodes: the message template. "\x01<k>\x02" substitutes the
-  /// display form of inputs[k] (the f-string escape-ID mechanism, §3.3).
-  std::string print_template;
+  /// For print nodes: the literal text, one segment more than `inputs`.
+  /// Segment k comes before the display form of inputs[k] (the f-string
+  /// escape-ID mechanism, §3.3); the last one follows the last input.
+  std::vector<std::string> print_segments;
 
   /// Set by the cache-splice pass (lazy/result_cache.h) when the node's
   /// original subtree was replaced by a cached result: the eager payload

@@ -1,8 +1,6 @@
 #include "optimizer/passes.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <iostream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -44,11 +42,6 @@ Status DeduplicateNodes(Session* session,
     }
     auto [it, inserted] = canon.emplace(std::move(key), node);
     if (!inserted && it->second != node) {
-      if (std::getenv("LAFP_DEBUG_DEDUP") != nullptr) {
-        std::cerr << "[dedup] merge node " << node->id << " ("
-                  << node->desc.ToString() << ") -> " << it->second->id
-                  << "\n";
-      }
       replacement[node.get()] = it->second;
       // Persistence intent carries over to the canonical node.
       if (node->persist) it->second->persist = true;

@@ -722,7 +722,19 @@ class Interpreter {
     if (fn == "int") {
       LAFP_ASSIGN_OR_RETURN(Value arg, Load(expr.operands.at(0)));
       LAFP_ASSIGN_OR_RETURN(Scalar s, ToScalar(arg));
+      if (s.type() == df::DataType::kInt64) return Value::Int(s.int_value());
       LAFP_ASSIGN_OR_RETURN(double d, s.AsDouble());
+      // Python raises ValueError / OverflowError here; a bare cast of
+      // NaN, an infinity or a value outside int64 is undefined.
+      if (std::isnan(d)) {
+        return Status::Invalid("cannot convert float NaN to integer");
+      }
+      if (std::isinf(d)) {
+        return Status::Invalid("cannot convert float infinity to integer");
+      }
+      if (d < -0x1p63 || d >= 0x1p63) {
+        return Status::Invalid("int() result does not fit in int64");
+      }
       return Value::Int(static_cast<int64_t>(d));
     }
     if (fn == "float") {
@@ -928,11 +940,7 @@ class Interpreter {
       if (eager.is_scalar) {
         digest = Md5::Of(eager.scalar.ToString());
       } else {
-        std::string dump = HashableDump(eager.frame);
-        if (std::getenv("LAFP_DUMP_CHECKSUM") != nullptr) {
-          std::fprintf(stderr, "--- checksum input ---\n%s", dump.c_str());
-        }
-        digest = Md5::Of(dump);
+        digest = Md5::Of(HashableDump(eager.frame));
       }
     } else {
       LAFP_ASSIGN_OR_RETURN(Scalar s, ToScalar(arg));

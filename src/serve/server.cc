@@ -273,10 +273,7 @@ HttpResponse QueryService::HandleRun(const HttpRequest& request,
   opts.exec.cancel = &cancel;
   opts.exec.scheduler_pool = scheduler_pool_.get();
   opts.backend_config.shared_pool = backend_pool_.get();
-  if (cache_ != nullptr && opts.mode == lazy::ExecutionMode::kLazy) {
-    opts.cache.enabled = true;
-    opts.cache.cache = cache_;
-  }
+  if (opts.mode == lazy::ExecutionMode::kLazy) opts.cache = cache_;
 
   // A traced request's events are read once, into its response. Unless
   // the tracer was on before (LAFP_TRACE, set_enabled), they are erased

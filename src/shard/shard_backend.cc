@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdlib>
 #include <deque>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "common/fault.h"
 #include "common/macros.h"
 #include "common/metrics.h"
+#include "common/string_util.h"
 #include "common/trace.h"
 #include "exec/partition.h"
 #include "io/columnar.h"
@@ -22,9 +25,27 @@ using exec::BackendValue;
 using exec::EagerValue;
 using exec::OpDesc;
 
-/// Upper bound on the workers of one lease; LAFP_SHARDS beyond this
-/// clamps.
+/// Upper bound on the workers of one lease.
 constexpr int kMaxShards = 64;
+
+/// The one decision of the worker count: BackendConfig::shards when set,
+/// else the LAFP_SHARDS env knob, else 2. A count outside [1, kMaxShards]
+/// or a malformed LAFP_SHARDS fails.
+Result<int> ShardCount(int configured) {
+  int64_t n = configured;
+  std::string given = std::to_string(configured);
+  if (configured == 0) {
+    const char* env = std::getenv("LAFP_SHARDS");
+    if (env == nullptr) return 2;
+    n = ParseInt64(env).value_or(0);  // unparsable reads as out of range
+    given = std::string("LAFP_SHARDS=") + env;
+  }
+  if (n < 1 || n > kMaxShards) {
+    return Status::Invalid("shard: worker count must be in [1, " +
+                           std::to_string(kMaxShards) + "], got " + given);
+  }
+  return static_cast<int>(n);
+}
 
 /// Coordinator-side handle to a sharded frame. Destruction queues the
 /// remote frees (any scheduler thread may drop the last reference; the
@@ -134,11 +155,6 @@ metrics::Counter* RetryCounter() {
 // Cluster
 
 Result<std::shared_ptr<Cluster>> Cluster::Lease(int num_workers) {
-  if (num_workers < 1 || num_workers > kMaxShards) {
-    return Status::Invalid("shard: worker count must be in [1, " +
-                           std::to_string(kMaxShards) + "], got " +
-                           std::to_string(num_workers));
-  }
   std::shared_ptr<Cluster> cluster(new Cluster());
   cluster->workers_.resize(static_cast<size_t>(num_workers));
   WorkerPool* pool = WorkerPool::Get();
@@ -312,8 +328,9 @@ void Cluster::EndLease(bool frames_alive) {
 // ShardBackend
 
 ShardBackend::ShardBackend(MemoryTracker* tracker,
-                           const exec::BackendConfig& config)
-    : PartitionedBackend(tracker, config) {
+                           const exec::BackendConfig& config,
+                           const exec::ExecutionOptions& exec)
+    : PartitionedBackend(tracker, config, exec) {
   // Lease before the session starts threads of its own, since a short
   // pool forks here: a child forked while another thread holds an
   // allocator lock inherits it locked. glibc's malloc guards against
@@ -338,9 +355,7 @@ std::vector<pid_t> ShardBackend::WorkerPids() {
 
 Status ShardBackend::EnsureCluster() {
   if (cluster_ != nullptr) return Status::OK();
-  int n = config_.shards;
-  if (n <= 0) n = 2;
-  n = std::min(n, kMaxShards);
+  LAFP_ASSIGN_OR_RETURN(int n, ShardCount(config_.shards));
   LAFP_ASSIGN_OR_RETURN(cluster_, Cluster::Lease(n));
   return Status::OK();
 }
@@ -358,7 +373,7 @@ Status ShardBackend::RunCalls(const std::vector<WorkerCall>& calls,
   std::vector<ptrdiff_t> inflight(static_cast<size_t>(nw), -1);
   bool cancelled = false;
   while (true) {
-    if (!cancelled && config_.cancel != nullptr && config_.cancel->cancelled()) {
+    if (!cancelled && exec_.cancel != nullptr && exec_.cancel->cancelled()) {
       cancelled = true;  // stop launching; drain what is in flight
     }
     bool progressed = false;

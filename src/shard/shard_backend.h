@@ -24,9 +24,9 @@ namespace lafp::shard {
 /// and every partition handle minted under the old one becomes invalid.
 class Cluster {
  public:
-  /// Leases `num_workers` idle workers from the process pool and forks
-  /// only those it is short of. Every slot gets a fresh generation, so a
-  /// handle of another lease never validates here.
+  /// Leases `num_workers` (in [1, 64]) idle workers from the process pool
+  /// and forks only those it is short of. Every slot gets a fresh
+  /// generation, so a handle of another lease never validates here.
   static Result<std::shared_ptr<Cluster>> Lease(int num_workers);
   /// Kills whatever the lease still holds (EndLease did not run).
   ~Cluster();
@@ -133,7 +133,8 @@ struct ShardPartition {
 /// shard count.
 class ShardBackend : public exec::PartitionedBackend {
  public:
-  ShardBackend(MemoryTracker* tracker, const exec::BackendConfig& config);
+  ShardBackend(MemoryTracker* tracker, const exec::BackendConfig& config,
+               const exec::ExecutionOptions& exec);
   /// Ends the lease (Cluster::EndLease).
   ~ShardBackend() override;
 

@@ -256,10 +256,7 @@ RunOutcome ExecuteOnce(const std::string& source, const OracleConfig& config,
   // session's FaultScope restores (with fresh counters) on return —
   // replay and shrink see identical firing sequences.
   opts.fault_config = config.faults;
-  if (cache != nullptr) {
-    opts.cache.enabled = true;
-    opts.cache.cache = cache;
-  }
+  opts.cache = cache;
 
   lazy::Session session(opts);
   // LFC configs install the optimizer even with every rewrite pass off so

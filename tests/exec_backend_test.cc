@@ -39,8 +39,9 @@ class BackendParamTest : public ::testing::TestWithParam<BackendKind> {
     out.close();
     BackendConfig config;
     config.partition_rows = 64;  // force several partitions
-    config.num_threads = 2;
-    backend_ = MakeBackend(GetParam(), &tracker_, config);
+    ExecutionOptions exec;
+    exec.num_threads = 2;
+    backend_ = MakeBackend(GetParam(), &tracker_, config, exec);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

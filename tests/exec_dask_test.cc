@@ -519,8 +519,9 @@ TEST_F(DaskTest, CancelledTokenStopsPass) {
   BackendConfig config;
   config.partition_rows = 1000;
   config.spill_dir = dir_ + "/spill";
-  config.cancel = &cancel;
-  auto backend = MakeBackend(BackendKind::kDask, &tracker, config);
+  ExecutionOptions exec;
+  exec.cancel = &cancel;
+  auto backend = MakeBackend(BackendKind::kDask, &tracker, config, exec);
   auto frame = Read(backend.get());
   ASSERT_TRUE(frame.ok());
   BackendValue n = Op(backend.get(), OpKind::kLen, {*frame});

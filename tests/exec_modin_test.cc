@@ -35,9 +35,10 @@ class ModinTest : public ::testing::Test {
                                      int64_t overhead_us = 0) {
     BackendConfig config;
     config.partition_rows = partition_rows;
-    config.num_threads = 4;
     config.task_overhead_us = overhead_us;
-    return MakeBackend(BackendKind::kModin, tracker, config);
+    ExecutionOptions exec;
+    exec.num_threads = 4;
+    return MakeBackend(BackendKind::kModin, tracker, config, exec);
   }
 
   Result<BackendValue> Read(Backend* backend) {

@@ -85,10 +85,7 @@ class MultiSessionTest : public ::testing::Test {
     opts.exec.scheduler_pool = shared.scheduler_pool;
     opts.exec.cancel = shared.cancel;
     opts.fault_config = shared.faults;
-    if (shared.cache != nullptr) {
-      opts.cache.enabled = true;
-      opts.cache.cache = shared.cache;
-    }
+    opts.cache = shared.cache;
     Session session(opts);
     opt::InstallDefaultOptimizer(&session);
     script::RunOptions run_opts;

@@ -312,19 +312,24 @@ TEST_F(ResultCacheTest, BuilderKnobsControlSessionCache) {
   auto plain = MakeSession();
   EXPECT_EQ(plain->result_cache(), nullptr);  // off by default
 
-  auto opts = SessionOptions::Builder()
-                  .tracker(&tracker_)
-                  .output(&output_)
-                  .cache(true)
-                  .cache_bytes(1 << 20)
-                  .Build();
-  Session with_private(opts);
-  ASSERT_NE(with_private.result_cache(), nullptr);
-  EXPECT_EQ(with_private.result_cache()->capacity_bytes(), 1u << 20);
-
-  auto shared = std::make_shared<ResultCache>();
-  auto shared_session = MakeSession(shared);
-  EXPECT_EQ(shared_session->result_cache(), shared);
+  // The session's cache setting is the instance alone: its capacity and
+  // the tracker it charges are the instance's own.
+  auto sized = std::make_shared<ResultCache>(
+      ResultCache::Options{1 << 20, &tracker_});
+  auto session = MakeSession(sized);
+  ASSERT_EQ(session->result_cache(), sized);
+  EXPECT_EQ(session->result_cache()->capacity_bytes(), 1u << 20);
+  {
+    auto plan = FilterPlan(session.get(), 0.0);
+    ASSERT_TRUE(plan.ok());
+    ASSERT_TRUE(plan->Compute().ok());
+  }
+  session.reset();
+  ASSERT_GE(sized->inserts(), 1);
+  EXPECT_GT(sized->bytes(), 0u);
+  EXPECT_GT(tracker_.current(), 0);  // the cached copies only
+  sized->Clear();
+  EXPECT_EQ(tracker_.current(), 0);
 }
 
 // ---- LFC input fingerprints (io/fingerprint.h FingerprintInputFile) ----

@@ -37,7 +37,7 @@ class LazyRuntimeTest : public ::testing::TestWithParam<BackendKind> {
     SessionOptions opts;
     opts.backend = GetParam();
     opts.backend_config.partition_rows = 32;
-    opts.backend_config.num_threads = 2;
+    opts.exec.num_threads = 2;
     opts.mode = mode;
     opts.lazy_print = lazy_print;
     opts.output = &output_;

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "exec/modin_backend.h"
 #include "lazy/fat_dataframe.h"
 #include "lazy/scheduler.h"
 #include "optimizer/passes.h"
@@ -230,21 +231,60 @@ TEST_F(LazySchedulerTest, ParallelErrorPropagates) {
   EXPECT_FALSE(eager.ok());
 }
 
-// The unified knob: Builder().threads(n) drives both the scheduler and
-// the backend config; legacy aggregate init keeps working.
+/// Runs read + two heads + concat, a round with independent nodes.
+void RunDiamond(Session* session, const std::string& csv_path) {
+  auto df = FatDataFrame::ReadCsv(session, csv_path);
+  ASSERT_TRUE(df.ok());
+  auto joined = FatDataFrame::Concat(session, {*df->Head(10), *df->Head(20)});
+  ASSERT_TRUE(joined.ok());
+  auto eager = joined->Compute();
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  EXPECT_EQ(eager->frame.num_rows(), 30u);
+}
+
+int ModinWorkers(Session* session) {
+  auto* modin = dynamic_cast<exec::ModinBackend*>(session->backend());
+  return modin != nullptr ? modin->workers() : -1;
+}
+
+// SessionOptions{} means 4 scheduler threads and 4 Modin workers, kernels
+// in one morsel, from ExecutionOptions' own defaults.
+TEST_F(LazySchedulerTest, DefaultOptionsRunFourThreads) {
+  std::stringstream output;
+  SessionOptions opts;
+  opts.output = &output;
+  opts.tracker = &tracker_;
+  Session pandas(opts);
+  RunDiamond(&pandas, csv_path_);
+  EXPECT_TRUE(pandas.last_report().parallel);
+  EXPECT_EQ(pandas.last_report().num_threads, 4);
+  EXPECT_EQ(pandas.backend()->exec_options().intra_op_threads, 0);
+  EXPECT_EQ(pandas.backend()->exec_options().morsel_rows, 65536u);
+  EXPECT_EQ(pandas.last_report().parallel_kernels, 0);
+
+  opts.backend = BackendKind::kModin;
+  Session modin(opts);
+  EXPECT_EQ(ModinWorkers(&modin), 4);
+}
+
+// The one thread knob: Builder().threads(n) reaches both the scheduler and
+// the Modin partition pool; a count below 1 reads as 1 (serial).
 TEST_F(LazySchedulerTest, BuilderUnifiesThreadKnobs) {
   std::stringstream output;
   auto session = MakeSession(3, &output, BackendKind::kModin);
-  EXPECT_EQ(session->options().exec.num_threads, 3);
-  EXPECT_EQ(session->options().backend_config.num_threads, 3);
+  EXPECT_EQ(ModinWorkers(session.get()), 3);
+  RunDiamond(session.get(), csv_path_);
+  EXPECT_TRUE(session->last_report().parallel);
+  EXPECT_EQ(session->last_report().num_threads, 3);
 
-  // Legacy path: aggregate init with only the backend knob set.
-  SessionOptions legacy;
-  legacy.backend_config.num_threads = 2;
-  legacy.output = &output;
-  Session legacy_session(std::move(legacy));
-  EXPECT_EQ(legacy_session.options().exec.num_threads, 2);
-  EXPECT_EQ(legacy_session.options().backend_config.num_threads, 2);
+  for (int threads : {0, -2}) {
+    auto serial = MakeSession(threads, &output, BackendKind::kModin);
+    EXPECT_EQ(serial->options().exec.num_threads, 1);
+    EXPECT_EQ(ModinWorkers(serial.get()), 1);
+    RunDiamond(serial.get(), csv_path_);
+    EXPECT_FALSE(serial->last_report().parallel);
+    EXPECT_EQ(serial->last_report().num_threads, 1);
+  }
 }
 
 // End-to-end intra-op parallelism: the builder knob reaches the backend
@@ -262,9 +302,9 @@ TEST_F(LazySchedulerTest, IntraOpThreadsProduceIdenticalResultsAndStats) {
                                                  .output(&output)
                                                  .tracker(&tracker_)
                                                  .Build());
-    EXPECT_EQ(session->options().backend_config.intra_op_threads,
+    EXPECT_EQ(session->backend()->exec_options().intra_op_threads,
               intra_threads);
-    EXPECT_EQ(session->options().backend_config.morsel_rows, morsel_rows);
+    EXPECT_EQ(session->backend()->exec_options().morsel_rows, morsel_rows);
     auto df = FatDataFrame::ReadCsv(session.get(), csv_path_);
     auto fare = *df->Col("fare");
     auto mask = *fare.CompareTo(CompareOp::kGt, Scalar::Double(0.0));

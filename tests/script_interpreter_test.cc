@@ -386,6 +386,50 @@ TEST_P(InterpreterTest, NegativeOrNonIntegerHeadFailsCleanly) {
   }
 }
 
+// A string literal may hold any byte, the control bytes included: print
+// keeps its literal text apart from its values, so the bytes come out
+// verbatim, in eager mode and on LaFP.
+TEST_P(InterpreterTest, PrintKeepsLiteralControlBytes) {
+  const std::string marker = std::string("\x01") + "0" + "\x02";
+  const std::string bytes = std::string("a\x01\x02") + "b";
+  const std::string read =
+      "import lazyfatpandas.pandas as pd\n"
+      "df = pd.read_csv(\"" + csv_path_ + "\")\n";
+  const std::vector<std::pair<std::string, std::string>> programs = {
+      {read + "print(\"" + bytes + "\")\n", bytes + "\n"},
+      {read +
+       "n = len(df)\n"
+       "print(\"[" + marker + "]\", n)\n",
+       "[" + marker + "] 120\n"},
+  };
+  for (const auto& [source, want] : programs) {
+    for (bool lafp : {false, true}) {
+      auto out = Run(source, lafp,
+                     lafp ? ExecutionMode::kLazy : ExecutionMode::kEager, lafp,
+                     lafp);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(*out, want) << (lafp ? "lafp" : "eager");
+    }
+  }
+}
+
+// int() of a float truncates toward zero, as Python's does; NaN, an
+// infinity or a value outside int64 fails cleanly instead of an undefined
+// cast. An int passes through exactly.
+TEST_P(InterpreterTest, IntOfFloatOutsideInt64FailsCleanly) {
+  auto ok = Run("print(int(-3.7), int(2.9), int(9007199254740993))\n", false,
+                ExecutionMode::kEager);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(*ok, "-3 2 9007199254740993\n");
+  for (const char* arg : {"1e300", "-1e300", "9223372036854775808.0",
+                          "1e300 * 1e300", "1e300 * 1e300 - 1e300 * 1e300"}) {
+    auto out = Run(std::string("print(int(") + arg + "))\n", false,
+                   ExecutionMode::kEager);
+    EXPECT_TRUE(out.status().IsInvalid()) << arg << ": "
+                                          << out.status().ToString();
+  }
+}
+
 TEST_P(InterpreterTest, RewrittenProgramReadsFewerColumns) {
   // Observable effect of the §3.1 rewrite: head() after pruning shows
   // only the used columns.

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <latch>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -534,6 +535,95 @@ std::map<pid_t, uint64_t> IdleWorkers() {
 }
 
 bool Reaped(pid_t pid) { return ::kill(pid, 0) != 0 && errno == ESRCH; }
+
+/// Sets LAFP_SHARDS (unsets it for null) for one scope.
+class ScopedShardsEnv {
+ public:
+  explicit ScopedShardsEnv(const char* value) {
+    if (const char* old = std::getenv("LAFP_SHARDS")) saved_ = old;
+    if (value != nullptr) {
+      ::setenv("LAFP_SHARDS", value, 1);
+    } else {
+      ::unsetenv("LAFP_SHARDS");
+    }
+  }
+  ~ScopedShardsEnv() {
+    if (saved_.has_value()) {
+      ::setenv("LAFP_SHARDS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("LAFP_SHARDS");
+    }
+  }
+  ScopedShardsEnv(const ScopedShardsEnv&) = delete;
+  ScopedShardsEnv& operator=(const ScopedShardsEnv&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+// The shard backend alone decides the worker count, on a session and on
+// MakeBackend alike: BackendConfig::shards, else LAFP_SHARDS, else 2. A
+// count outside [1, 64] or a malformed LAFP_SHARDS fails the first
+// Execute with Invalid, never a silent clamp.
+TEST_F(ShardExecutorTest, WorkerCountHasOneDecision) {
+  const std::string reference = Reference();
+  auto through_backend = [&](int shards) {
+    exec::BackendConfig config;
+    config.shards = shards;
+    return exec::MakeBackend(BackendKind::kShard, &tracker_, config);
+  };
+  auto workers_of = [](exec::Backend* backend) {
+    return dynamic_cast<shard::ShardBackend*>(backend)->WorkerPids().size();
+  };
+  exec::OpDesc read;
+  read.kind = exec::OpKind::kReadCsv;
+  read.path = csv_path_;
+  {
+    ScopedShardsEnv env(nullptr);
+    auto session = MakeSession(BackendKind::kShard);
+    EXPECT_EQ(WorkerPidsOf(session.get()).size(), 2u);
+    EXPECT_EQ(workers_of(through_backend(0).get()), 2u);
+  }
+  {
+    ScopedShardsEnv env("3");
+    auto session = MakeSession(BackendKind::kShard);
+    EXPECT_EQ(WorkerPidsOf(session.get()).size(), 3u);
+    auto out = RunPipeline(session.get());
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(*out, reference);
+    auto backend = through_backend(0);
+    EXPECT_EQ(workers_of(backend.get()), 3u);
+    EXPECT_TRUE(backend->Execute(read, {}).ok());
+    // An explicit count wins over the env knob.
+    EXPECT_EQ(WorkerPidsOf(MakeSession(BackendKind::kShard, 1).get()).size(),
+              1u);
+  }
+  for (const char* bad : {"0", "65", "abc", "-1"}) {
+    ScopedShardsEnv env(bad);
+    auto session = MakeSession(BackendKind::kShard);
+    EXPECT_TRUE(WorkerPidsOf(session.get()).empty()) << bad;
+    auto out = RunPipeline(session.get());
+    EXPECT_TRUE(out.status().IsInvalid()) << bad << ": "
+                                          << out.status().ToString();
+    EXPECT_NE(out.status().message().find("LAFP_SHARDS"), std::string::npos)
+        << out.status().ToString();
+    auto backend = through_backend(0);
+    EXPECT_TRUE(backend->Execute(read, {}).status().IsInvalid()) << bad;
+  }
+  ScopedShardsEnv env(nullptr);
+  for (int bad : {65, -1}) {
+    auto session = std::make_unique<Session>(SessionOptions::Builder()
+                                                 .shards(bad)
+                                                 .tracker(&tracker_)
+                                                 .output(&output_)
+                                                 .Build());
+    auto out = RunPipeline(session.get());
+    EXPECT_TRUE(out.status().IsInvalid()) << bad << ": "
+                                          << out.status().ToString();
+    EXPECT_TRUE(through_backend(bad)->Execute(read, {}).status().IsInvalid())
+        << bad;
+  }
+}
 
 // A session with as many workers as an earlier one, or fewer, forks none:
 // it runs on the earlier session's workers, and its answer is the
